@@ -244,7 +244,8 @@ def ascending_chain_evidence(
     )
     cyclic_witness = cyclic.to_json()["witness"]
     if cyclic.model is not None:
-        assert longest_strict_chain(cyclic.model) is CYCLIC
+        if longest_strict_chain(cyclic.model) is not CYCLIC:
+            raise AssertionError("the cyclic witness has no strict cycle")
         cyclic_witness["longest_strict_chain"] = "cyclic"
 
     return {

@@ -72,7 +72,7 @@ def _parse_formula(text: str):
         raise UsageError(f"bad formula {text!r}: {exc}") from None
 
 
-def _emit(report: dict, args, started: float) -> None:
+def _print_report(report: dict, args, started: float) -> None:
     report["elapsed_ms"] = int((time.monotonic() - started) * 1000) if args.timing else None
     text = report.pop("_text", None)
     if args.json or text is None:
@@ -109,7 +109,7 @@ def _cmd_eval(args) -> int:
         f"true at worlds: {sorted(worlds_from_mask(mask))} of 0..{model.n - 1}\n"
         f"valid in model: {'yes' if valid else 'no'}",
     }
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     return 0 if valid else 1
 
 
@@ -139,7 +139,7 @@ def _cmd_check_model(args) -> int:
             + [f"  => {'ok' if ok else 'FAIL'}"]
         ),
     }
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     return 0 if ok else 1
 
 
@@ -166,7 +166,7 @@ def _cmd_find_model(args) -> int:
         result = find_satisfying_model(spec)
     except SearchTimeout:
         report = {"command": "find-model", "status": "timeout", "max_n": args.max_n}
-        _emit(report, args, args._started)
+        _print_report(report, args, args._started)
         return 1
     report = {"command": "find-model", **result.to_json()}
     if result.model is not None:
@@ -176,7 +176,7 @@ def _cmd_find_model(args) -> int:
         )
     else:
         report["_text"] = f"{result.status} (checked {result.frames_checked} frames)"
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     requested_found = result.model is not None
     return 0 if requested_found else 1
 
@@ -196,7 +196,7 @@ def _cmd_correspond(args) -> int:
             props = "+".join(row["properties"]) or "(none)"
             lines.append(f"  {row['label']:<24} {props:<40} {axioms:<20} {outcome}")
         report["_text"] = "\n".join(lines)
-        _emit(report, args, args._started)
+        _print_report(report, args, args._started)
         return 0 if report["all_match"] else 1
 
     if not args.axiom:
@@ -218,7 +218,7 @@ def _cmd_correspond(args) -> int:
         )
         if result.witness is not None:
             report["_text"] += "\n" + serialize_model(result.witness).rstrip()
-        _emit(report, args, args._started)
+        _print_report(report, args, args._started)
         return 0 if result.status == "witness" else 1
 
     props = _parse_props(args.props)
@@ -234,7 +234,7 @@ def _cmd_correspond(args) -> int:
     )
     if result.counter_frame is not None:
         report["_text"] += "\n" + report["counterexample"]["model_text"].rstrip()
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     return 0 if result.confirmed else 1
 
 
@@ -245,7 +245,7 @@ def _cmd_collapse(args) -> int:
         f"rule collapse on reflexive+total+transitive frames up to n={args.max_n}: "
         f"{report['status']} ({report['frames_checked']} frames)"
     )
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     return 0 if report["status"] == "confirmed" else 1
 
 
@@ -261,11 +261,11 @@ def _cmd_paradox(args) -> int:
         )
     except SearchTimeout:
         report = {"command": "paradox", "status": "timeout", "max_n": args.max_n}
-        _emit(report, args, args._started)
+        _print_report(report, args, args._started)
         return 1
     report = {"command": "paradox", **report}
     report["_text"] = casestudy.grid_text(report)
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     return 0 if report["all_match"] else 1
 
 
@@ -282,7 +282,7 @@ def _cmd_lattice(args) -> int:
         f"  independence witnesses: {len(report['independence']) - len(misses)}/{len(report['independence'])} found"
     )
     report["_text"] = "\n".join(lines)
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     return 0 if ok else 1
 
 
@@ -301,7 +301,7 @@ def _cmd_props(args) -> int:
             + [f"  longest strict chain: {chain if isinstance(chain, int) else 'cyclic'}"]
         ),
     }
-    _emit(report, args, args._started)
+    _print_report(report, args, args._started)
     return 0
 
 

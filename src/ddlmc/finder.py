@@ -7,9 +7,12 @@ order; with isomorph rejection the frames are orbit minima, and since truth
 is invariant under world relabeling the reported witness is the same with
 or without rejection.
 
-Valuation search prunes by stages: each target formula is checked as soon
-as the atoms it mentions are all bound.  Searches count frames, not
-valuations, so reported totals are independent of worker partitioning.
+Each frame's valuations are scanned at once by the bit-sliced evaluator
+(``semantics.first_valuation``): valuations are numbered like the tuple of
+atom masks in the declared atom order, the first atom the most significant
+base-2^n digit, so the lowest valuation bit that settles the targets is the
+least valuation.  Searches count frames, not valuations, so reported totals
+are independent of worker partitioning.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from . import formula as fm
@@ -32,11 +34,7 @@ from .model import (
     transitive_closure,
 )
 from .relprops import RelationProperty, check_all, check_property
-from .semantics import EvalRule, compile_formula, frame_tables, truth_set, valid_in_model
-
-
-class SearchTimeout(Exception):
-    """Wall-clock budget exhausted before the search finished."""
+from .semantics import EvalRule, SearchTimeout, first_valuation, truth_set, valid_in_model
 
 
 class _Cyclic:
@@ -184,59 +182,6 @@ class SearchResult:
         }
 
 
-def _stage_plan(targets, atom_order, rule):
-    """Group compiled targets by the atom-prefix length that binds them."""
-    names = tuple(atom_order)
-    position = {a: i for i, a in enumerate(names)}
-    stages: list[list] = [[] for _ in range(len(names) + 1)]
-    for t in targets:
-        used = fm.atoms(t)
-        ready = max((position[a] + 1 for a in used), default=0)
-        stages[ready].append(compile_formula(t, rule, names))
-    return stages
-
-
-def _scan_frame(rel, stages, rule, n_atoms, mode):
-    """First valuation (ascending) that settles the query, or None."""
-    w, bt, lt = frame_tables(rel, rule)
-    size = w + 1  # 2**n
-    env = [0] * n_atoms
-
-    if mode == "satisfy":
-
-        def rec(depth: int):
-            for check in stages[depth]:
-                if check(w, bt, lt, env) != w:
-                    return None
-            if depth == n_atoms:
-                return tuple(env)
-            for mask in range(size):
-                env[depth] = mask
-                hit = rec(depth + 1)
-                if hit is not None:
-                    return hit
-            env[depth] = 0
-            return None
-
-        return rec(0)
-
-    # refute: first valuation where some target fails somewhere
-    checks = [c for stage in stages for c in stage]
-    for combo in _valuations(size, n_atoms):
-        for i, mask in enumerate(combo):
-            env[i] = mask
-        if any(check(w, bt, lt, env) != w for check in checks):
-            return tuple(env)
-    return None
-
-
-def _valuations(size: int, n_atoms: int):
-    if n_atoms == 0:
-        yield ()
-        return
-    yield from product(range(size), repeat=n_atoms)
-
-
 def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     """Least model settling the spec, or the exhausted-bound outcome.
 
@@ -250,13 +195,11 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     on the worker count.
     """
     deadline = None if not spec.timeout else time.monotonic() + spec.timeout
-    stages = _stage_plan(spec.targets, spec.atoms, spec.rule)
-    n_atoms = len(spec.atoms)
     per_n: dict[int, int] = {}
     frames_before = 0
 
     for n in range(1, spec.max_n + 1):
-        hit, scanned = _scan_frames(n, stages, spec, n_atoms, deadline)
+        hit, scanned = _scan_frames(n, spec, deadline)
         if hit is not None:
             idx, rel, env = hit
             per_n[n] = idx + 1
@@ -334,9 +277,12 @@ def _spec_frames(n, spec) -> Iterator[Relation]:
     return (rel for rel in frames if spec.frame_filter(rel))
 
 
-def _scan_frames(n, stages, spec, n_atoms, deadline):
+def _scan_frames(n, spec, deadline):
     """First (index, frame, valuation) hit in enumeration order, plus the
     number of filtered frames scanned when there is no hit."""
+    def probe(rel):
+        return first_valuation(spec.targets, rel, spec.rule, spec.atoms, spec.mode, deadline)
+
     # Materializing the frame list is only affordable up to n=4; larger
     # sizes scan lazily on one worker.
     if spec.workers <= 1 or n > 4:
@@ -344,16 +290,12 @@ def _scan_frames(n, stages, spec, n_atoms, deadline):
         for idx, rel in enumerate(_spec_frames(n, spec)):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
-            env = _scan_frame(rel, stages, spec.rule, n_atoms, spec.mode)
+            env = probe(rel)
             if env is not None:
                 return (idx, rel, env), idx + 1
         return None, idx + 1
 
     frames = list(_spec_frames(n, spec))
-
-    def probe(rel):
-        return _scan_frame(rel, stages, spec.rule, n_atoms, spec.mode)
-
     hit = first_hit(frames, probe, workers=spec.workers, deadline=deadline)
     if hit is None:
         return None, len(frames)

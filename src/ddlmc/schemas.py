@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formula as fm
-from .finder import enumerate_frames, first_hit, _scan_frame, _stage_plan
+from .finder import enumerate_frames, first_hit
 from .model import PreferenceModel, Relation, relation_pairs, serialize_model, worlds_from_mask
 from .relprops import RelationProperty, check_property
-from .semantics import EvalRule, frame_counterexample
+from .semantics import EvalRule, first_valuation, frame_counterexample, truth_set
 
 _SCHEMA_SOURCES = {
     "K": "[](?f -> ?g) -> ([]?f -> []?g)",
@@ -153,6 +153,9 @@ def forward_check(
         )
         if hit is not None:
             idx, rel, assignment = hit
+            frame = PreferenceModel(n, rel)
+            if truth_set(body, frame, rule, assignment=assignment) == frame.full_mask:
+                raise AssertionError(f"counterexample does not falsify {name}")
             return ForwardResult(
                 axiom=name,
                 rule=rule,
@@ -230,7 +233,7 @@ def converse_search(
 
     Frame-level (default): the axiom must hold under every assignment to
     its metavariables.  Model-level reproduces a fixed-valuation reading:
-    metavariables become atoms and the search ranges over valuations too,
+    metavariables are read as atoms and the search ranges over valuations too,
     so a witness is a model in which that single instance holds.
     """
     if max_n > 5:
@@ -240,8 +243,6 @@ def converse_search(
 
     if model_level:
         names = tuple(sorted(fm.metavars(body)))
-        instance = _instantiate(body, {v: fm.Atom(v) for v in names})
-        stages = _stage_plan([instance], names, rule)
         for n in range(1, max_n + 1):
             frames_iter = (
                 rel
@@ -250,12 +251,15 @@ def converse_search(
             )
 
             def probe(rel):
-                return _scan_frame(rel, stages, rule, len(names), "satisfy")
+                return first_valuation((body,), rel, rule, names)
 
             hit, scanned = _scan_sized(frames_iter, probe, n, workers)
             if hit is not None:
                 idx, rel, env = hit
                 witness = PreferenceModel(n, rel, dict(zip(names, env)))
+                valid = truth_set(body, witness, rule, assignment=witness.valuation)
+                if valid != witness.full_mask:
+                    raise AssertionError(f"witness does not validate {name}")
                 return ConverseResult(
                     axiom=name, rule=rule, prop=prop, max_n=max_n,
                     status="witness", frames_checked=frames_before + idx + 1,
@@ -291,26 +295,6 @@ def converse_search(
         axiom=name, rule=rule, prop=prop, max_n=max_n,
         status="none_up_to_bound", frames_checked=frames_before,
     )
-
-
-def _instantiate(f: fm.Formula, mapping: dict[str, fm.Formula]) -> fm.Formula:
-    if isinstance(f, fm.MetaVar):
-        return mapping[f.name]
-    if isinstance(f, (fm.Atom, fm.Top, fm.Bot)):
-        return f
-    if isinstance(f, fm.Not):
-        return fm.Not(_instantiate(f.child, mapping))
-    if isinstance(f, fm.Box):
-        return fm.Box(_instantiate(f.child, mapping))
-    if isinstance(f, fm.Diamond):
-        return fm.Diamond(_instantiate(f.child, mapping))
-    if isinstance(f, (fm.Or, fm.And, fm.Implies, fm.Iff, fm.PrefGeq, fm.PrefGt)):
-        return type(f)(_instantiate(f.left, mapping), _instantiate(f.right, mapping))
-    if isinstance(f, (fm.Oblig, fm.Perm)):
-        return type(f)(
-            _instantiate(f.consequent, mapping), _instantiate(f.antecedent, mapping)
-        )
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

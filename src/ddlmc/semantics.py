@@ -22,14 +22,25 @@ turns the fallback into an error.
 Frame validity instantiates a schema's metavariables with every assignment
 of world sets; the loops are exponential and capped by default (n <= 4 for
 up to two metavariables, n <= 3 for three; pass ``force=True`` to override).
-The module also carries a compiled evaluator used by the exhaustive searches:
-a formula is translated once into a Python expression over bitmasks and a
-per-frame table of best sets (or a Lewis conditional table).
+
+Exhaustive scans use a bit-sliced evaluator that checks every valuation of
+a frame at once.  Valuations of k names over n worlds are numbered like the
+tuple of masks (m_0, ..., m_{k-1}) read as base-2^n digits with m_0 the
+most significant, so ascending numbers are the lexicographic order of the
+tuples.  A formula's value at a world is one int with bit v set iff the
+formula holds there under valuation v: atoms are truth-table columns,
+connectives are bitwise operations, and a conditional combines the
+per-world ints along the frame's betterness relation.  The lowest set bit
+of a result is the least valuation.  A slice holds at most 2**16
+valuations; beyond that the leading names are bound one mask tuple at a
+time, in ascending order.  ``truth_set`` stays the reference evaluator and
+re-validates every witness the scans report.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from functools import lru_cache
 from itertools import product
 
@@ -42,7 +53,7 @@ from .model import (
     strict_part,
     transpose,
 )
-from .relprops import RelationProperty
+from .relprops import RelationProperty, _max_set, _opt_set
 
 Assignment = dict[str, int]
 
@@ -70,22 +81,6 @@ def best_set(rule: EvalRule, xs: int, m: PreferenceModel) -> int:
     if rule is EvalRule.MAX:
         return _max_set(transpose(strict_part(m.rel)), xs)
     raise ValueError("best_set is defined for the opt and max rules only")
-
-
-def _opt_set(rel: Relation, xs: int) -> int:
-    best = 0
-    for a in iter_bits(xs):
-        if xs & ~rel[a] == 0:
-            best |= 1 << a
-    return best
-
-
-def _max_set(strict_cols: Relation, xs: int) -> int:
-    best = 0
-    for a in iter_bits(xs):
-        if not strict_cols[a] & xs:
-            best |= 1 << a
-    return best
 
 
 def cond_holds(rule: EvalRule, consequent: int, antecedent: int, m: PreferenceModel) -> bool:
@@ -179,103 +174,175 @@ def valid_in_model(
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation for exhaustive scans
-#
-# A formula compiles to a lambda over (W, bt, lt, e) where W is the full
-# mask, bt a per-frame best-set table indexed by antecedent mask (opt/max),
-# lt a per-frame Lewis table (lt[X] has bit Y set iff the conditional with
-# antecedent X and consequent Y holds), and e a tuple of masks for the
-# formula's variables in a fixed name order.
+# Bit-sliced evaluation for exhaustive scans (see the module docstring)
+
+_SLICE_LOG2 = 16  # no slice holds more than 2**16 valuations
 
 
-def _emit(f: fm.Formula, kind: str, index: dict[str, int]) -> str:
-    def rec(g: fm.Formula) -> str:
-        if isinstance(g, (fm.Atom, fm.MetaVar)):
-            return f"e[{index[g.name]}]"
-        if isinstance(g, fm.Top):
-            return "W"
-        if isinstance(g, fm.Bot):
-            return "0"
-        if isinstance(g, fm.Not):
-            return f"(W^{rec(g.child)})"
-        if isinstance(g, fm.Or):
-            return f"({rec(g.left)}|{rec(g.right)})"
-        if isinstance(g, fm.And):
-            return f"({rec(g.left)}&{rec(g.right)})"
-        if isinstance(g, fm.Implies):
-            return f"((W^{rec(g.left)})|{rec(g.right)})"
-        if isinstance(g, fm.Iff):
-            return f"(W^({rec(g.left)}^{rec(g.right)}))"
-        if isinstance(g, fm.Box):
-            return f"(W if {rec(g.child)}==W else 0)"
-        if isinstance(g, fm.Diamond):
-            return f"(W if {rec(g.child)} else 0)"
-        if isinstance(g, fm.Oblig):
-            return _cond(rec(g.antecedent), rec(g.consequent), negate=False)
-        if isinstance(g, fm.Perm):
-            return _cond(rec(g.antecedent), f"(W^{rec(g.consequent)})", negate=True)
-        if isinstance(g, fm.PrefGeq):
-            left, right = rec(g.left), rec(g.right)
-            return _cond(f"({left}|{right})", f"(W^{left})", negate=True)
-        if isinstance(g, fm.PrefGt):
-            left, right = rec(g.left), rec(g.right)
-            both = f"({left}|{right})"
-            geq = _cond(both, f"(W^{left})", negate=True)
-            ob = _cond(both, f"(W^{right})", negate=False)
-            return f"({geq}&{ob})"
-        raise TypeError(f"not a formula: {g!r}")
-
-    def _cond(ant: str, cons: str, negate: bool) -> str:
-        if kind == "lewis":
-            test = f"lt[{ant}]>>{cons}&1"
-        else:
-            test = f"bt[{ant}]&~{cons}==0"
-        if negate:
-            return f"(0 if {test} else W)"
-        return f"(W if {test} else 0)"
-
-    return rec(f)
+class SearchTimeout(Exception):
+    """Wall-clock budget exhausted before the search finished."""
 
 
 @lru_cache(maxsize=None)
-def _compiled(f: fm.Formula, kind: str, names: tuple[str, ...]):
-    index = {name: i for i, name in enumerate(names)}
-    source = "lambda W, bt, lt, e: " + _emit(f, kind, index)
-    return eval(source, {"__builtins__": {}})  # expression over ints only
+def _columns(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Truth-table columns of k names over n worlds, and the all-ones slice.
+
+    cols[i][a] has bit v set iff bit (k-1-i)*n + a of v is set (Knuth,
+    TAOCP 4A, 7.1.3: the magic masks, repeated over the 2**(n*k) bits).
+    """
+    ones = (1 << (1 << n * k)) - 1
+    cols = []
+    for i in range(k):
+        row = []
+        for a in range(n):
+            half = 1 << (k - 1 - i) * n + a
+            row.append(((1 << half) - 1 << half) * (ones // ((1 << 2 * half) - 1)))
+        cols.append(tuple(row))
+    return tuple(cols), ones
 
 
-def compile_formula(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
-    """Compile f for fast repeated evaluation; see frame_tables."""
-    kind = "lewis" if rule is EvalRule.LEWIS else "best"
-    return _compiled(f, kind, names)
+class _Slice:
+    """One frame under one rule, evaluated over a slice of valuations.
+
+    near[a] lists the worlds the conditional consults for world a: under
+    max the worlds strictly better than a, under opt the worlds a is not at
+    least as good as, under lewis the worlds at least as good as a.
+    """
+
+    __slots__ = ("n", "near", "lewis", "cols", "ones")
+
+    def __init__(self, rel: Relation, rule: EvalRule, cols: dict, ones: int):
+        r = range(len(rel))
+        if rule is EvalRule.MAX:
+            self.near = [[b for b in r if rel[b] >> a & 1 and not rel[a] >> b & 1] for a in r]
+        elif rule is EvalRule.OPT:
+            self.near = [[b for b in r if not rel[a] >> b & 1] for a in r]
+        else:
+            self.near = [[c for c in r if rel[c] >> a & 1] for a in r]
+        self.n = len(rel)
+        self.lewis = rule is EvalRule.LEWIS
+        self.cols = cols
+        self.ones = ones
+
+    def cond(self, cons: list[int], ant: list[int]) -> int:
+        """Valuations where O(cons / ant) holds."""
+        if self.lewis:
+            bad = [x & ~y for x, y in zip(ant, cons)]
+            good = 0
+            some = 0
+            for b, near in enumerate(self.near):
+                some |= ant[b]
+                blocked = 0
+                for c in near:
+                    blocked |= bad[c]
+                good |= ant[b] & cons[b] & ~blocked
+            return good | (self.ones ^ some)
+        violated = 0
+        for a, near in enumerate(self.near):
+            beaten = 0
+            for b in near:
+                beaten |= ant[b]
+            violated |= ant[a] & ~cons[a] & ~beaten
+        return self.ones ^ violated
+
+    def value(self, g: fm.Formula) -> list[int]:
+        """Per world, the valuations where g holds."""
+        ones = self.ones
+        if isinstance(g, (fm.Atom, fm.MetaVar)):
+            return self.cols[g.name]
+        if isinstance(g, fm.Not):
+            return [ones ^ x for x in self.value(g.child)]
+        if isinstance(g, fm.Or):
+            return [x | y for x, y in zip(self.value(g.left), self.value(g.right))]
+        if isinstance(g, fm.And):
+            return [x & y for x, y in zip(self.value(g.left), self.value(g.right))]
+        if isinstance(g, fm.Implies):
+            return [(ones ^ x) | y for x, y in zip(self.value(g.left), self.value(g.right))]
+        if isinstance(g, fm.Iff):
+            return [ones ^ x ^ y for x, y in zip(self.value(g.left), self.value(g.right))]
+        if isinstance(g, fm.Top):
+            return [ones] * self.n
+        if isinstance(g, fm.Bot):
+            return [0] * self.n
+        if isinstance(g, fm.Box):
+            v = ones
+            for x in self.value(g.child):
+                v &= x
+            return [v] * self.n
+        if isinstance(g, fm.Diamond):
+            v = 0
+            for x in self.value(g.child):
+                v |= x
+            return [v] * self.n
+        if isinstance(g, fm.Oblig):
+            v = self.cond(self.value(g.consequent), self.value(g.antecedent))
+            return [v] * self.n
+        if isinstance(g, fm.Perm):
+            cons = [ones ^ x for x in self.value(g.consequent)]
+            return [ones ^ self.cond(cons, self.value(g.antecedent))] * self.n
+        if isinstance(g, (fm.PrefGeq, fm.PrefGt)):
+            left, right = self.value(g.left), self.value(g.right)
+            both = [x | y for x, y in zip(left, right)]
+            v = ones ^ self.cond([ones ^ x for x in left], both)
+            if isinstance(g, fm.PrefGt):
+                v &= self.cond([ones ^ y for y in right], both)
+            return [v] * self.n
+        raise TypeError(f"not a formula: {g!r}")
 
 
-def frame_tables(rel: Relation, rule: EvalRule) -> tuple[int, list[int] | None, list[int] | None]:
-    """Per-frame tables (W, bt, lt) feeding compiled formulas."""
+def sliced_values(f: fm.Formula, rel: Relation, rule: EvalRule, names: tuple[str, ...]) -> list[int]:
+    """Per world of rel, the valuations of names where f holds, in one slice."""
     n = len(rel)
-    w = full_mask(n)
-    if rule is EvalRule.LEWIS:
-        cols = transpose(rel)
-        lt = []
-        for xs in range(1 << n):
-            if xs == 0:
-                lt.append((1 << (1 << n)) - 1)
-                continue
-            bits = 0
-            for ys in range(1 << n):
-                bad = xs & (w ^ ys)
-                for b in iter_bits(xs & ys):
-                    if not cols[b] & bad:
-                        bits |= 1 << ys
-                        break
-            lt.append(bits)
-        return w, None, lt
-    if rule is EvalRule.OPT:
-        bt = [_opt_set(rel, xs) for xs in range(1 << n)]
-    else:
-        scols = transpose(strict_part(rel))
-        bt = [_max_set(scols, xs) for xs in range(1 << n)]
-    return w, bt, None
+    if n * len(names) > _SLICE_LOG2:
+        raise ValueError(f"{len(names)} names over {n} worlds exceed one slice")
+    cols, ones = _columns(n, len(names))
+    return _Slice(rel, rule, dict(zip(names, cols)), ones).value(f)
+
+
+def first_valuation(
+    formulas,
+    rel: Relation,
+    rule: EvalRule,
+    names: tuple[str, ...],
+    mode: str = "satisfy",
+    deadline: float | None = None,
+) -> tuple[int, ...] | None:
+    """Least valuation of names (a tuple of masks) settling the formulas.
+
+    mode "satisfy" asks for every formula true at every world, "refute" for
+    some formula false at some world.  Atoms and metavariables alike are
+    read from the valuation.  When 2**(n * len(names)) exceeds one slice,
+    the leading names are bound to constant columns one mask tuple at a
+    time, in ascending order, with the deadline checked between slices.
+    """
+    n = len(rel)
+    size = 1 << n
+    tail = min(len(names), _SLICE_LOG2 // n)
+    lead = len(names) - tail
+    tail_cols, ones = _columns(n, tail)
+    cols = dict(zip(names[lead:], tail_cols))
+    scan = _Slice(rel, rule, cols, ones)
+    for head in product(range(size), repeat=lead):
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout()
+        for name, mask in zip(names, head):
+            cols[name] = [ones if mask >> a & 1 else 0 for a in range(n)]
+        if mode == "satisfy":
+            hits = ones
+            for f in formulas:
+                for x in scan.value(f):
+                    hits &= x
+                if not hits:
+                    break
+        else:
+            hits = 0
+            for f in formulas:
+                for x in scan.value(f):
+                    hits |= ones ^ x
+        if hits:
+            v = (hits & -hits).bit_length() - 1
+            return head + tuple(v >> (tail - 1 - i) * n & size - 1 for i in range(tail))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +375,9 @@ def frame_counterexample(
     if fm.atoms(schema):
         raise ValueError("schema contains ordinary atoms; use metavariables")
     names = tuple(sorted(fm.metavars(schema)))
-    n = len(rel)
-    _check_frame_cap(n, len(names), force)
-    w = full_mask(n)
-    fn = compile_formula(schema, rule, names)
-    _, bt, lt = frame_tables(rel, rule)
-    if not names:
-        return None if fn(w, bt, lt, ()) == w else {}
-    for env in product(range(1 << n), repeat=len(names)):
-        if fn(w, bt, lt, env) != w:
-            return dict(zip(names, env))
-    return None
+    _check_frame_cap(len(rel), len(names), force)
+    env = first_valuation((schema,), rel, rule, names, "refute")
+    return None if env is None else dict(zip(names, env))
 
 
 def valid_on_frame(
@@ -350,31 +409,29 @@ def rule_collapse(max_n: int, iso_reject: bool = True) -> dict:
         RelationProperty.TOTAL,
         RelationProperty.TRANSITIVE,
     )
+    probe = fm.Oblig(fm.MetaVar("g"), fm.MetaVar("f"))
     frames_checked = 0
     for n in range(1, max_n + 1):
         for rel in enumerate_frames(n, props, iso_reject=iso_reject):
             frames_checked += 1
-            _, bt_opt, _ = frame_tables(rel, EvalRule.OPT)
-            _, bt_max, _ = frame_tables(rel, EvalRule.MAX)
-            w, _, lt = frame_tables(rel, EvalRule.LEWIS)
-            for xs in range(1 << n):
-                row = lt[xs]
-                for ys in range(1 << n):
-                    opt_ok = bt_opt[xs] & ~ys == 0
-                    max_ok = bt_max[xs] & ~ys == 0
-                    lewis_ok = bool(row >> ys & 1)
-                    if not (opt_ok == max_ok == lewis_ok):
-                        return {
-                            "status": "diverged",
-                            "max_n": max_n,
-                            "frames_checked": frames_checked,
-                            "frame": {"n": n, "rel": list(rel)},
-                            "antecedent": _worlds(xs),
-                            "consequent": _worlds(ys),
-                            "opt": opt_ok,
-                            "max": max_ok,
-                            "lewis": lewis_ok,
-                        }
+            opt, mx, lewis = (
+                sliced_values(probe, rel, rule, ("f", "g"))[0]
+                for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
+            )
+            diverged = (opt ^ mx) | (mx ^ lewis)
+            if diverged:
+                v = (diverged & -diverged).bit_length() - 1
+                return {
+                    "status": "diverged",
+                    "max_n": max_n,
+                    "frames_checked": frames_checked,
+                    "frame": {"n": n, "rel": list(rel)},
+                    "antecedent": _worlds(v >> n),
+                    "consequent": _worlds(v & full_mask(n)),
+                    "opt": bool(opt >> v & 1),
+                    "max": bool(mx >> v & 1),
+                    "lewis": bool(lewis >> v & 1),
+                }
     return {
         "status": "confirmed",
         "max_n": max_n,

@@ -114,17 +114,18 @@ def test_near_miss_models_already_start_a_strict_chain():
     # step: EQ1 pins a best Ap-world that EQ2 forces to be bettered
     from ddlmc.finder import enumerate_frames, longest_strict_chain
     from ddlmc.relprops import RelationProperty as P
-    from ddlmc.semantics import compile_formula, frame_tables
-    from itertools import product
+    from ddlmc.model import iter_bits
+    from ddlmc.semantics import sliced_values
 
     names = ("A", "Ap", "B")
-    checks = [compile_formula(f, EvalRule.MAX, names) for f in (EQ[1], EQ[2])]
     found = 0
     for rel in enumerate_frames(3, [P.QUASI_TRANSITIVE], iso_reject=True):
-        w, bt, lt = frame_tables(rel, EvalRule.MAX)
-        for env in product(range(8), repeat=3):
-            if all(fn(w, bt, lt, env) == w for fn in checks):
-                found += 1
-                chain = longest_strict_chain(rel)
-                assert chain is not None and (not isinstance(chain, int) or chain >= 2)
+        models = -1  # valuations where EQ1 and EQ2 hold at every world
+        for f in (EQ[1], EQ[2]):
+            for x in sliced_values(f, rel, EvalRule.MAX, names):
+                models &= x
+        for _ in iter_bits(models):
+            found += 1
+            chain = longest_strict_chain(rel)
+            assert chain is not None and (not isinstance(chain, int) or chain >= 2)
     assert found > 0

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import time
+from itertools import product
+
 import pytest
 
 from ddlmc.finder import (
     CYCLIC,
     SearchSpec,
+    SearchTimeout,
     enumerate_frames,
     find_satisfying_model,
     longest_strict_chain,
 )
 from ddlmc.formula import parse
-from ddlmc.model import relation_from_pairs
+from ddlmc.model import PreferenceModel, relation_from_pairs
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.relprops import check_property
-from ddlmc.semantics import EvalRule, truth_set
+from ddlmc.semantics import EvalRule, first_valuation, truth_set
 
 
 def test_enumerate_counts():
@@ -140,3 +144,43 @@ def test_frame_filter():
     result = find_satisfying_model(spec)
     assert result.status == "sat"
     assert longest_strict_chain(result.model) is CYCLIC
+
+
+_FIVE_ATOMS = ("a", "b", "c", "d", "e")
+_BEYOND_FIRST_SLICE = {
+    "satisfy": ("<>a", "O(b / a)", "[](c -> d)", "<>(d & ~c)", "P(e / d)"),
+    "refute": ("a -> (b | [](c -> e))",),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_BEYOND_FIRST_SLICE))
+@pytest.mark.parametrize("rule", list(EvalRule))
+def test_least_witness_beyond_the_first_slice(rule, mode):
+    # five atoms at n=4 make 2**20 valuations, more than one 2**16-bit
+    # slice, so the scan binds atom a one mask at a time; every witness
+    # needs a nonempty a, so none lies in the first slice
+    frame = (0, 1, 2, 8)
+    targets = tuple(parse(s) for s in _BEYOND_FIRST_SLICE[mode])
+    spec = SearchSpec(
+        max_n=4, rule=rule, targets=targets, atoms=_FIVE_ATOMS, mode=mode,
+        frame_filter=lambda rel: rel == frame,
+    )
+    expected = None
+    for env in product(range(16), repeat=len(_FIVE_ATOMS)):
+        m = PreferenceModel(4, frame, dict(zip(_FIVE_ATOMS, env)))
+        holds = all(truth_set(f, m, rule) == m.full_mask for f in targets)
+        if holds == (mode == "satisfy"):
+            expected = m
+            break
+    assert expected.valuation["a"] != 0
+    assert find_satisfying_model(spec).model == expected
+
+
+def test_deadline_stops_a_sliced_scan():
+    # a and ~a cannot both hold, so no slice has a hit; the lapsed
+    # deadline must stop the scan instead
+    targets = (parse("[]~a"), parse("<>a"))
+    with pytest.raises(SearchTimeout):
+        first_valuation(
+            targets, (0, 1, 2, 8), EvalRule.MAX, _FIVE_ATOMS, deadline=time.monotonic() - 1,
+        )

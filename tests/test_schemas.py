@@ -44,13 +44,8 @@ def test_forward_counterexample_assignment_refutes():
         n, result.counter_frame,
         {name: mask for name, mask in result.counter_assignment.items()},
     )
-    # re-evaluate the schema with metavariables read as atoms
-    instance = SCHEMAS["Dstar"]
-    from ddlmc.schemas import _instantiate
-    from ddlmc import formula as fm
-
-    body = _instantiate(instance, {v: fm.Atom(v) for v in metavars(instance)})
-    assert truth_set(body, model, EvalRule.OPT) != model.full_mask
+    # re-evaluate the schema under the reported assignment
+    assert truth_set(SCHEMAS["Dstar"], model, EvalRule.OPT, model.valuation) != model.full_mask
 
 
 def test_dex_valid_under_max_refuted_under_lewis():
@@ -60,16 +55,13 @@ def test_dex_valid_under_max_refuted_under_lewis():
     assert len(result.counter_frame) <= 2
     # the instance built from the falsifying assignment refutes deontic
     # explosion under lewis in a concrete model
-    from ddlmc import formula as fm
     from ddlmc.model import PreferenceModel
-    from ddlmc.schemas import _instantiate
 
     model = PreferenceModel(
         len(result.counter_frame), result.counter_frame,
         dict(result.counter_assignment),
     )
-    body = _instantiate(SCHEMAS["DEX"], {v: fm.Atom(v) for v in ("f", "g", "h")})
-    assert truth_set(body, model, EvalRule.LEWIS) != model.full_mask
+    assert truth_set(SCHEMAS["DEX"], model, EvalRule.LEWIS, model.valuation) != model.full_mask
 
 
 def test_dex_fails_under_lewis_even_on_a_non_limited_model():
@@ -118,11 +110,8 @@ def test_converse_cm_smoothness():
     model = converse_search("CM", P.MAX_SMOOTH, EvalRule.MAX, 3, model_level=True)
     assert model.status == "witness"
     assert not check_property(P.MAX_SMOOTH, model.witness.rel)
-    from ddlmc.schemas import _instantiate
-    from ddlmc import formula as fm
-
-    body = _instantiate(SCHEMAS["CM"], {v: fm.Atom(v) for v in ("f", "g", "h")})
-    assert truth_set(body, model.witness, EvalRule.MAX) == model.witness.full_mask
+    witness = model.witness
+    assert truth_set(SCHEMAS["CM"], witness, EvalRule.MAX, witness.valuation) == witness.full_mask
 
 
 def test_sweep_max_rows():

@@ -1,10 +1,12 @@
-"""Truth conditions, frame validity, and the compiled fast path."""
+"""Truth conditions, frame validity, and the bit-sliced fast path."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlmc import formula as fm
 from ddlmc.formula import expand, parse
@@ -12,11 +14,10 @@ from ddlmc.model import PreferenceModel, all_relations, mask_from_worlds
 from ddlmc.semantics import (
     EvalRule,
     best_set,
-    compile_formula,
     cond_holds,
     frame_counterexample,
-    frame_tables,
     rule_collapse,
+    sliced_values,
     truth_set,
     valid_in_model,
     valid_on_frame,
@@ -163,11 +164,10 @@ def test_compiled_evaluator_agrees_with_reference():
         n, pairs, valuation = random_model_data(rng, 3, names)
         m = PreferenceModel.from_pairs(n, pairs, valuation)
         f = random_formula(rng, depth=4, atom_names=names)
-        env = tuple(m.valuation[a] for a in names)
+        v = m.valuation["p"] << n | m.valuation["q"]  # the valuation's index
         for rule in RULES:
-            w, bt, lt = frame_tables(m.rel, rule)
-            fn = compile_formula(f, rule, names)
-            assert fn(w, bt, lt, env) == truth_set(f, m, rule)
+            values = sliced_values(f, m.rel, rule, names)
+            assert sum((values[a] >> v & 1) << a for a in range(n)) == truth_set(f, m, rule)
 
 
 def test_frame_validity_basics():
@@ -231,3 +231,39 @@ def test_rules_genuinely_differ_without_the_properties():
         rule: cond_holds(rule, 0b10, 0b11, m) for rule in RULES
     }
     assert len(set(seen.values())) > 1
+
+
+def _formulas(depth, leaf):
+    if depth == 0:
+        return leaf
+    sub = _formulas(depth - 1, leaf)
+    return st.one_of(
+        leaf,
+        sub.map(fm.Not), sub.map(fm.Box), sub.map(fm.Diamond),
+        *(st.builds(node, sub, sub) for node in (
+            fm.Or, fm.And, fm.Implies, fm.Iff, fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt,
+        )),
+    )
+
+
+_FRAMES = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.integers(0, (1 << n) - 1)] * n)
+)
+_NAMES = ("p", "q")
+_LEAVES = st.sampled_from(
+    [fm.Atom(a) for a in _NAMES] + [fm.MetaVar(a) for a in _NAMES] + [fm.TOP, fm.BOT]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rel=_FRAMES, f=_formulas(4, _LEAVES))
+def test_sliced_values_match_oracle_at_every_valuation(rel, f):
+    n = len(rel)
+    pairs = {(a, b) for a in range(n) for b in range(n) if rel[a] >> b & 1}
+    for rule in RULES:
+        values = sliced_values(f, rel, rule, _NAMES)
+        for v in range(1 << 2 * n):
+            masks = {"p": v >> n, "q": v & (1 << n) - 1}
+            env = {a: frozenset(w for w in range(n) if m >> w & 1) for a, m in masks.items()}
+            expected = truth_worlds(f, range(n), pairs, env, rule.value, assignment=env)
+            assert {a for a in range(n) if values[a] >> v & 1} == expected
