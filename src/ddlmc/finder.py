@@ -21,7 +21,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import formula as fm
 from .model import (
@@ -58,19 +58,22 @@ def enumerate_frames(
     n: int,
     properties: Iterable[RelationProperty] = (),
     iso_reject: bool = False,
-) -> Iterator[Relation]:
+    deadline: float | None = None,
+) -> Iterable[Relation]:
     """All n-world relations with the given properties, ascending.
 
     With iso_reject, one representative (the orbit minimum) per
-    world-permutation orbit.
+    world-permutation orbit: the cached ``canonical_relations(n,
+    properties)``, built by one-world extension with the deadline checked
+    as it goes.  Without it, every one of the 2^(n*n) relations is
+    filtered lazily.
     """
     if not (1 <= n <= MAX_EXHAUSTIVE_WORLDS):
         raise ValueError(f"frame enumeration is supported for 1 <= n <= {MAX_EXHAUSTIVE_WORLDS}")
+    if iso_reject:
+        return canonical_relations(n, properties, deadline)
     props = tuple(properties)
-    source = canonical_relations(n) if iso_reject else all_relations(n)
-    for rel in source:
-        if check_all(props, rel):
-            yield rel
+    return (rel for rel in all_relations(n) if check_all(props, rel))
 
 
 def longest_strict_chain(m: PreferenceModel | Relation):
@@ -270,8 +273,8 @@ def first_hit(items: Sequence, fn, workers: int = 1, deadline: float | None = No
     return min(hits, key=lambda r: r[0])
 
 
-def _spec_frames(n, spec) -> Iterator[Relation]:
-    frames = enumerate_frames(n, spec.properties, spec.iso_reject)
+def _spec_frames(n, spec, deadline) -> Iterable[Relation]:
+    frames = enumerate_frames(n, spec.properties, spec.iso_reject, deadline)
     if spec.frame_filter is None:
         return frames
     return (rel for rel in frames if spec.frame_filter(rel))
@@ -287,7 +290,7 @@ def _scan_frames(n, spec, deadline):
     # sizes scan lazily on one worker.
     if spec.workers <= 1 or n > 4:
         idx = -1
-        for idx, rel in enumerate(_spec_frames(n, spec)):
+        for idx, rel in enumerate(_spec_frames(n, spec, deadline)):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
             env = probe(rel)
@@ -295,7 +298,7 @@ def _scan_frames(n, spec, deadline):
                 return (idx, rel, env), idx + 1
         return None, idx + 1
 
-    frames = list(_spec_frames(n, spec))
+    frames = list(_spec_frames(n, spec, deadline))
     hit = first_hit(frames, probe, workers=spec.workers, deadline=deadline)
     if hit is None:
         return None, len(frames)

@@ -20,6 +20,7 @@ Exactly one ``rel`` line (possibly with no pairs); one ``val`` line per atom.
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator
@@ -28,9 +29,14 @@ Relation = tuple[int, ...]
 
 MAX_WORLDS = 16
 
-# Exhaustive enumeration with isomorph rejection walks the full space of
-# 2^(n*n) relations once; past n=5 that space cannot even be iterated.
+# Exhaustive enumeration is bounded at 5 worlds: isomorph rejection marks
+# orbits in a table of 2^(n*n) bytes (32 MiB at n=5, 64 GiB at n=6), and
+# enumeration without it iterates every one of the 2^(n*n) relations.
 MAX_EXHAUSTIVE_WORLDS = 5
+
+
+class SearchTimeout(Exception):
+    """Wall-clock budget exhausted before the search finished."""
 
 
 def full_mask(n: int) -> int:
@@ -316,36 +322,90 @@ def orbit(rel: Relation) -> frozenset[Relation]:
     return frozenset(permute_relation(rel, p) for p in permutations(range(n)))
 
 
-_canonical_cache: dict[int, tuple[Relation, ...]] = {}
+_canonical_cache: dict[tuple[int, frozenset], tuple[Relation, ...]] = {}
 
 
-def canonical_relations(n: int) -> tuple[Relation, ...]:
-    """One representative (the orbit minimum) per isomorphism class, ascending.
+def canonical_relations(
+    n: int, props: Iterable = (), deadline: float | None = None
+) -> tuple[Relation, ...]:
+    """One representative (the orbit minimum) per isomorphism class of the
+    n-world relations with every property in props, ascending.
 
-    Walks the whole 2^(n*n) space once, marking each orbit as it is first
-    met; supported for n <= MAX_EXHAUSTIVE_WORLDS.
+    The classes are built from the (n-1)-world classes with props, by
+    extending each representative with a new last world in all 2^(2n-1)
+    ways (the new world's column in the old rows, and its row).  A candidate
+    whose orbit is already marked in a 2^(n*n)-byte table is skipped;
+    otherwise it is tested with ``relprops.check_all`` and, if it passes,
+    its whole orbit is marked and the orbit minimum kept.  This is complete
+    because every property is hereditary: deleting a world from a relation
+    with props leaves a relation with props, so each n-world class with
+    props extends some (n-1)-world class with props.  A new property must be
+    hereditary too; ``tests/test_relprops.py`` checks that every property
+    is.  The result equals the unrestricted classes filtered by
+    ``check_all``, in the same order.
+
+    Restrictive properties make this cheap (1 895 transitive classes at
+    n=5), but without properties, or with weak ones such as acyclicity or
+    quasi-transitivity, n=5 still marks up to 292k orbits of up to 120
+    relations each and tests every candidate not yet marked, which costs
+    about as much as walking all 2^25 relations, or more.
+
+    Results are cached per (n, set of props).  The deadline (a
+    ``time.monotonic`` value) is checked between representatives and raises
+    SearchTimeout; a build that times out is not cached.  Supported for
+    n <= MAX_EXHAUSTIVE_WORLDS.
     """
-    if n in _canonical_cache:
-        return _canonical_cache[n]
     if not (1 <= n <= MAX_EXHAUSTIVE_WORLDS):
         raise ValueError(
-            f"isomorph rejection enumerates all relations; supported for n <= {MAX_EXHAUSTIVE_WORLDS}"
+            f"isomorph rejection needs a table of 2^(n*n) bytes; supported for n <= {MAX_EXHAUSTIVE_WORLDS}"
         )
+    return _classes(n, tuple(props), deadline)
+
+
+def _classes(n: int, props: tuple, deadline: float | None) -> tuple[Relation, ...]:
+    if n == 0:
+        return ((),)
+    key = (n, frozenset(props))
+    if key in _canonical_cache:
+        return _canonical_cache[key]
+    # Looked up per build: relprops imports this module.
+    from .relprops import check_all
+
+    parents = _classes(n - 1, props, deadline)
     tables = _perm_row_tables(n)
     seen = bytearray(1 << (n * n))
-    mask = full_mask(n)
-    shifts = [(n - 1 - i) * n for i in range(n)]
-    reps = []
-    for packed in range(1 << (n * n)):
-        if seen[packed]:
-            continue
-        rows = tuple((packed >> s) & mask for s in shifts)
-        reps.append(rows)
-        for per_perm in tables:
-            image = 0
-            for i in range(n):
-                image |= per_perm[i][rows[i]]
-            seen[image] = 1
-    result = tuple(reps)
-    _canonical_cache[n] = result
+    shifts = [(n - 1 - i) * n for i in range(n - 1)]
+    new_bit = 1 << (n - 1)
+    new_rows = range(1 << n)
+    minima = []
+    for parent in parents:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout()
+        for column in range(1 << (n - 1)):
+            old = tuple(
+                row | new_bit if column >> i & 1 else row
+                for i, row in enumerate(parent)
+            )
+            base = 0
+            for row, shift in zip(old, shifts):
+                base |= row << shift
+            for new_row in new_rows:
+                if seen[base | new_row]:
+                    continue
+                rows = old + (new_row,)
+                if not check_all(props, rows):
+                    continue
+                least = base | new_row
+                for per_perm in tables:
+                    image = 0
+                    for i in range(n):
+                        image |= per_perm[i][rows[i]]
+                    seen[image] = 1
+                    if image < least:
+                        least = image
+                minima.append(least)
+    del seen  # released before the relations are built, to lower the peak
+    minima.sort()
+    result = tuple(unpack_relation(packed, n) for packed in minima)
+    _canonical_cache[key] = result
     return result

@@ -48,6 +48,7 @@ from . import formula as fm
 from .model import (
     PreferenceModel,
     Relation,
+    SearchTimeout,
     full_mask,
     iter_bits,
     strict_part,
@@ -177,10 +178,6 @@ def valid_in_model(
 # Bit-sliced evaluation for exhaustive scans (see the module docstring)
 
 _SLICE_LOG2 = 16  # no slice holds more than 2**16 valuations
-
-
-class SearchTimeout(Exception):
-    """Wall-clock budget exhausted before the search finished."""
 
 
 @lru_cache(maxsize=None)

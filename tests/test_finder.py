@@ -16,7 +16,7 @@ from ddlmc.finder import (
     longest_strict_chain,
 )
 from ddlmc.formula import parse
-from ddlmc.model import PreferenceModel, relation_from_pairs
+from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.relprops import check_property
 from ddlmc.semantics import EvalRule, first_valuation, truth_set
@@ -184,3 +184,27 @@ def test_deadline_stops_a_sliced_scan():
         first_valuation(
             targets, (0, 1, 2, 8), EvalRule.MAX, _FIVE_ATOMS, deadline=time.monotonic() - 1,
         )
+
+
+def test_timeout_holds_while_unrestricted_classes_are_built():
+    # p & ~p holds at no world, so the search exhausts n <= 4 at once and
+    # then builds the 292k unrestricted five-world classes (about 25 s);
+    # the deadline must stop that build
+    spec = SearchSpec(
+        max_n=5, rule=EvalRule.MAX, targets=[parse("p & ~p")], timeout=1,
+    )
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        find_satisfying_model(spec)
+    assert time.monotonic() - start < 10
+
+
+def test_timed_out_class_build_is_not_cached():
+    # transitivity implies quasi-transitivity, so the pair has exactly the
+    # transitive classes; no other test builds this key
+    props = (P.TRANSITIVE, P.QUASI_TRANSITIVE)
+    with pytest.raises(SearchTimeout):
+        canonical_relations(5, props, deadline=time.monotonic() - 1)
+    classes = canonical_relations(5, props)
+    assert len(classes) == 1895
+    assert classes == canonical_relations(5, (P.TRANSITIVE,))

@@ -26,7 +26,12 @@ from ddlmc.model import (
     worlds_from_mask,
 )
 
+from ddlmc.casestudy import GRID_ROWS
+from ddlmc.relprops import RelationProperty, check_all
+
 from oracle import reachable_pairs
+
+P = RelationProperty
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +177,25 @@ def test_canonical_orbits_partition_space():
         for rep in reps:
             assert canonical_form(rep) == rep
             assert min(orbit(rep)) == rep
+
+
+def test_property_classes_equal_the_filtered_walk():
+    cases = [(p,) for p in RelationProperty]
+    cases += [props for _, props in GRID_ROWS]
+    cases.append((P.REFLEXIVE, P.TOTAL, P.TRANSITIVE))  # rule_collapse's frames
+    for n in (1, 2, 3, 4):
+        everything = canonical_relations(n)
+        for props in cases:
+            expected = tuple(r for r in everything if check_all(props, r))
+            assert canonical_relations(n, props) == expected, (n, props)
+
+
+def test_property_class_counts_at_five_worlds():
+    # unlabeled transitive relations (OEIS A091073), interval orders
+    # (A079144) and total preorders (ordered partitions up to relabelling)
+    assert len(canonical_relations(5, (P.TRANSITIVE,))) == 1895
+    assert len(canonical_relations(5, (P.INTERVAL_ORDER,))) == 53
+    assert len(canonical_relations(5, (P.REFLEXIVE, P.TOTAL, P.TRANSITIVE))) == 16
 
 
 def test_canonical_form_is_orbit_invariant():

@@ -37,6 +37,26 @@ def test_all_properties_match_oracle_exhaustively_n_le_3():
                 )
 
 
+def _delete_world(rel, w):
+    """rel without world w, the worlds above w renumbered down by one."""
+    low = (1 << w) - 1
+    return tuple(
+        (row & low) | (row >> 1 & ~low) for i, row in enumerate(rel) if i != w
+    )
+
+
+def test_every_property_is_hereditary_n_le_3():
+    # canonical_relations builds property classes by adding one world at a
+    # time, which is complete only if deleting a world keeps each property
+    for n in (2, 3):
+        for rel in all_relations(n):
+            for prop in RelationProperty:
+                if not check_property(prop, rel):
+                    continue
+                for w in range(n):
+                    assert check_property(prop, _delete_world(rel, w)), (rel, prop, w)
+
+
 def test_acyclicity_of_strict_cycle():
     # 0 > 1 > 2 > 0 encoded weakly with no reflexive pairs
     rel = relation_from_pairs(3, [(0, 1), (1, 2), (2, 0)])
