@@ -21,7 +21,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import formula as fm
 from .model import (
@@ -54,26 +55,39 @@ class _Cyclic:
 CYCLIC = _Cyclic()
 
 
+@lru_cache(maxsize=None)
+def _has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
+    """The predicate "has every property in props", one object per set so
+    that it keys the class cache of ``canonical_relations``; None when props
+    is empty."""
+    if not props:
+        return None
+    ordered = tuple(p for p in RelationProperty if p in props)
+    return lambda rel: check_all(ordered, rel)
+
+
 def enumerate_frames(
     n: int,
     properties: Iterable[RelationProperty] = (),
     iso_reject: bool = False,
     deadline: float | None = None,
-) -> Iterable[Relation]:
+) -> Iterator[Relation]:
     """All n-world relations with the given properties, ascending.
 
     With iso_reject, one representative (the orbit minimum) per
-    world-permutation orbit: the cached ``canonical_relations(n,
-    properties)``, built by one-world extension with the deadline checked
-    as it goes.  Without it, every one of the 2^(n*n) relations is
-    filtered lazily.
+    world-permutation orbit: the cached ``canonical_relations`` for these
+    properties, built by one-world extension with the deadline checked as
+    it goes.  Without it, every one of the 2^(n*n) relations is filtered.
     """
     if not (1 <= n <= MAX_EXHAUSTIVE_WORLDS):
         raise ValueError(f"frame enumeration is supported for 1 <= n <= {MAX_EXHAUSTIVE_WORLDS}")
     if iso_reject:
-        return canonical_relations(n, properties, deadline)
+        yield from canonical_relations(n, _has_all(frozenset(properties)), deadline)
+        return
     props = tuple(properties)
-    return (rel for rel in all_relations(n) if check_all(props, rel))
+    for rel in all_relations(n):
+        if check_all(props, rel):
+            yield rel
 
 
 def longest_strict_chain(m: PreferenceModel | Relation):
@@ -273,7 +287,7 @@ def first_hit(items: Sequence, fn, workers: int = 1, deadline: float | None = No
     return min(hits, key=lambda r: r[0])
 
 
-def _spec_frames(n, spec, deadline) -> Iterable[Relation]:
+def _spec_frames(n, spec, deadline) -> Iterator[Relation]:
     frames = enumerate_frames(n, spec.properties, spec.iso_reject, deadline)
     if spec.frame_filter is None:
         return frames

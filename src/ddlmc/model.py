@@ -20,10 +20,11 @@ Exactly one ``rel`` line (possibly with no pairs); one ``val`` line per atom.
 
 from __future__ import annotations
 
+import sys
 import time
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Relation = tuple[int, ...]
 
@@ -75,10 +76,16 @@ def relation_pairs(rel: Relation) -> tuple[tuple[int, int], ...]:
 
 
 def transpose(rel: Relation) -> Relation:
-    n = len(rel)
-    return tuple(
-        sum(((rel[i] >> j) & 1) << i for i in range(n)) for j in range(n)
-    )
+    cols = [0] * len(rel)
+    for i, row in enumerate(rel):
+        bit = 1 << i
+        j = 0
+        while row:
+            if row & 1:
+                cols[j] |= bit
+            row >>= 1
+            j += 1
+    return tuple(cols)
 
 
 def strict_part(rel: Relation) -> Relation:
@@ -284,36 +291,40 @@ def unpack_relation(packed: int, n: int) -> Relation:
 
 
 @lru_cache(maxsize=None)
-def _perm_row_tables(n: int):
-    # For each permutation and each row index, a lookup row-value -> its
-    # contribution to the packed permuted relation.  Makes orbit walks cheap.
-    tables = []
-    for perm in permutations(range(n)):
-        per_perm = []
-        for i in range(n):
-            shift = (n - 1 - perm[i]) * n
-            table = []
-            for rowval in range(1 << n):
+def _orbit_lanes(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # lanes[i][row] holds one 64-bit lane per world permutation: the
+    # contribution of row i, with value row, to the packed relabelled
+    # relation.  OR-ing one entry per row gives every image at once.
+    if n * n > 64:
+        raise ValueError("orbit tables hold n*n bits per 64-bit lane; supported for n <= 8")
+    perms = list(permutations(range(n)))
+    lanes = []
+    for i in range(n):
+        per_row = []
+        for rowval in range(1 << n):
+            packed = 0
+            for k, perm in enumerate(perms):
                 contrib = 0
                 for j in iter_bits(rowval):
                     contrib |= 1 << perm[j]
-                table.append(contrib << shift)
-            per_perm.append(table)
-        tables.append(per_perm)
-    return tuple(tables)
+                packed |= contrib << ((n - 1 - perm[i]) * n + 64 * k)
+            per_row.append(packed)
+        lanes.append(tuple(per_row))
+    return tuple(lanes), 8 * len(perms)
+
+
+def _orbit_images(rel: Relation) -> list[int]:
+    """The packed relabelling of rel under every world permutation."""
+    lanes, size = _orbit_lanes(len(rel))
+    packed = 0
+    for column, row in zip(lanes, rel):
+        packed |= column[row]
+    return memoryview(packed.to_bytes(size, sys.byteorder)).cast("Q").tolist()
 
 
 def canonical_form(rel: Relation) -> Relation:
     """Least relation (row-tuple order) in the world-permutation orbit."""
-    n = len(rel)
-    best = None
-    for per_perm in _perm_row_tables(n):
-        packed = 0
-        for i, row in enumerate(rel):
-            packed |= per_perm[i][row]
-        if best is None or packed < best:
-            best = packed
-    return unpack_relation(best, n)
+    return unpack_relation(min(_orbit_images(rel)), len(rel))
 
 
 def orbit(rel: Relation) -> frozenset[Relation]:
@@ -322,57 +333,57 @@ def orbit(rel: Relation) -> frozenset[Relation]:
     return frozenset(permute_relation(rel, p) for p in permutations(range(n)))
 
 
-_canonical_cache: dict[tuple[int, frozenset], tuple[Relation, ...]] = {}
+_canonical_cache: dict[tuple[int, object], tuple[Relation, ...]] = {}
 
 
 def canonical_relations(
-    n: int, props: Iterable = (), deadline: float | None = None
+    n: int,
+    keep: Callable[[Relation], bool] | None = None,
+    deadline: float | None = None,
 ) -> tuple[Relation, ...]:
     """One representative (the orbit minimum) per isomorphism class of the
-    n-world relations with every property in props, ascending.
+    n-world relations that keep accepts (all of them when keep is None),
+    ascending.
 
-    The classes are built from the (n-1)-world classes with props, by
-    extending each representative with a new last world in all 2^(2n-1)
-    ways (the new world's column in the old rows, and its row).  A candidate
-    whose orbit is already marked in a 2^(n*n)-byte table is skipped;
-    otherwise it is tested with ``relprops.check_all`` and, if it passes,
-    its whole orbit is marked and the orbit minimum kept.  This is complete
-    because every property is hereditary: deleting a world from a relation
-    with props leaves a relation with props, so each n-world class with
-    props extends some (n-1)-world class with props.  A new property must be
-    hereditary too; ``tests/test_relprops.py`` checks that every property
-    is.  The result equals the unrestricted classes filtered by
-    ``check_all``, in the same order.
+    The classes are built from the (n-1)-world classes, by extending each
+    representative with a new last world in all 2^(2n-1) ways (the new
+    world's column in the old rows, and its row).  A candidate whose orbit
+    is already marked in a 2^(n*n)-byte table is skipped; otherwise it is
+    tested with keep and, if it passes, its whole orbit is marked and the
+    orbit minimum kept.  Failing orbits are not marked: marking costs more
+    than testing a relabelled copy again.  This is complete because keep
+    must be invariant under relabelling worlds and hereditary: deleting a
+    world from a relation it accepts leaves a relation it accepts, so each
+    n-world class extends some (n-1)-world class.  ``finder.enumerate_frames`` passes
+    "has these relation properties", which is both; a new property must be
+    hereditary too, and ``tests/test_relprops.py`` checks that every
+    property is.  The result equals the unrestricted classes filtered by
+    keep, in the same order.
 
-    Restrictive properties make this cheap (1 895 transitive classes at
-    n=5), but without properties, or with weak ones such as acyclicity or
-    quasi-transitivity, n=5 still marks up to 292k orbits of up to 120
-    relations each and tests every candidate not yet marked, which costs
-    about as much as walking all 2^25 relations, or more.
+    A restrictive keep makes this cheap (1 895 transitive classes at n=5).
+    Without one, or with a weak one such as acyclicity, n=5 still marks up
+    to 292k orbits of up to 120 relations each, and tests every candidate
+    not yet marked.
 
-    Results are cached per (n, set of props).  The deadline (a
-    ``time.monotonic`` value) is checked between representatives and raises
-    SearchTimeout; a build that times out is not cached.  Supported for
-    n <= MAX_EXHAUSTIVE_WORLDS.
+    Results are cached per (n, keep): pass the same keep object to reuse a
+    build.  The deadline (a ``time.monotonic`` value) is checked between
+    representatives and raises SearchTimeout; a build that times out is not
+    cached.  Supported for n <= MAX_EXHAUSTIVE_WORLDS.
     """
     if not (1 <= n <= MAX_EXHAUSTIVE_WORLDS):
         raise ValueError(
             f"isomorph rejection needs a table of 2^(n*n) bytes; supported for n <= {MAX_EXHAUSTIVE_WORLDS}"
         )
-    return _classes(n, tuple(props), deadline)
+    return _classes(n, keep, deadline)
 
 
-def _classes(n: int, props: tuple, deadline: float | None) -> tuple[Relation, ...]:
+def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
     if n == 0:
         return ((),)
-    key = (n, frozenset(props))
+    key = (n, keep)
     if key in _canonical_cache:
         return _canonical_cache[key]
-    # Looked up per build: relprops imports this module.
-    from .relprops import check_all
-
-    parents = _classes(n - 1, props, deadline)
-    tables = _perm_row_tables(n)
+    parents = _classes(n - 1, keep, deadline)
     seen = bytearray(1 << (n * n))
     shifts = [(n - 1 - i) * n for i in range(n - 1)]
     new_bit = 1 << (n - 1)
@@ -393,17 +404,12 @@ def _classes(n: int, props: tuple, deadline: float | None) -> tuple[Relation, ..
                 if seen[base | new_row]:
                     continue
                 rows = old + (new_row,)
-                if not check_all(props, rows):
+                if keep is not None and not keep(rows):
                     continue
-                least = base | new_row
-                for per_perm in tables:
-                    image = 0
-                    for i in range(n):
-                        image |= per_perm[i][rows[i]]
+                images = _orbit_images(rows)
+                for image in images:
                     seen[image] = 1
-                    if image < least:
-                        least = image
-                minima.append(least)
+                minima.append(min(images))
     del seen  # released before the relations are built, to lower the peak
     minima.sort()
     result = tuple(unpack_relation(packed, n) for packed in minima)

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from ddlmc import model
 from ddlmc.finder import (
     CYCLIC,
     SearchSpec,
@@ -16,7 +17,7 @@ from ddlmc.finder import (
     longest_strict_chain,
 )
 from ddlmc.formula import parse
-from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs
+from ddlmc.model import PreferenceModel, relation_from_pairs
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.relprops import check_property
 from ddlmc.semantics import EvalRule, first_valuation, truth_set
@@ -188,8 +189,10 @@ def test_deadline_stops_a_sliced_scan():
 
 def test_timeout_holds_while_unrestricted_classes_are_built():
     # p & ~p holds at no world, so the search exhausts n <= 4 at once and
-    # then builds the 292k unrestricted five-world classes (about 25 s);
-    # the deadline must stop that build
+    # then builds the 292k unrestricted five-world classes; the deadline
+    # must stop that build, so the classes are left unbuilt, whatever the
+    # speed of the host
+    model._canonical_cache.pop((5, None), None)
     spec = SearchSpec(
         max_n=5, rule=EvalRule.MAX, targets=[parse("p & ~p")], timeout=1,
     )
@@ -197,6 +200,7 @@ def test_timeout_holds_while_unrestricted_classes_are_built():
     with pytest.raises(SearchTimeout):
         find_satisfying_model(spec)
     assert time.monotonic() - start < 10
+    assert (5, None) not in model._canonical_cache
 
 
 def test_timed_out_class_build_is_not_cached():
@@ -204,7 +208,7 @@ def test_timed_out_class_build_is_not_cached():
     # transitive classes; no other test builds this key
     props = (P.TRANSITIVE, P.QUASI_TRANSITIVE)
     with pytest.raises(SearchTimeout):
-        canonical_relations(5, props, deadline=time.monotonic() - 1)
-    classes = canonical_relations(5, props)
+        next(enumerate_frames(5, props, iso_reject=True, deadline=time.monotonic() - 1))
+    classes = list(enumerate_frames(5, props, iso_reject=True))
     assert len(classes) == 1895
-    assert classes == canonical_relations(5, (P.TRANSITIVE,))
+    assert classes == list(enumerate_frames(5, (P.TRANSITIVE,), iso_reject=True))
