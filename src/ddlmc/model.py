@@ -354,11 +354,11 @@ def canonical_relations(
     than testing a relabelled copy again.  This is complete because keep
     must be invariant under relabelling worlds and hereditary: deleting a
     world from a relation it accepts leaves a relation it accepts, so each
-    n-world class extends some (n-1)-world class.  ``finder.enumerate_frames`` passes
-    "has these relation properties", which is both; a new property must be
-    hereditary too, and ``tests/test_relprops.py`` checks that every
-    property is.  The result equals the unrestricted classes filtered by
-    keep, in the same order.
+    n-world class extends some (n-1)-world class.
+    ``finder.enumerate_frames`` passes "has these relation properties",
+    which is both; a new property must be hereditary too, and
+    ``tests/test_relprops.py`` checks that every property is.  The result
+    equals the unrestricted classes filtered by keep, in the same order.
 
     A restrictive keep makes this cheap (1 895 transitive classes at n=5).
     Without one, or with a weak one such as acyclicity, n=5 still marks up
