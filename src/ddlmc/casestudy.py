@@ -30,9 +30,11 @@ from .finder import (
     CYCLIC,
     SearchResult,
     SearchSpec,
+    deadline_after,
     find_satisfying_model,
     longest_strict_chain,
 )
+from .model import model_json
 from .relprops import RelationProperty, is_acyclic
 from .semantics import EvalRule
 
@@ -111,7 +113,6 @@ def _search(
     max_n,
     *,
     iso_reject=True,
-    workers=1,
     timeout=None,
     frame_filter=None,
 ) -> SearchResult:
@@ -122,7 +123,6 @@ def _search(
         properties=tuple(properties),
         atoms=ATOMS,
         iso_reject=iso_reject,
-        workers=workers,
         timeout=timeout,
         frame_filter=frame_filter,
     )
@@ -133,6 +133,10 @@ def _observed(result: SearchResult) -> str:
     return "sat" if result.status == "sat" else "unsat"
 
 
+def _witness(result: SearchResult) -> dict | None:
+    return None if result.model is None else model_json(result.model)
+
+
 def run_grid(
     max_n: int = 4,
     *,
@@ -141,17 +145,20 @@ def run_grid(
     workers: int = 1,
     timeout: float | None = None,
 ) -> dict:
-    """Satisfiability of EQ0..EQ4 per property row and evaluation rule."""
+    """Satisfiability of EQ0..EQ4 per property row and evaluation rule.
+
+    One timeout covers the whole grid; workers is ignored (scans are serial).
+    """
     if max_n > 5:
         raise ValueError("run_grid is bounded at max_n <= 5")
-    deadline = None if not timeout else time.monotonic() + timeout
+    deadline = deadline_after(timeout)
     cells = []
     for label, props in GRID_ROWS:
         for rule in rules:
             remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
             result = _search(
                 SCENARIO, props, rule, max_n,
-                iso_reject=iso_reject, workers=workers, timeout=remaining,
+                iso_reject=iso_reject, timeout=remaining,
             )
             expected = GRID_EXPECTED[(label, rule)]
             cell = {
@@ -163,7 +170,7 @@ def run_grid(
                 "status": result.status,
                 "frames_checked": result.frames_checked,
                 "match": _observed(result) == expected,
-                "witness": result.to_json()["witness"],
+                "witness": _witness(result),
             }
             if (label, rule) in _FINITE_CAVEAT:
                 cell["note"] = "unsatisfiable at finite sizes only; infinite models are out of scope"
@@ -205,7 +212,6 @@ def ascending_chain_evidence(
     max_n: int = 4,
     *,
     iso_reject: bool = True,
-    workers: int = 1,
     timeout: float | None = None,
 ) -> dict:
     """EQ1..EQ3 under the max rule: unsatisfiable at every finite size once
@@ -221,7 +227,7 @@ def ascending_chain_evidence(
     for props in ((_R.QUASI_TRANSITIVE,), (_R.TRANSITIVE,)):
         result = _search(
             targets, props, EvalRule.MAX, max_n,
-            iso_reject=iso_reject, workers=workers, timeout=timeout,
+            iso_reject=iso_reject, timeout=timeout,
         )
         checks.append(
             {
@@ -229,20 +235,20 @@ def ascending_chain_evidence(
                 "status": result.status,
                 "frames_checked": result.frames_checked,
                 "per_n_frames": {str(k): v for k, v in result.per_n_frames.items()},
-                "witness": result.to_json()["witness"],
+                "witness": _witness(result),
             }
         )
 
     free = _search(
         targets, (), EvalRule.MAX, max_n,
-        iso_reject=iso_reject, workers=workers, timeout=timeout,
+        iso_reject=iso_reject, timeout=timeout,
     )
     cyclic = _search(
         targets, (), EvalRule.MAX, max_n,
-        iso_reject=iso_reject, workers=workers, timeout=timeout,
+        iso_reject=iso_reject, timeout=timeout,
         frame_filter=lambda rel: not is_acyclic(rel),
     )
-    cyclic_witness = cyclic.to_json()["witness"]
+    cyclic_witness = _witness(cyclic)
     if cyclic.model is not None:
         if longest_strict_chain(cyclic.model) is not CYCLIC:
             raise AssertionError("the cyclic witness has no strict cycle")
@@ -255,7 +261,7 @@ def ascending_chain_evidence(
         "with_property": checks,
         "without_property": {
             "status": free.status,
-            "witness": free.to_json()["witness"],
+            "witness": _witness(free),
             "witness_acyclic": None if free.model is None else is_acyclic(free.model.rel),
         },
         "cyclic_witness": {
@@ -273,7 +279,6 @@ def interval_order_analysis(
     max_n: int = 4,
     *,
     iso_reject: bool = True,
-    workers: int = 1,
     timeout: float | None = None,
 ) -> dict:
     """Satisfiability of EQ1, EQ3, EQ4 on interval orders under the max rule.
@@ -287,13 +292,13 @@ def interval_order_analysis(
     triple = (EQ[1], EQ[3], EQ[4])
 
     main = _search(triple, io, EvalRule.MAX, max_n,
-                   iso_reject=iso_reject, workers=workers, timeout=timeout)
+                   iso_reject=iso_reject, timeout=timeout)
     without_eq4 = _search((EQ[1], EQ[3]), io, EvalRule.MAX, max_n,
-                          iso_reject=iso_reject, workers=workers, timeout=timeout)
+                          iso_reject=iso_reject, timeout=timeout)
     no_props = _search(triple, (), EvalRule.MAX, max_n,
-                       iso_reject=iso_reject, workers=workers, timeout=timeout)
+                       iso_reject=iso_reject, timeout=timeout)
     full = _search((EQ[1], EQ[2], EQ[3], EQ[4]), io, EvalRule.MAX, max_n,
-                   iso_reject=iso_reject, workers=workers, timeout=timeout)
+                   iso_reject=iso_reject, timeout=timeout)
 
     return {
         "rule": "max",
@@ -303,23 +308,23 @@ def interval_order_analysis(
             "properties": ["interval_order"],
             "status": main.status,
             "frames_checked": main.frames_checked,
-            "witness": main.to_json()["witness"],
+            "witness": _witness(main),
         },
         "without_eq4": {
             "formulas": [fm.render(EQ[1]), fm.render(EQ[3])],
             "properties": ["interval_order"],
             "status": without_eq4.status,
-            "witness": without_eq4.to_json()["witness"],
+            "witness": _witness(without_eq4),
         },
         "triple_no_properties": {
             "status": no_props.status,
-            "witness": no_props.to_json()["witness"],
+            "witness": _witness(no_props),
         },
         "with_eq2": {
             "formulas": [fm.render(f) for f in (EQ[1], EQ[2], EQ[3], EQ[4])],
             "properties": ["interval_order"],
             "status": full.status,
-            "witness": full.to_json()["witness"],
+            "witness": _witness(full),
         },
     }
 
@@ -328,7 +333,6 @@ def fmp_evidence(
     max_n: int = 4,
     *,
     iso_reject: bool = True,
-    workers: int = 1,
     timeout: float | None = None,
 ) -> dict:
     """EQ1 & EQ2 & EQ3 under the max rule has no finite model in the
@@ -348,7 +352,7 @@ def fmp_evidence(
     for label, props in classes:
         result = _search(
             targets, props, EvalRule.MAX, max_n,
-            iso_reject=iso_reject, workers=workers, timeout=timeout,
+            iso_reject=iso_reject, timeout=timeout,
         )
         checks.append(
             {

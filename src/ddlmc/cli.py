@@ -14,9 +14,11 @@ props        report which properties a model's relation has
 Exit codes: 0 the requested confirmation/witness was obtained, 1 it was
 refuted or nothing was found up to the bound, 2 usage error.
 
-Reports are deterministic: identical argv produces byte-identical JSON
-regardless of worker count.  Timing is therefore reported only with
---timing (the elapsed_ms field is null otherwise).
+Reports are deterministic: identical argv produces byte-identical JSON.
+Timing is therefore reported only with --timing (the elapsed_ms field is
+null otherwise).  find-model, correspond and paradox stop at --timeout and
+report "status": "timeout" (exit 1).  --workers is accepted and ignored:
+scans are serial.
 """
 
 from __future__ import annotations
@@ -157,17 +159,11 @@ def _cmd_find_model(args) -> int:
             atoms=atoms,
             mode=args.mode,
             iso_reject=args.iso_reject,
-            workers=args.workers,
             timeout=_timeout(args),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    try:
-        result = find_satisfying_model(spec)
-    except SearchTimeout:
-        report = {"command": "find-model", "status": "timeout", "max_n": args.max_n}
-        _print_report(report, args, args._started)
-        return 1
+    result = find_satisfying_model(spec)
     report = {"command": "find-model", **result.to_json()}
     if result.model is not None:
         report["_text"] = (
@@ -184,7 +180,7 @@ def _cmd_find_model(args) -> int:
 def _cmd_correspond(args) -> int:
     rule = rule_from_name(args.rule)
     if args.table:
-        report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, workers=args.workers)
+        report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, timeout=_timeout(args))
         report = {"command": "correspond", **report}
         lines = [f"correspondence table [{rule}] up to n={args.max_n}"]
         for row in report["rows"]:
@@ -208,7 +204,7 @@ def _cmd_correspond(args) -> int:
         prop = property_from_name(args.converse)
         result = converse_search(
             args.axiom, prop, rule, args.max_n,
-            iso_reject=args.iso_reject, workers=args.workers,
+            iso_reject=args.iso_reject, timeout=_timeout(args),
             model_level=args.model_level,
         )
         report = {"command": "correspond", **result.to_json()}
@@ -224,7 +220,7 @@ def _cmd_correspond(args) -> int:
     props = _parse_props(args.props)
     result = forward_check(
         props, args.axiom, rule, args.max_n,
-        iso_reject=args.iso_reject, workers=args.workers,
+        iso_reject=args.iso_reject, timeout=_timeout(args),
     )
     report = {"command": "correspond", **result.to_json()}
     props_text = "+".join(p.value for p in props) or "(none)"
@@ -251,18 +247,9 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_paradox(args) -> int:
     rules = tuple(rule_from_name(r) for r in args.rules.split(",")) if args.rules else casestudy.GRID_RULES
-    try:
-        report = casestudy.run_grid(
-            args.max_n,
-            rules=rules,
-            iso_reject=args.iso_reject,
-            workers=args.workers,
-            timeout=_timeout(args),
-        )
-    except SearchTimeout:
-        report = {"command": "paradox", "status": "timeout", "max_n": args.max_n}
-        _print_report(report, args, args._started)
-        return 1
+    report = casestudy.run_grid(
+        args.max_n, rules=rules, iso_reject=args.iso_reject, timeout=_timeout(args)
+    )
     report = {"command": "paradox", **report}
     report["_text"] = casestudy.grid_text(report)
     _print_report(report, args, args._started)
@@ -312,7 +299,7 @@ def _add_common(sub, *, max_n_default: int | None = None) -> None:
     sub.add_argument("--rule", default="max", help="evaluation rule: opt, max or lewis")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
     sub.add_argument("--timing", action="store_true", help="fill in elapsed_ms (non-deterministic)")
-    sub.add_argument("--workers", type=int, default=1, help="partition scans; output is worker-independent")
+    sub.add_argument("--workers", type=int, default=1, help="ignored; scans are serial")
     sub.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                      help="wall-clock budget in seconds for searches; 0 disables (default 60)")
     sub.add_argument("--iso-reject", dest="iso_reject", action="store_true", default=True,
@@ -393,10 +380,11 @@ def main(argv: list[str] | None = None) -> int:
     args._started = time.monotonic()
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except SearchTimeout:
+        report = {"command": args.command, "status": "timeout", "max_n": args.max_n}
+        _print_report(report, args, args._started)
+        return 1
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

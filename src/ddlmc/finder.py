@@ -11,15 +11,17 @@ Each frame's valuations are scanned at once by the bit-sliced evaluator
 (``semantics.first_valuation``): valuations are numbered like the tuple of
 atom masks in the declared atom order, the first atom the most significant
 base-2^n digit, so the lowest valuation bit that settles the targets is the
-least valuation.  Searches count frames, not valuations, so reported totals
-are independent of worker partitioning.
+least valuation.  Searches count frames, not valuations.
+
+``scan_frames`` is the one scan loop: the model search, forward checks,
+converse searches and the rule collapse all hand it a frame source and a
+probe, and it returns the first hit, smallest universe first.  Scans are
+serial; the work is pure Python, so threads would not run it faster.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,6 +33,7 @@ from .model import (
     Relation,
     all_relations,
     canonical_relations,
+    model_json,
     strict_part,
     transitive_closure,
 )
@@ -136,7 +139,7 @@ class SearchSpec:
     atoms: Sequence[str] | None = None
     mode: str = "satisfy"  # or "refute"
     iso_reject: bool = True
-    workers: int = 1
+    workers: int = 1  # ignored; scans are serial
     timeout: float | None = None
     frame_filter: object = None
 
@@ -173,19 +176,6 @@ class SearchResult:
         return self.model is not None
 
     def to_json(self) -> dict:
-        from .model import relation_pairs, serialize_model, worlds_from_mask
-
-        witness = None
-        if self.model is not None:
-            witness = {
-                "n": self.model.n,
-                "rel": [list(p) for p in relation_pairs(self.model.rel)],
-                "valuation": {
-                    a: list(worlds_from_mask(mask))
-                    for a, mask in sorted(self.model.valuation.items())
-                },
-                "model_text": serialize_model(self.model),
-            }
         return {
             "status": self.status,
             "mode": self.spec.mode,
@@ -195,7 +185,7 @@ class SearchResult:
             "max_n": self.spec.max_n,
             "iso_reject": self.spec.iso_reject,
             "n_checked": self.frames_checked,
-            "witness": witness,
+            "witness": None if self.model is None else model_json(self.model),
         }
 
 
@@ -207,117 +197,64 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     some world.  Found models are re-validated with the reference evaluator
     and the property checker before being returned.
 
-    frames_checked counts frames up to and including the witness frame (or
-    all filtered frames when the bound is exhausted), so it does not depend
-    on the worker count.
+    frames_checked counts frames up to and including the witness frame, or
+    all filtered frames when the bound is exhausted.
     """
-    deadline = None if not spec.timeout else time.monotonic() + spec.timeout
-    per_n: dict[int, int] = {}
-    frames_before = 0
+    deadline = deadline_after(spec.timeout)
 
-    for n in range(1, spec.max_n + 1):
-        hit, scanned = _scan_frames(n, spec, deadline)
-        if hit is not None:
-            idx, rel, env = hit
-            per_n[n] = idx + 1
-            valuation = dict(zip(spec.atoms, env))
-            model = PreferenceModel(n, rel, valuation)
-            _revalidate(model, spec)
-            status = "sat" if spec.mode == "satisfy" else "refuted"
-            return SearchResult(
-                status=status,
-                spec=spec,
-                model=model,
-                frames_checked=frames_before + idx + 1,
-                per_n_frames=per_n,
-            )
-        per_n[n] = scanned
-        frames_before += scanned
+    def frames(n):
+        rels = enumerate_frames(n, spec.properties, spec.iso_reject, deadline)
+        if spec.frame_filter is None:
+            return rels
+        return (rel for rel in rels if spec.frame_filter(rel))
 
-    status = "unsat_up_to_bound" if spec.mode == "satisfy" else "no_refutation_up_to_bound"
-    return SearchResult(status=status, spec=spec, frames_checked=frames_before, per_n_frames=per_n)
-
-
-def first_hit(items: Sequence, fn, workers: int = 1, deadline: float | None = None):
-    """First (index, fn(item)) with a non-None result, in item order.
-
-    The result is independent of the worker count: blocks are scanned
-    concurrently, a shared low-water mark lets later blocks abort early,
-    and the least index wins.
-    """
-    if workers <= 1 or len(items) < 64:
-        for idx, item in enumerate(items):
-            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
-                raise SearchTimeout()
-            result = fn(item)
-            if result is not None:
-                return idx, result
-        return None
-
-    workers = min(workers, 16)
-    bounds = [round(i * len(items) / workers) for i in range(workers + 1)]
-    state = {"best": None}
-    lock = threading.Lock()
-
-    def run_block(lo: int, hi: int):
-        for idx in range(lo, hi):
-            if idx % 64 == 0:
-                with lock:
-                    best = state["best"]
-                if best is not None and best <= lo:
-                    return None
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SearchTimeout()
-            result = fn(items[idx])
-            if result is not None:
-                with lock:
-                    if state["best"] is None or idx < state["best"]:
-                        state["best"] = idx
-                return idx, result
-        return None
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_block, bounds[i], bounds[i + 1]) for i in range(workers)
-        ]
-        results = [f.result() for f in futures]
-    hits = [r for r in results if r is not None]
-    if not hits:
-        return None
-    return min(hits, key=lambda r: r[0])
-
-
-def _spec_frames(n, spec, deadline) -> Iterator[Relation]:
-    frames = enumerate_frames(n, spec.properties, spec.iso_reject, deadline)
-    if spec.frame_filter is None:
-        return frames
-    return (rel for rel in frames if spec.frame_filter(rel))
-
-
-def _scan_frames(n, spec, deadline):
-    """First (index, frame, valuation) hit in enumeration order, plus the
-    number of filtered frames scanned when there is no hit."""
     def probe(rel):
         return first_valuation(spec.targets, rel, spec.rule, spec.atoms, spec.mode, deadline)
 
-    # Materializing the frame list is only affordable up to n=4; larger
-    # sizes scan lazily on one worker.
-    if spec.workers <= 1 or n > 4:
+    hit, per_n = scan_frames(spec.max_n, frames, probe, deadline)
+    checked = sum(per_n.values())
+    if hit is None:
+        status = "unsat_up_to_bound" if spec.mode == "satisfy" else "no_refutation_up_to_bound"
+        return SearchResult(status, spec, frames_checked=checked, per_n_frames=per_n)
+    n, rel, env = hit
+    model = PreferenceModel(n, rel, dict(zip(spec.atoms, env)))
+    _revalidate(model, spec)
+    status = "sat" if spec.mode == "satisfy" else "refuted"
+    return SearchResult(status, spec, model, frames_checked=checked, per_n_frames=per_n)
+
+
+def deadline_after(timeout: float | None) -> float | None:
+    """The monotonic deadline timeout seconds from now; None when timeout
+    is None or 0 (no limit)."""
+    return None if not timeout else time.monotonic() + timeout
+
+
+def scan_frames(
+    max_n: int,
+    frames: Callable[[int], Iterable[Relation]],
+    probe: Callable[[Relation], object],
+    deadline: float | None = None,
+):
+    """First (n, rel, probe(rel)) whose probe result is not None, plus the
+    frames scanned per world count.
+
+    Universes are scanned smallest first and each frames(n) in its own
+    (lazy) order, so the hit is the least one.  per_n[n] counts the frames
+    scanned up to and including the hit; the deadline is checked every 256
+    frames.
+    """
+    per_n: dict[int, int] = {}
+    for n in range(1, max_n + 1):
         idx = -1
-        for idx, rel in enumerate(_spec_frames(n, spec, deadline)):
+        for idx, rel in enumerate(frames(n)):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
-            env = probe(rel)
-            if env is not None:
-                return (idx, rel, env), idx + 1
-        return None, idx + 1
-
-    frames = list(_spec_frames(n, spec, deadline))
-    hit = first_hit(frames, probe, workers=spec.workers, deadline=deadline)
-    if hit is None:
-        return None, len(frames)
-    idx, env = hit
-    return (idx, frames[idx], env), len(frames)
+            result = probe(rel)
+            if result is not None:
+                per_n[n] = idx + 1
+                return (n, rel, result), per_n
+        per_n[n] = idx + 1
+    return None, per_n
 
 
 def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:

@@ -251,6 +251,16 @@ def serialize_model(m: PreferenceModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def model_json(m: PreferenceModel) -> dict:
+    """The JSON form of a reported witness: its pairs, valuation and text."""
+    return {
+        "n": m.n,
+        "rel": [list(p) for p in relation_pairs(m.rel)],
+        "valuation": {a: list(worlds_from_mask(mask)) for a, mask in sorted(m.valuation.items())},
+        "model_text": serialize_model(m),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Permutation action on relations, enumeration, canonical orbit representatives
 #

@@ -23,11 +23,12 @@ carry a pass/fail expectation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from . import formula as fm
-from .finder import enumerate_frames, first_hit
-from .model import PreferenceModel, Relation, relation_pairs, serialize_model, worlds_from_mask
+from .finder import deadline_after, enumerate_frames, scan_frames
+from .model import PreferenceModel, Relation, model_json, worlds_from_mask
 from .relprops import RelationProperty, check_property
 from .semantics import EvalRule, first_valuation, frame_counterexample, truth_set
 
@@ -63,15 +64,6 @@ def schema(name: str) -> fm.Formula:
         raise ValueError(f"unknown axiom schema {name!r}") from None
 
 
-def _frame_json(rel: Relation) -> dict:
-    n = len(rel)
-    return {
-        "n": n,
-        "rel": [list(p) for p in relation_pairs(rel)],
-        "model_text": serialize_model(PreferenceModel(n, rel)),
-    }
-
-
 @dataclass
 class ForwardResult:
     """Outcome of 'every frame with these properties validates the axiom'."""
@@ -99,33 +91,16 @@ class ForwardResult:
             "frames_checked": self.frames_checked,
         }
         if self.counter_frame is not None:
-            out["counterexample"] = _frame_json(self.counter_frame)
-            out["counterexample"]["assignment"] = {
+            # The frame alone: the metavariable assignment is reported
+            # beside it, not as a valuation.
+            counter = model_json(PreferenceModel(len(self.counter_frame), self.counter_frame))
+            del counter["valuation"]
+            counter["assignment"] = {
                 name: list(worlds_from_mask(mask))
                 for name, mask in sorted(self.counter_assignment.items())
             }
+            out["counterexample"] = counter
         return out
-
-
-def _scan_sized(frames_iter, probe, n: int, workers: int):
-    """First (index, frame, probe-result) plus the scan count on a miss.
-
-    Frame lists are materialized (enabling workers) up to n=4; n=5 scans
-    lazily on one worker since the unfiltered space has 2^25 relations.
-    """
-    if n <= 4:
-        frames = list(frames_iter)
-        hit = first_hit(frames, probe, workers=workers)
-        if hit is None:
-            return None, len(frames)
-        idx, result = hit
-        return (idx, frames[idx], result), idx + 1
-    idx = -1
-    for idx, rel in enumerate(frames_iter):
-        result = probe(rel)
-        if result is not None:
-            return (idx, rel, result), idx + 1
-    return None, idx + 1
 
 
 def forward_check(
@@ -135,46 +110,30 @@ def forward_check(
     max_n: int,
     *,
     iso_reject: bool = True,
-    workers: int = 1,
+    timeout: float | None = None,
 ) -> ForwardResult:
     """Exhaustively check property => axiom on all frames up to max_n."""
     if max_n > 5:
         raise ValueError("forward_check is bounded at max_n <= 5")
     name, body = _resolve(axiom)
     props = tuple(properties)
-    frames_before = 0
-    for n in range(1, max_n + 1):
-
-        def probe(rel):
-            return frame_counterexample(body, rel, rule, force=True)
-
-        hit, scanned = _scan_sized(
-            enumerate_frames(n, props, iso_reject), probe, n, workers
-        )
-        if hit is not None:
-            idx, rel, assignment = hit
-            frame = PreferenceModel(n, rel)
-            if truth_set(body, frame, rule, assignment=assignment) == frame.full_mask:
-                raise AssertionError(f"counterexample does not falsify {name}")
-            return ForwardResult(
-                axiom=name,
-                rule=rule,
-                properties=props,
-                max_n=max_n,
-                status="counterexample",
-                frames_checked=frames_before + idx + 1,
-                counter_frame=rel,
-                counter_assignment=assignment,
-            )
-        frames_before += scanned
-    return ForwardResult(
-        axiom=name,
-        rule=rule,
-        properties=props,
-        max_n=max_n,
-        status="confirmed",
-        frames_checked=frames_before,
+    deadline = deadline_after(timeout)
+    hit, per_n = scan_frames(
+        max_n,
+        lambda n: enumerate_frames(n, props, iso_reject, deadline),
+        lambda rel: frame_counterexample(body, rel, rule, force=True),
+        deadline,
     )
+    result = ForwardResult(name, rule, props, max_n, "confirmed", sum(per_n.values()))
+    if hit is not None:
+        n, rel, assignment = hit
+        frame = PreferenceModel(n, rel)
+        if truth_set(body, frame, rule, assignment=assignment) == frame.full_mask:
+            raise AssertionError(f"counterexample does not falsify {name}")
+        result.status = "counterexample"
+        result.counter_frame = rel
+        result.counter_assignment = assignment
+    return result
 
 
 def _resolve(axiom: str | fm.Formula) -> tuple[str, fm.Formula]:
@@ -207,15 +166,7 @@ class ConverseResult:
             "frames_checked": self.frames_checked,
         }
         if self.witness is not None:
-            out["witness"] = {
-                "n": self.witness.n,
-                "rel": [list(p) for p in relation_pairs(self.witness.rel)],
-                "valuation": {
-                    a: list(worlds_from_mask(m))
-                    for a, m in sorted(self.witness.valuation.items())
-                },
-                "model_text": serialize_model(self.witness),
-            }
+            out["witness"] = model_json(self.witness)
         return out
 
 
@@ -226,7 +177,7 @@ def converse_search(
     max_n: int,
     *,
     iso_reject: bool = True,
-    workers: int = 1,
+    timeout: float | None = None,
     model_level: bool = False,
 ) -> ConverseResult:
     """Search for a frame that validates the axiom yet lacks the property.
@@ -239,62 +190,38 @@ def converse_search(
     if max_n > 5:
         raise ValueError("converse_search is bounded at max_n <= 5")
     name, body = _resolve(axiom)
-    frames_before = 0
+    names = tuple(sorted(fm.metavars(body)))
+    deadline = deadline_after(timeout)
 
-    if model_level:
-        names = tuple(sorted(fm.metavars(body)))
-        for n in range(1, max_n + 1):
-            frames_iter = (
-                rel
-                for rel in enumerate_frames(n, (), iso_reject)
-                if not check_property(prop, rel)
-            )
-
-            def probe(rel):
-                return first_valuation((body,), rel, rule, names)
-
-            hit, scanned = _scan_sized(frames_iter, probe, n, workers)
-            if hit is not None:
-                idx, rel, env = hit
-                witness = PreferenceModel(n, rel, dict(zip(names, env)))
-                valid = truth_set(body, witness, rule, assignment=witness.valuation)
-                if valid != witness.full_mask:
-                    raise AssertionError(f"witness does not validate {name}")
-                return ConverseResult(
-                    axiom=name, rule=rule, prop=prop, max_n=max_n,
-                    status="witness", frames_checked=frames_before + idx + 1,
-                    model_level=True, witness=witness,
-                )
-            frames_before += scanned
-        return ConverseResult(
-            axiom=name, rule=rule, prop=prop, max_n=max_n,
-            status="none_up_to_bound", frames_checked=frames_before, model_level=True,
-        )
-
-    for n in range(1, max_n + 1):
-        frames_iter = (
+    def frames(n):
+        return (
             rel
-            for rel in enumerate_frames(n, (), iso_reject)
+            for rel in enumerate_frames(n, (), iso_reject, deadline)
             if not check_property(prop, rel)
         )
 
-        def probe(rel):
-            ok = frame_counterexample(body, rel, rule, force=True) is None
-            return True if ok else None
+    def probe(rel):
+        if model_level:
+            return first_valuation((body,), rel, rule, names, deadline=deadline)
+        return True if frame_counterexample(body, rel, rule, force=True) is None else None
 
-        hit, scanned = _scan_sized(frames_iter, probe, n, workers)
-        if hit is not None:
-            idx, rel, _ = hit
-            return ConverseResult(
-                axiom=name, rule=rule, prop=prop, max_n=max_n,
-                status="witness", frames_checked=frames_before + idx + 1,
-                witness=PreferenceModel(n, rel),
-            )
-        frames_before += scanned
-    return ConverseResult(
-        axiom=name, rule=rule, prop=prop, max_n=max_n,
-        status="none_up_to_bound", frames_checked=frames_before,
+    hit, per_n = scan_frames(max_n, frames, probe, deadline)
+    result = ConverseResult(
+        axiom=name, rule=rule, prop=prop, max_n=max_n, status="none_up_to_bound",
+        frames_checked=sum(per_n.values()), model_level=model_level,
     )
+    if hit is not None:
+        n, rel, env = hit
+        if model_level:
+            witness = PreferenceModel(n, rel, dict(zip(names, env)))
+            valid = truth_set(body, witness, rule, assignment=witness.valuation)
+            if valid != witness.full_mask:
+                raise AssertionError(f"witness does not validate {name}")
+        else:
+            witness = PreferenceModel(n, rel)
+        result.status = "witness"
+        result.witness = witness
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +304,7 @@ def table_sweep(
     *,
     iso_reject: bool = True,
     workers: int = 1,
+    timeout: float | None = None,
 ) -> dict:
     """Run every row of the correspondence table for one evaluation rule.
 
@@ -384,24 +312,27 @@ def table_sweep(
     dropped-property counterexample search over unconstrained frames; rows
     with no corresponding axiom are probed and reported as bounded evidence
     only (finiteness can validate axioms spuriously), so they carry no
-    expectation.
+    expectation.  One timeout covers the whole table; workers is ignored
+    (scans are serial).
     """
     if max_n > 4:
         raise ValueError("table_sweep is bounded at max_n <= 4")
+    deadline = deadline_after(timeout)
+
+    def check(props, axiom):
+        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
+        return forward_check(props, axiom, rule, max_n, iso_reject=iso_reject, timeout=remaining)
+
     rows_out = []
     for row in _sweep_rows(rule):
         props = list(row["properties"]) + list(row["background"])
         axioms_out = {}
         row_match: bool | None = True
         for axiom in row["axioms"]:
-            forward = forward_check(
-                props, axiom, rule, max_n, iso_reject=iso_reject, workers=workers
-            )
+            forward = check(props, axiom)
             entry = {"forward": forward.to_json()}
             if row["kind"] == "correspondence":
-                dropped = forward_check(
-                    (), axiom, rule, max_n, iso_reject=iso_reject, workers=workers
-                )
+                dropped = check((), axiom)
                 entry["dropped"] = dropped.to_json()
                 entry["match"] = forward.confirmed and not dropped.confirmed
             elif row["kind"] == "unconditional":

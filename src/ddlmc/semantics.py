@@ -399,41 +399,46 @@ def rule_collapse(max_n: int, iso_reject: bool = True) -> dict:
     pair on every such frame up to max_n, returning a report with either
     status "confirmed" or the first disagreeing frame.
     """
-    from .finder import enumerate_frames
+    from .finder import enumerate_frames, scan_frames
 
     props = (
         RelationProperty.REFLEXIVE,
         RelationProperty.TOTAL,
         RelationProperty.TRANSITIVE,
     )
-    probe = fm.Oblig(fm.MetaVar("g"), fm.MetaVar("f"))
-    frames_checked = 0
-    for n in range(1, max_n + 1):
-        for rel in enumerate_frames(n, props, iso_reject=iso_reject):
-            frames_checked += 1
-            opt, mx, lewis = (
-                sliced_values(probe, rel, rule, ("f", "g"))[0]
-                for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
-            )
-            diverged = (opt ^ mx) | (mx ^ lewis)
-            if diverged:
-                v = (diverged & -diverged).bit_length() - 1
-                return {
-                    "status": "diverged",
-                    "max_n": max_n,
-                    "frames_checked": frames_checked,
-                    "frame": {"n": n, "rel": list(rel)},
-                    "antecedent": _worlds(v >> n),
-                    "consequent": _worlds(v & full_mask(n)),
-                    "opt": bool(opt >> v & 1),
-                    "max": bool(mx >> v & 1),
-                    "lewis": bool(lewis >> v & 1),
-                }
+    cond = fm.Oblig(fm.MetaVar("g"), fm.MetaVar("f"))
+
+    def probe(rel):
+        opt, mx, lewis = (
+            sliced_values(cond, rel, rule, ("f", "g"))[0]
+            for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
+        )
+        diverged = (opt ^ mx) | (mx ^ lewis)
+        return (diverged, opt, mx, lewis) if diverged else None
+
+    hit, per_n = scan_frames(
+        max_n, lambda n: enumerate_frames(n, props, iso_reject=iso_reject), probe
+    )
+    frames_checked = sum(per_n.values())
+    if hit is None:
+        return {
+            "status": "confirmed",
+            "max_n": max_n,
+            "frames_checked": frames_checked,
+            "properties": [p.value for p in props],
+        }
+    n, rel, (diverged, opt, mx, lewis) = hit
+    v = (diverged & -diverged).bit_length() - 1
     return {
-        "status": "confirmed",
+        "status": "diverged",
         "max_n": max_n,
         "frames_checked": frames_checked,
-        "properties": [p.value for p in props],
+        "frame": {"n": n, "rel": list(rel)},
+        "antecedent": _worlds(v >> n),
+        "consequent": _worlds(v & full_mask(n)),
+        "opt": bool(opt >> v & 1),
+        "max": bool(mx >> v & 1),
+        "lewis": bool(lewis >> v & 1),
     }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -158,6 +159,21 @@ def test_json_reports_are_deterministic(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # Unbounded, this converse search runs for close to a minute.
+    "correspond --axiom CM --converse max_smooth --rule max --max-n 5 --timeout 1 --json",
+    "correspond --table --rule max --max-n 4 --timeout 0.05 --json",
+])
+def test_correspond_honours_timeout(argv, capsys):
+    started = time.monotonic()
+    code, out = run(capsys, *argv.split())
+    assert time.monotonic() - started < 15
+    assert code == 1
+    report = json.loads(out)
+    assert report == {"command": "correspond", "status": "timeout",
+                      "max_n": report["max_n"], "elapsed_ms": None}
 
 
 def test_strict_atoms_flag(model_file, capsys):
