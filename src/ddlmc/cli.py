@@ -16,9 +16,9 @@ refuted or nothing was found up to the bound, 2 usage error.
 
 Reports are deterministic: identical argv produces byte-identical JSON.
 Timing is therefore reported only with --timing (the elapsed_ms field is
-null otherwise).  find-model, correspond and paradox stop at --timeout and
-report "status": "timeout" (exit 1).  --workers is accepted and ignored:
-scans are serial.
+null otherwise).  Every search command (find-model, correspond, collapse,
+paradox and lattice) stops at --timeout and reports "status": "timeout"
+(exit 1).  --workers is accepted and ignored: scans are serial.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    report = rule_collapse(args.max_n, iso_reject=args.iso_reject)
+    report = rule_collapse(args.max_n, iso_reject=args.iso_reject, timeout=_timeout(args))
     report = {"command": "collapse", **report}
     report["_text"] = (
         f"rule collapse on reflexive+total+transitive frames up to n={args.max_n}: "
@@ -257,7 +257,7 @@ def _cmd_paradox(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    report = {"command": "lattice", **lattice_report(args.max_n)}
+    report = {"command": "lattice", **lattice_report(args.max_n, timeout=_timeout(args))}
     ok = all(a["status"] == "confirmed" for a in report["arrows"]) and all(
         i["status"] == "witness" for i in report["independence"]
     )

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import formula as fm
@@ -33,11 +32,12 @@ from .model import (
     Relation,
     all_relations,
     canonical_relations,
+    deadline_after,
     model_json,
     strict_part,
     transitive_closure,
 )
-from .relprops import RelationProperty, check_all, check_property
+from .relprops import RelationProperty, check_all, check_property, has_all
 from .semantics import EvalRule, SearchTimeout, first_valuation, truth_set, valid_in_model
 
 
@@ -58,17 +58,6 @@ class _Cyclic:
 CYCLIC = _Cyclic()
 
 
-@lru_cache(maxsize=None)
-def _has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
-    """The predicate "has every property in props", one object per set so
-    that it keys the class cache of ``canonical_relations``; None when props
-    is empty."""
-    if not props:
-        return None
-    ordered = tuple(p for p in RelationProperty if p in props)
-    return lambda rel: check_all(ordered, rel)
-
-
 def enumerate_frames(
     n: int,
     properties: Iterable[RelationProperty] = (),
@@ -80,15 +69,18 @@ def enumerate_frames(
     With iso_reject, one representative (the orbit minimum) per
     world-permutation orbit: the cached ``canonical_relations`` for these
     properties, built by one-world extension with the deadline checked as
-    it goes.  Without it, every one of the 2^(n*n) relations is filtered.
+    it goes.  Without it, every one of the 2^(n*n) relations is filtered,
+    with the deadline checked every 4096 relations: few may pass the filter.
     """
     if not (1 <= n <= MAX_EXHAUSTIVE_WORLDS):
         raise ValueError(f"frame enumeration is supported for 1 <= n <= {MAX_EXHAUSTIVE_WORLDS}")
     if iso_reject:
-        yield from canonical_relations(n, _has_all(frozenset(properties)), deadline)
+        yield from canonical_relations(n, has_all(frozenset(properties)), deadline)
         return
     props = tuple(properties)
-    for rel in all_relations(n):
+    for idx, rel in enumerate(all_relations(n)):
+        if deadline is not None and idx % 4096 == 0 and time.monotonic() > deadline:
+            raise SearchTimeout()
         if check_all(props, rel):
             yield rel
 
@@ -221,12 +213,6 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     _revalidate(model, spec)
     status = "sat" if spec.mode == "satisfy" else "refuted"
     return SearchResult(status, spec, model, frames_checked=checked, per_n_frames=per_n)
-
-
-def deadline_after(timeout: float | None) -> float | None:
-    """The monotonic deadline timeout seconds from now; None when timeout
-    is None or 0 (no limit)."""
-    return None if not timeout else time.monotonic() + timeout
 
 
 def scan_frames(

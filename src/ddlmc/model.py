@@ -40,6 +40,12 @@ class SearchTimeout(Exception):
     """Wall-clock budget exhausted before the search finished."""
 
 
+def deadline_after(timeout: float | None) -> float | None:
+    """The monotonic deadline timeout seconds from now; None when timeout
+    is None or 0 (no limit)."""
+    return None if not timeout else time.monotonic() + timeout
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -330,6 +336,11 @@ def _orbit_images(rel: Relation) -> list[int]:
     for column, row in zip(lanes, rel):
         packed |= column[row]
     return memoryview(packed.to_bytes(size, sys.byteorder)).cast("Q").tolist()
+
+
+def orbit_size(rel: Relation) -> int:
+    """Number of distinct relabellings of rel."""
+    return len(set(_orbit_images(rel)))
 
 
 def canonical_form(rel: Relation) -> Relation:

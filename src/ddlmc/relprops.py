@@ -2,29 +2,46 @@
 
 Covers the standard rational-choice conditions (reflexivity, totality,
 transitivity and its weakenings, the Ferrers condition and interval orders)
-plus the frame-level limit assumptions: limitedness and smoothness, each
-relative to the optimality or the maximality reading of "best".
+plus the frame-level limit assumptions: limitedness (every non-empty world
+set has a best element) and smoothness (every non-best world of a set is
+strictly bettered by a best one), each relative to the optimality or the
+maximality reading of "best".  They quantify over every world set, so they
+are valuation-independent.  On finite relations each reduces to an order
+condition, which is what is checked: max-limited iff acyclic, max-smooth
+iff quasi-transitive, opt-limited iff total and acyclic (Sen, *Collective
+Choice and Social Welfare*, 1970, Lemma 1*l), opt-smooth iff total and
+quasi-transitive (on total relations optimal and maximal coincide; see
+Parent, "Maximality vs. optimality in dyadic deontic logic", *J. Phil.
+Logic* 2014).  The subset definitions are the test reference, in
+``tests/oracle.py::naive_properties``.
 
-Limitedness and smoothness quantify over every non-empty subset of the
-universe, not only definable sets, so they are valuation-independent.
-
-``property_implication`` decides "every relation with P1 also has P2" by
-exhaustive enumeration at a fixed universe size, returning a Confirmed
-marker or the least witness relation.  ``lattice_report`` does this for the
-whole implication diagram of the transitivity weakenings.
+``property_implication`` decides "every relation with P1 also has P2" up to
+a universe size, returning a Confirmed marker or the least witness
+relation; ``lattice_report`` does this for the whole implication diagram of
+the transitivity weakenings.  Both range over isomorphism classes
+(``model.canonical_relations``), weighting each by its orbit size: the
+properties are invariant under relabelling worlds, so a class's flags are
+its relations' flags, and the least relation with a flag pattern is the
+least representative that has it.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 from .model import (
+    MAX_EXHAUSTIVE_WORLDS,
     PreferenceModel,
     Relation,
+    SearchTimeout,
+    canonical_relations,
+    deadline_after,
     iter_bits,
+    orbit_size,
     strict_part,
     transitive_closure,
     transpose,
@@ -118,55 +135,20 @@ def is_interval_order(rel: Relation) -> bool:
     return is_total(rel) and is_ferrers(rel)
 
 
-def _opt_set(rel: Relation, xs: int) -> int:
-    best = 0
-    for a in iter_bits(xs):
-        if xs & ~rel[a] == 0:
-            best |= 1 << a
-    return best
-
-
-def _max_set(strict_cols: Relation, xs: int) -> int:
-    best = 0
-    for a in iter_bits(xs):
-        if not strict_cols[a] & xs:
-            best |= 1 << a
-    return best
-
-
-def is_opt_limited(rel: Relation) -> bool:
-    for xs in range(1, 1 << len(rel)):
-        if not _opt_set(rel, xs):
-            return False
-    return True
-
-
 def is_max_limited(rel: Relation) -> bool:
-    scols = transpose(strict_part(rel))
-    for xs in range(1, 1 << len(rel)):
-        if not _max_set(scols, xs):
-            return False
-    return True
-
-
-def is_opt_smooth(rel: Relation) -> bool:
-    scols = transpose(strict_part(rel))
-    for xs in range(1, 1 << len(rel)):
-        best = _opt_set(rel, xs)
-        for x in iter_bits(xs & ~best):
-            if not scols[x] & best:
-                return False
-    return True
+    return is_acyclic(rel)
 
 
 def is_max_smooth(rel: Relation) -> bool:
-    scols = transpose(strict_part(rel))
-    for xs in range(1, 1 << len(rel)):
-        best = _max_set(scols, xs)
-        for x in iter_bits(xs & ~best):
-            if not scols[x] & best:
-                return False
-    return True
+    return is_quasi_transitive(rel)
+
+
+def is_opt_limited(rel: Relation) -> bool:
+    return is_total(rel) and is_acyclic(rel)
+
+
+def is_opt_smooth(rel: Relation) -> bool:
+    return is_total(rel) and is_quasi_transitive(rel)
 
 
 _CHECKS = {
@@ -193,6 +175,22 @@ def check_property(prop: RelationProperty, target: PreferenceModel | Relation) -
 
 def check_all(props: Iterable[RelationProperty], rel: Relation) -> bool:
     return all(_CHECKS[p](rel) for p in props)
+
+
+@lru_cache(maxsize=None)
+def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
+    """The predicate "has every property in props", one object per set so
+    that it keys the class cache of ``canonical_relations``; None when props
+    is empty."""
+    if not props:
+        return None
+    ordered = tuple(p for p in RelationProperty if p in props)
+    return lambda rel: check_all(ordered, rel)
+
+
+def _check_bound(max_n: int) -> None:
+    if not (1 <= max_n <= MAX_EXHAUSTIVE_WORLDS):
+        raise ValueError(f"world-count bound must be in 1..{MAX_EXHAUSTIVE_WORLDS}, got {max_n}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +220,21 @@ def _as_props(p) -> tuple[RelationProperty, ...]:
 
 
 def property_implication(p1, p2, n: int) -> Confirmed | Witness:
-    """Check p1 => p2 over all relations on 1..n worlds (n <= 4 is practical).
+    """Check p1 => p2 over all relations on 1..n worlds, n <= 5.
 
     p1 and p2 may be single properties or iterables (read conjunctively).
+    Only the classes with p1 are built; relations_checked counts the
+    relations in them.
     """
+    _check_bound(n)
     props1, props2 = _as_props(p1), _as_props(p2)
+    keep = has_all(frozenset(props1))
     checked = 0
     for size in range(1, n + 1):
-        for rows in product(range(1 << size), repeat=size):
-            if not check_all(props1, rows):
-                continue
-            checked += 1
-            if not check_all(props2, rows):
-                return Witness(size, rows)
+        for rep in canonical_relations(size, keep):
+            if not check_all(props2, rep):
+                return Witness(size, rep)
+            checked += orbit_size(rep)
     return Confirmed(n, checked)
 
 
@@ -313,74 +313,52 @@ def _lattice_flags(rel: Relation) -> int:
     acyclic = all(not (sclo[a] & scols[a]) for a in range(n))
     wclo = transitive_closure(rel)
     suzumura = all(not (wclo[a] & scols[a]) for a in range(n))
-    ferrers = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rel[i] & ~rel[j] and rel[j] & ~rel[i]:
-                ferrers = False
-                break
-        if not ferrers:
-            break
-    interval = total and ferrers
-
-    flags = 0
-    for idx, value in enumerate(
-        (transitive, quasi, suzumura, acyclic, interval, total, reflexive)
-    ):
-        if value:
-            flags |= 1 << idx
-    return flags
+    interval = total and is_ferrers(rel)
+    values = (transitive, quasi, suzumura, acyclic, interval, total, reflexive)
+    return sum(1 << idx for idx, value in enumerate(values) if value)
 
 
-def lattice_report(max_n: int) -> dict:
+def lattice_report(max_n: int, timeout: float | None = None) -> dict:
     """Exhaustively confirm every implied pair and witness every other pair.
 
-    One pass per universe size computes all property flags per relation and
-    a histogram of flag patterns, so the report covers every ordered pair of
-    LATTICE_NODES at once.
+    One pass per universe size computes all property flags per isomorphism
+    class and a histogram of flag patterns weighted by orbit size, so the
+    report covers every ordered pair of LATTICE_NODES at once.  Raises
+    SearchTimeout after timeout seconds (None or 0: no limit).
     """
+    _check_bound(max_n)
+    deadline = deadline_after(timeout)
     implied = implied_pairs()
-    index = {p: i for i, p in enumerate(LATTICE_NODES)}
-    pairs = [(p, q) for p in LATTICE_NODES for q in LATTICE_NODES if p is not q]
+    bit = {p: 1 << i for i, p in enumerate(LATTICE_NODES)}
     open_pairs = [
-        (index[p], index[q], (p, q)) for p, q in pairs if (p, q) not in implied
+        (p, q) for p in LATTICE_NODES for q in LATTICE_NODES
+        if p is not q and (p, q) not in implied
     ]
+    # relations per flag pattern, over all sizes so far
+    hist: dict[int, int] = {}
     witnesses: dict[tuple, tuple[int, Relation]] = {}
-    histograms: dict[int, dict[int, int]] = {}
+
+    def separating(flags, p, q) -> bool:
+        return flags & bit[p] and not flags & bit[q]
 
     for size in range(1, max_n + 1):
-        hist: dict[int, int] = {}
-        need = [t for t in open_pairs if t[2] not in witnesses]
-        for rows in product(range(1 << size), repeat=size):
-            flags = _lattice_flags(rows)
-            hist[flags] = hist.get(flags, 0) + 1
-            if need:
-                found = False
-                for pi, qi, pair in need:
-                    if flags >> pi & 1 and not flags >> qi & 1:
-                        witnesses[pair] = (size, rows)
-                        found = True
-                if found:
-                    need = [t for t in need if t[2] not in witnesses]
-        histograms[size] = hist
-        # Implications are confirmed by the histogram: no observed flag
-        # pattern may have the source property without the target.
+        least: dict[int, Relation] = {}  # least class of each flag pattern
+        for idx, rep in enumerate(canonical_relations(size, None, deadline)):
+            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
+                raise SearchTimeout()
+            flags = _lattice_flags(rep)
+            least.setdefault(flags, rep)
+            hist[flags] = hist.get(flags, 0) + orbit_size(rep)
+        for pair in open_pairs:
+            found = [rep for flags, rep in least.items() if separating(flags, *pair)]
+            if found and pair not in witnesses:
+                witnesses[pair] = (size, min(found))
         for p, q in implied:
-            pi, qi = index[p], index[q]
-            for flags in hist:
-                if flags >> pi & 1 and not flags >> qi & 1:
-                    raise AssertionError(
-                        f"implication {p} => {q} fails at size {size}"
-                    )
+            if any(separating(flags, p, q) for flags in least):
+                raise AssertionError(f"implication {p} => {q} fails at size {size}")
 
     def checked(source: RelationProperty) -> int:
-        pi = index[source]
-        return sum(
-            count
-            for hist in histograms.values()
-            for flags, count in hist.items()
-            if flags >> pi & 1
-        )
+        return sum(count for flags, count in hist.items() if flags & bit[source])
 
     return {
         "max_n": max_n,
@@ -406,7 +384,6 @@ def lattice_report(max_n: int) -> dict:
                 "witness_rel": list(witnesses[(p, q)][1]) if (p, q) in witnesses else None,
                 "status": "witness" if (p, q) in witnesses else "no_witness_up_to_bound",
             }
-            for p, q in pairs
-            if (p, q) not in implied
+            for p, q in open_pairs
         ],
     }

@@ -49,12 +49,14 @@ from .model import (
     PreferenceModel,
     Relation,
     SearchTimeout,
+    deadline_after,
     full_mask,
     iter_bits,
+    mask_from_worlds,
     strict_part,
     transpose,
 )
-from .relprops import RelationProperty, _max_set, _opt_set
+from .relprops import RelationProperty
 
 Assignment = dict[str, int]
 
@@ -77,10 +79,11 @@ def rule_from_name(name: str) -> EvalRule:
 
 def best_set(rule: EvalRule, xs: int, m: PreferenceModel) -> int:
     """Optimal or maximal elements of the world set xs."""
-    if rule is EvalRule.OPT:
-        return _opt_set(m.rel, xs)
-    if rule is EvalRule.MAX:
-        return _max_set(transpose(strict_part(m.rel)), xs)
+    if rule is EvalRule.OPT:  # at least as good as every world of xs
+        return mask_from_worlds(a for a in iter_bits(xs) if xs & ~m.rel[a] == 0)
+    if rule is EvalRule.MAX:  # strictly bettered by no world of xs
+        scols = transpose(strict_part(m.rel))
+        return mask_from_worlds(a for a in iter_bits(xs) if not scols[a] & xs)
     raise ValueError("best_set is defined for the opt and max rules only")
 
 
@@ -392,15 +395,17 @@ def valid_on_frame(
 # Collapse of the three rules on well-behaved frames
 
 
-def rule_collapse(max_n: int, iso_reject: bool = True) -> dict:
+def rule_collapse(max_n: int, iso_reject: bool = True, timeout: float | None = None) -> dict:
     """On reflexive total transitive frames the three conditionals agree.
 
     Compares the extensional conditional for every antecedent/consequent
     pair on every such frame up to max_n, returning a report with either
-    status "confirmed" or the first disagreeing frame.
+    status "confirmed" or the first disagreeing frame.  Raises SearchTimeout
+    after timeout seconds (None or 0: no limit).
     """
     from .finder import enumerate_frames, scan_frames
 
+    deadline = deadline_after(timeout)
     props = (
         RelationProperty.REFLEXIVE,
         RelationProperty.TOTAL,
@@ -417,7 +422,7 @@ def rule_collapse(max_n: int, iso_reject: bool = True) -> dict:
         return (diverged, opt, mx, lewis) if diverged else None
 
     hit, per_n = scan_frames(
-        max_n, lambda n: enumerate_frames(n, props, iso_reject=iso_reject), probe
+        max_n, lambda n: enumerate_frames(n, props, iso_reject, deadline), probe, deadline
     )
     frames_checked = sum(per_n.values())
     if hit is None:

@@ -176,6 +176,25 @@ def test_correspond_honours_timeout(argv, capsys):
                       "max_n": report["max_n"], "elapsed_ms": None}
 
 
+@pytest.mark.parametrize("argv, code, limit_s", [
+    ("collapse --max-n 5 --timeout 0.000001 --json", 1, 15),
+    # Unbounded, this builds and flags all 292k five-world classes.
+    ("lattice --max-n 5 --timeout 1 --json", 1, 15),
+    # The bound is checked before any work: a usage error, no report.
+    ("lattice --max-n 6 --json", 2, 1),
+])
+def test_collapse_and_lattice_honour_timeout_and_bound(argv, code, limit_s, capsys):
+    started = time.monotonic()
+    got, out = run(capsys, *argv.split())
+    assert time.monotonic() - started < limit_s
+    assert got == code
+    if code == 2:
+        assert out == ""
+    else:
+        assert json.loads(out) == {"command": argv.split()[0], "status": "timeout",
+                                   "max_n": 5, "elapsed_ms": None}
+
+
 def test_strict_atoms_flag(model_file, capsys):
     code, _ = run(capsys, "eval", "--model", model_file, "--rule", "max", "zz | ~zz")
     assert code == 0

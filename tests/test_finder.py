@@ -203,6 +203,14 @@ def test_timeout_holds_while_unrestricted_classes_are_built():
     assert (5, None) not in model._canonical_cache
 
 
+def test_timeout_holds_while_every_relation_is_filtered():
+    # without isomorph rejection the walk over all 2^25 five-world
+    # relations yields few frames, so the walk itself checks the deadline
+    frames = enumerate_frames(5, (P.TRANSITIVE,), iso_reject=False, deadline=time.monotonic() - 1)
+    with pytest.raises(SearchTimeout):
+        next(frames)
+
+
 def test_timed_out_class_build_is_not_cached():
     # transitivity implies quasi-transitivity, so the pair has exactly the
     # transitive classes; no other test builds this key

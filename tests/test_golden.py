@@ -5,7 +5,10 @@ tests/golden/ were captured with ``python -m ddlmc <argv>``: the three
 table and collapse reports before the bit-sliced evaluator replaced the
 compiled one, the four witness reports (a forward counterexample, frame-
 and model-level converse witnesses, a find-model witness) before the scan
-loops and witness serializers were merged into one each.  Any change in a
+loops and witness serializers were merged into one each, and the n=4 opt
+table and the lattice report before the limit assumptions were checked by
+their order equivalents and the lattice walked isomorphism classes instead
+of every relation.  Any change in a
 status, witness, frames_checked or exit code shows up as a mismatch.
 """
 
@@ -26,6 +29,7 @@ GOLDEN = [
      "correspond --table --rule lewis --max-n 4 --workers 2 --timeout 0 --json", 0),
     ("tests/golden/table_max.json", "correspond --table --rule max --max-n 4 --json", 0),
     ("tests/golden/table_opt.json", "correspond --table --rule opt --max-n 3 --json", 0),
+    ("tests/golden/table_opt4.json", "correspond --table --rule opt --max-n 4 --json", 0),
     ("tests/golden/collapse.json", "collapse --max-n 4 --json", 0),
     ("tests/golden/forward_dstar_reflexive.json",
      "correspond --axiom Dstar --props reflexive --rule max --max-n 3 --json", 1),
@@ -34,6 +38,7 @@ GOLDEN = [
     ("tests/golden/converse_cm_model.json",
      "correspond --axiom CM --converse max_smooth --rule max --max-n 3 --model-level --json", 0),
     ("tests/golden/find_model_opt.json", "find-model O(p/T) <>~p --rule max --max-n 4 --json", 0),
+    ("tests/golden/lattice.json", "lattice --max-n 4 --json", 0),
 ]
 
 

@@ -16,6 +16,7 @@ from ddlmc.model import (
     equal_goodness,
     mask_from_worlds,
     orbit,
+    orbit_size,
     parse_model,
     relation_from_pairs,
     relation_pairs,
@@ -179,6 +180,7 @@ def test_canonical_orbits_partition_space():
         for rep in reps:
             assert canonical_form(rep) == rep
             assert min(orbit(rep)) == rep
+            assert orbit_size(rep) == len(orbit(rep))
 
 
 def test_canonical_form_is_the_orbit_minimum():

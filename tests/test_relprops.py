@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-from ddlmc.model import all_relations, relation_from_pairs, relation_pairs
+import pytest
+
+from ddlmc.model import (
+    all_relations,
+    canonical_relations,
+    relation_from_pairs,
+    relation_pairs,
+    unpack_relation,
+)
 from ddlmc.relprops import (
     LATTICE_ARROWS,
     LATTICE_NODES,
@@ -35,6 +43,22 @@ def test_all_properties_match_oracle_exhaustively_n_le_3():
                 assert check_property(prop, rel) == expected[prop.value], (
                     n, rel, prop,
                 )
+
+
+LIMIT_ASSUMPTIONS = (P.MAX_LIMITED, P.MAX_SMOOTH, P.OPT_LIMITED, P.OPT_SMOOTH)
+
+
+def test_limit_assumptions_match_subset_definitions():
+    # the checks use the finite order equivalents; the oracle quantifies
+    # over every non-empty world set.  n <= 3 is covered exhaustively above;
+    # here every n=4 class and evenly spaced n=5 relations.
+    rels = list(canonical_relations(4))
+    assert len(rels) == 3044
+    rels += [unpack_relation(packed, 5) for packed in range(0, 1 << 25, (1 << 25) // 97)]
+    for rel in rels:
+        expected = naive_properties(len(rel), set(relation_pairs(rel)))
+        for prop in LIMIT_ASSUMPTIONS:
+            assert check_property(prop, rel) == expected[prop.value], (rel, prop)
 
 
 def _delete_world(rel, w):
@@ -95,6 +119,21 @@ def test_implication_confirmed_and_witness():
     assert isinstance(w, Witness)
     assert check_property(P.QUASI_TRANSITIVE, w.rel)
     assert not check_property(P.TRANSITIVE, w.rel)
+
+
+def test_implication_counts_every_relation_of_its_classes():
+    # transitive relations on 1..n labelled worlds (OEIS A006905):
+    # 2 + 13 + 171 + 3994, then + 154303 at n=5
+    assert property_implication(P.TRANSITIVE, P.QUASI_TRANSITIVE, 4) == Confirmed(4, 4180)
+    assert property_implication(P.TRANSITIVE, P.QUASI_TRANSITIVE, 5) == Confirmed(5, 158483)
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_implication_and_lattice_reject_bounds_outside_1_to_5(n):
+    with pytest.raises(ValueError):
+        property_implication(P.TRANSITIVE, P.ACYCLIC, n)
+    with pytest.raises(ValueError):
+        lattice_report(n)
 
 
 def test_ferrers_plus_reflexive_implies_total():
