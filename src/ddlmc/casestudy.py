@@ -34,7 +34,7 @@ from .finder import (
     find_satisfying_model,
     longest_strict_chain,
 )
-from .model import model_json
+from .model import check_world_bound, model_json
 from .relprops import RelationProperty, is_acyclic
 from .semantics import EvalRule
 
@@ -149,8 +149,7 @@ def run_grid(
 
     One timeout covers the whole grid; workers is ignored (scans are serial).
     """
-    if max_n > 5:
-        raise ValueError("run_grid is bounded at max_n <= 5")
+    check_world_bound(max_n)
     deadline = deadline_after(timeout)
     cells = []
     for label, props in GRID_ROWS:

@@ -12,7 +12,9 @@ lattice      implications and independence witnesses between relation properties
 props        report which properties a model's relation has
 
 Exit codes: 0 the requested confirmation/witness was obtained, 1 it was
-refuted or nothing was found up to the bound, 2 usage error.
+refuted or nothing was found up to the bound, 2 usage error.  A --max-n
+outside the supported range and a negative --timeout are usage errors,
+reported before any work.
 
 Reports are deterministic: identical argv produces byte-identical JSON.
 Timing is therefore reported only with --timing (the elapsed_ms field is
@@ -85,6 +87,16 @@ def _print_report(report: dict, args, started: float) -> None:
 
 def _timeout(args) -> float | None:
     return None if args.timeout == 0 else args.timeout
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}") from None
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a number of seconds >= 0, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ def _add_common(sub, *, max_n_default: int | None = None) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
     sub.add_argument("--timing", action="store_true", help="fill in elapsed_ms (non-deterministic)")
     sub.add_argument("--workers", type=int, default=1, help="ignored; scans are serial")
-    sub.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+    sub.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
                      help="wall-clock budget in seconds for searches; 0 disables (default 60)")
     sub.add_argument("--iso-reject", dest="iso_reject", action="store_true", default=True,
                      help="enumerate one frame per isomorphism class (default)")

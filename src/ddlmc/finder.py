@@ -32,6 +32,7 @@ from .model import (
     Relation,
     all_relations,
     canonical_relations,
+    check_world_bound,
     deadline_after,
     model_json,
     strict_part,
@@ -138,6 +139,7 @@ class SearchSpec:
     def __post_init__(self):
         self.targets = tuple(self.targets)
         self.properties = tuple(self.properties)
+        check_world_bound(self.max_n)
         if not self.targets:
             raise ValueError("search needs at least one target formula")
         if self.mode not in ("satisfy", "refute"):

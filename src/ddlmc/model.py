@@ -40,6 +40,12 @@ class SearchTimeout(Exception):
     """Wall-clock budget exhausted before the search finished."""
 
 
+def check_world_bound(max_n: int, upper: int = MAX_EXHAUSTIVE_WORLDS) -> None:
+    """Reject a world-count bound outside 1..upper before any work."""
+    if not (1 <= max_n <= upper):
+        raise ValueError(f"world-count bound must be in 1..{upper}, got {max_n}")
+
+
 def deadline_after(timeout: float | None) -> float | None:
     """The monotonic deadline timeout seconds from now; None when timeout
     is None or 0 (no limit)."""
@@ -339,8 +345,10 @@ def _orbit_images(rel: Relation) -> list[int]:
 
 
 def orbit_size(rel: Relation) -> int:
-    """Number of distinct relabellings of rel."""
-    return len(set(_orbit_images(rel)))
+    """Number of distinct relabellings of rel: n! over the number of
+    automorphisms, which are the permutations that map rel to itself."""
+    images = _orbit_images(rel)
+    return len(images) // images.count(images[0])
 
 
 def canonical_form(rel: Relation) -> Relation:
@@ -381,10 +389,14 @@ def canonical_relations(
     ``tests/test_relprops.py`` checks that every property is.  The result
     equals the unrestricted classes filtered by keep, in the same order.
 
-    A restrictive keep makes this cheap (1 895 transitive classes at n=5).
-    Without one, or with a weak one such as acyclicity, n=5 still marks up
-    to 292k orbits of up to 120 relations each, and tests every candidate
-    not yet marked.
+    Cost at n=5 (2-vCPU VM, Python 3.11): a restrictive keep makes this
+    cheap (1 895 transitive classes in about 0.2 s).  Without one, or with
+    a weak one, it marks up to 292k orbits of up to 120 relations each and
+    tests every candidate not yet marked: about 6-7 s unrestricted, 3.3 s
+    for the 51 648 quasi-transitive classes and 6.7 s for the 214 848
+    acyclic ones.  keep is called once per unmarked candidate (116 563
+    times for transitivity, 444 168 for acyclicity), so it should be one
+    flat function, as ``relprops.has_all`` returns.
 
     Results are cached per (n, keep): pass the same keep object to reuse a
     build.  The deadline (a ``time.monotonic`` value) is checked between

@@ -15,6 +15,11 @@ Parent, "Maximality vs. optimality in dyadic deontic logic", *J. Phil.
 Logic* 2014).  The subset definitions are the test reference, in
 ``tests/oracle.py::naive_properties``.
 
+Each check is one tight loop over the row bitmasks; the cycle and
+strict-transitivity checks first compute the strict rows in one pass.
+``has_all(props)`` returns one flat predicate for the class builder: the
+check itself for a single property, else one loop over the checks.
+
 ``property_implication`` decides "every relation with P1 also has P2" up to
 a universe size, returning a Confirmed marker or the least witness
 relation; ``lattice_report`` does this for the whole implication diagram of
@@ -34,17 +39,13 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .model import (
-    MAX_EXHAUSTIVE_WORLDS,
     PreferenceModel,
     Relation,
     SearchTimeout,
     canonical_relations,
+    check_world_bound,
     deadline_after,
-    iter_bits,
     orbit_size,
-    strict_part,
-    transitive_closure,
-    transpose,
 )
 
 
@@ -91,30 +92,79 @@ def is_total(rel: Relation) -> bool:
 
 def is_transitive(rel: Relation) -> bool:
     for row in rel:
-        for j in iter_bits(row):
-            if rel[j] & ~row:
+        m = row
+        while m:
+            low = m & -m
+            if rel[low.bit_length() - 1] & ~row:
                 return False
+            m ^= low
+    return True
+
+
+def _strict_rows(rel: Relation) -> list[int]:
+    """The strict part's rows: each row of rel minus the j with j >= i."""
+    strict = []
+    for i, row in enumerate(rel):
+        bit = 1 << i
+        m = row
+        while m:
+            low = m & -m
+            if rel[low.bit_length() - 1] & bit:
+                row ^= low
+            m ^= low
+        strict.append(row)
+    return strict
+
+
+def _strict_acyclic(strict: list[int]) -> bool:
+    # peel worlds with no strict successor among those left; a strict
+    # cycle never peels
+    left = (1 << len(strict)) - 1
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(strict):
+            bit = 1 << i
+            if left & bit and not row & left:
+                left ^= bit
+                changed = True
+    return not left
+
+
+def _suzumura(rel: Relation, strict: list[int]) -> bool:
+    # no strict step b > a whose a reaches b by weak steps
+    reach = list(rel)
+    n = len(reach)
+    for k in range(n):
+        bit = 1 << k
+        row_k = reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= row_k
+    for b, row in enumerate(strict):
+        bit = 1 << b
+        m = row
+        while m:
+            low = m & -m
+            if reach[low.bit_length() - 1] & bit:
+                return False
+            m ^= low
     return True
 
 
 def is_quasi_transitive(rel: Relation) -> bool:
     """The strict part is transitive."""
-    return is_transitive(strict_part(rel))
+    return is_transitive(_strict_rows(rel))
 
 
 def is_acyclic(rel: Relation) -> bool:
-    """No strict-betterness cycles: a ><-closure b implies not b > a."""
-    strict = strict_part(rel)
-    closure = transitive_closure(strict)
-    scols = transpose(strict)
-    return all(not (closure[a] & scols[a]) for a in range(len(rel)))
+    """No strict-betterness cycles."""
+    return _strict_acyclic(_strict_rows(rel))
 
 
 def is_suzumura_consistent(rel: Relation) -> bool:
     """No weak-preference cycle containing a strict step."""
-    closure = transitive_closure(rel)
-    scols = transpose(strict_part(rel))
-    return all(not (closure[a] & scols[a]) for a in range(len(rel)))
+    return _suzumura(rel, _strict_rows(rel))
 
 
 def is_ferrers(rel: Relation) -> bool:
@@ -135,12 +185,9 @@ def is_interval_order(rel: Relation) -> bool:
     return is_total(rel) and is_ferrers(rel)
 
 
-def is_max_limited(rel: Relation) -> bool:
-    return is_acyclic(rel)
-
-
-def is_max_smooth(rel: Relation) -> bool:
-    return is_quasi_transitive(rel)
+# The limit assumptions by their finite order equivalents (module docstring).
+is_max_limited = is_acyclic
+is_max_smooth = is_quasi_transitive
 
 
 def is_opt_limited(rel: Relation) -> bool:
@@ -179,18 +226,23 @@ def check_all(props: Iterable[RelationProperty], rel: Relation) -> bool:
 
 @lru_cache(maxsize=None)
 def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
-    """The predicate "has every property in props", one object per set so
-    that it keys the class cache of ``canonical_relations``; None when props
-    is empty."""
-    if not props:
+    """The predicate "has every property in props", one flat function: the
+    check itself for one property, else one loop over the checks in
+    declaration order.  One object per set, so that it keys the class cache
+    of ``canonical_relations``; None when props is empty."""
+    checks = tuple(dict.fromkeys(_CHECKS[p] for p in RelationProperty if p in props))
+    if not checks:
         return None
-    ordered = tuple(p for p in RelationProperty if p in props)
-    return lambda rel: check_all(ordered, rel)
+    if len(checks) == 1:
+        return checks[0]
 
+    def keep(rel: Relation) -> bool:
+        for check in checks:
+            if not check(rel):
+                return False
+        return True
 
-def _check_bound(max_n: int) -> None:
-    if not (1 <= max_n <= MAX_EXHAUSTIVE_WORLDS):
-        raise ValueError(f"world-count bound must be in 1..{MAX_EXHAUSTIVE_WORLDS}, got {max_n}")
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +278,7 @@ def property_implication(p1, p2, n: int) -> Confirmed | Witness:
     Only the classes with p1 are built; relations_checked counts the
     relations in them.
     """
-    _check_bound(n)
+    check_world_bound(n)
     props1, props2 = _as_props(p1), _as_props(p2)
     keep = has_all(frozenset(props1))
     checked = 0
@@ -284,37 +336,18 @@ def implied_pairs() -> frozenset[tuple[RelationProperty, RelationProperty]]:
 
 
 def _lattice_flags(rel: Relation) -> int:
-    """Bitmask of LATTICE_NODES flags, sharing intermediate computations."""
-    n = len(rel)
-    cols = transpose(rel)
-    strict = tuple(r & ~c for r, c in zip(rel, cols))
-    scols = tuple(c & ~r for r, c in zip(rel, cols))
-
-    reflexive = all(rel[i] >> i & 1 for i in range(n))
-    total = reflexive and all(
-        rel[i] >> j & 1 or rel[j] >> i & 1
-        for i in range(n)
-        for j in range(i + 1, n)
+    """Bitmask of LATTICE_NODES flags, computing the strict rows once."""
+    strict = _strict_rows(rel)
+    total = is_total(rel)
+    values = (
+        is_transitive(rel),
+        is_transitive(strict),
+        _suzumura(rel, strict),
+        _strict_acyclic(strict),
+        total and is_ferrers(rel),
+        total,
+        is_reflexive(rel),
     )
-
-    def trans(rows: Relation) -> bool:
-        for row in rows:
-            m = row
-            while m:
-                low = m & -m
-                if rows[low.bit_length() - 1] & ~row:
-                    return False
-                m ^= low
-        return True
-
-    transitive = trans(rel)
-    quasi = trans(strict)
-    sclo = transitive_closure(strict)
-    acyclic = all(not (sclo[a] & scols[a]) for a in range(n))
-    wclo = transitive_closure(rel)
-    suzumura = all(not (wclo[a] & scols[a]) for a in range(n))
-    interval = total and is_ferrers(rel)
-    values = (transitive, quasi, suzumura, acyclic, interval, total, reflexive)
     return sum(1 << idx for idx, value in enumerate(values) if value)
 
 
@@ -326,7 +359,7 @@ def lattice_report(max_n: int, timeout: float | None = None) -> dict:
     report covers every ordered pair of LATTICE_NODES at once.  Raises
     SearchTimeout after timeout seconds (None or 0: no limit).
     """
-    _check_bound(max_n)
+    check_world_bound(max_n)
     deadline = deadline_after(timeout)
     implied = implied_pairs()
     bit = {p: 1 << i for i, p in enumerate(LATTICE_NODES)}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import formula as fm
 from .finder import deadline_after, enumerate_frames, scan_frames
-from .model import PreferenceModel, Relation, model_json, worlds_from_mask
+from .model import PreferenceModel, Relation, check_world_bound, model_json, worlds_from_mask
 from .relprops import RelationProperty, check_property
 from .semantics import EvalRule, first_valuation, frame_counterexample, truth_set
 
@@ -113,8 +113,7 @@ def forward_check(
     timeout: float | None = None,
 ) -> ForwardResult:
     """Exhaustively check property => axiom on all frames up to max_n."""
-    if max_n > 5:
-        raise ValueError("forward_check is bounded at max_n <= 5")
+    check_world_bound(max_n)
     name, body = _resolve(axiom)
     props = tuple(properties)
     deadline = deadline_after(timeout)
@@ -187,8 +186,7 @@ def converse_search(
     metavariables are read as atoms and the search ranges over valuations too,
     so a witness is a model in which that single instance holds.
     """
-    if max_n > 5:
-        raise ValueError("converse_search is bounded at max_n <= 5")
+    check_world_bound(max_n)
     name, body = _resolve(axiom)
     names = tuple(sorted(fm.metavars(body)))
     deadline = deadline_after(timeout)
@@ -315,8 +313,7 @@ def table_sweep(
     expectation.  One timeout covers the whole table; workers is ignored
     (scans are serial).
     """
-    if max_n > 4:
-        raise ValueError("table_sweep is bounded at max_n <= 4")
+    check_world_bound(max_n, 4)
     deadline = deadline_after(timeout)
 
     def check(props, axiom):

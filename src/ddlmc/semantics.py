@@ -49,6 +49,7 @@ from .model import (
     PreferenceModel,
     Relation,
     SearchTimeout,
+    check_world_bound,
     deadline_after,
     full_mask,
     iter_bits,
@@ -405,6 +406,7 @@ def rule_collapse(max_n: int, iso_reject: bool = True, timeout: float | None = N
     """
     from .finder import enumerate_frames, scan_frames
 
+    check_world_bound(max_n)
     deadline = deadline_after(timeout)
     props = (
         RelationProperty.REFLEXIVE,

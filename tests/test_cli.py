@@ -195,6 +195,33 @@ def test_collapse_and_lattice_honour_timeout_and_bound(argv, code, limit_s, caps
                                    "max_n": 5, "elapsed_ms": None}
 
 
+@pytest.mark.parametrize("argv", [
+    "collapse --max-n 0",
+    "correspond --axiom Id --max-n 0",
+    "correspond --axiom Id --converse transitive --max-n 0",
+    "correspond --table --max-n 0",
+    "correspond --table --max-n 5",
+    "find-model p --max-n 0",
+    # unsat at every n, so without the check every n <= 5 frame is scanned
+    "find-model p&~p --max-n 6",
+    "paradox --max-n 0",
+    "lattice --max-n 0",
+    "collapse --timeout -1",
+    "correspond --table --timeout -0.5",
+    "find-model p --timeout nan",
+    "paradox --timeout -1",
+    "lattice --timeout -1",
+])
+def test_bounds_fail_loudly_before_any_work(argv, capsys):
+    started = time.monotonic()
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert captured.out == ""
+    assert "1.." in captured.err or ">= 0" in captured.err
+
+
 def test_strict_atoms_flag(model_file, capsys):
     code, _ = run(capsys, "eval", "--model", model_file, "--rule", "max", "zz | ~zz")
     assert code == 0

@@ -183,6 +183,14 @@ def test_canonical_orbits_partition_space():
             assert orbit_size(rep) == len(orbit(rep))
 
 
+def test_orbit_sizes_of_the_four_world_classes():
+    # orbit_size divides n! by the automorphism count
+    reps = canonical_relations(4)
+    assert sum(orbit_size(rep) for rep in reps) == 2 ** 16
+    for rep in reps:
+        assert orbit_size(rep) == len(orbit(rep)), rep
+
+
 def test_canonical_form_is_the_orbit_minimum():
     # canonical_form and the class builder read every relabelling from
     # packed lanes; orbit() relabels world by world

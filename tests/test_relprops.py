@@ -11,13 +11,17 @@ from ddlmc.model import (
     relation_pairs,
     unpack_relation,
 )
+from ddlmc.casestudy import GRID_ROWS
 from ddlmc.relprops import (
     LATTICE_ARROWS,
     LATTICE_NODES,
     Confirmed,
     RelationProperty,
     Witness,
+    _lattice_flags,
+    check_all,
     check_property,
+    has_all,
     implied_pairs,
     lattice_report,
     property_from_name,
@@ -43,6 +47,41 @@ def test_all_properties_match_oracle_exhaustively_n_le_3():
                 assert check_property(prop, rel) == expected[prop.value], (
                     n, rel, prop,
                 )
+
+
+def _classes_up_to_4():
+    return [rel for n in (1, 2, 3, 4) for rel in canonical_relations(n)]
+
+
+def test_all_properties_match_oracle_on_every_n4_class():
+    rels = canonical_relations(4)
+    assert len(rels) == 3044
+    for rel in rels:
+        expected = naive_properties(4, set(relation_pairs(rel)))
+        for prop in RelationProperty:
+            assert check_property(prop, rel) == expected[prop.value], (rel, prop)
+
+
+def test_has_all_is_check_all():
+    # the class builder calls has_all's predicate; check_all is the
+    # reference conjunction
+    sets = {frozenset(props) for _, props in GRID_ROWS if props}
+    sets |= {frozenset((p, q)) for p in RelationProperty for q in RelationProperty}
+    rels = _classes_up_to_4()
+    for props in sets:
+        keep = has_all(props)
+        assert keep is has_all(frozenset(props))  # one object per set
+        for rel in rels:
+            assert keep(rel) == check_all(props, rel), (props, rel)
+    assert has_all(frozenset()) is None
+
+
+def test_lattice_flags_agree_with_the_property_checks():
+    for rel in _classes_up_to_4():
+        expected = sum(
+            1 << idx for idx, prop in enumerate(LATTICE_NODES) if check_property(prop, rel)
+        )
+        assert _lattice_flags(rel) == expected, rel
 
 
 LIMIT_ASSUMPTIONS = (P.MAX_LIMITED, P.MAX_SMOOTH, P.OPT_LIMITED, P.OPT_SMOOTH)
