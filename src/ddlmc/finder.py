@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import formula as fm
 from .model import (
-    MAX_EXHAUSTIVE_WORLDS,
     PreferenceModel,
     Relation,
     all_relations,
@@ -73,8 +72,7 @@ def enumerate_frames(
     it goes.  Without it, every one of the 2^(n*n) relations is filtered,
     with the deadline checked every 4096 relations: few may pass the filter.
     """
-    if not (1 <= n <= MAX_EXHAUSTIVE_WORLDS):
-        raise ValueError(f"frame enumeration is supported for 1 <= n <= {MAX_EXHAUSTIVE_WORLDS}")
+    check_world_bound(n)
     if iso_reject:
         yield from canonical_relations(n, has_all(frozenset(properties)), deadline)
         return

@@ -16,7 +16,8 @@ Logic* 2014).  The subset definitions are the test reference, in
 ``tests/oracle.py::naive_properties``.
 
 Each check is one tight loop over the row bitmasks; the cycle and
-strict-transitivity checks first compute the strict rows in one pass.
+strict-transitivity checks first compute the strict rows once
+(``model.strict_part``).
 ``has_all(props)`` returns one flat predicate for the class builder: the
 check itself for a single property, else one loop over the checks.
 
@@ -46,6 +47,8 @@ from .model import (
     check_world_bound,
     deadline_after,
     orbit_size,
+    strict_part,
+    transitive_closure,
 )
 
 
@@ -101,22 +104,7 @@ def is_transitive(rel: Relation) -> bool:
     return True
 
 
-def _strict_rows(rel: Relation) -> list[int]:
-    """The strict part's rows: each row of rel minus the j with j >= i."""
-    strict = []
-    for i, row in enumerate(rel):
-        bit = 1 << i
-        m = row
-        while m:
-            low = m & -m
-            if rel[low.bit_length() - 1] & bit:
-                row ^= low
-            m ^= low
-        strict.append(row)
-    return strict
-
-
-def _strict_acyclic(strict: list[int]) -> bool:
+def _strict_acyclic(strict: Relation) -> bool:
     # peel worlds with no strict successor among those left; a strict
     # cycle never peels
     left = (1 << len(strict)) - 1
@@ -131,16 +119,9 @@ def _strict_acyclic(strict: list[int]) -> bool:
     return not left
 
 
-def _suzumura(rel: Relation, strict: list[int]) -> bool:
+def _suzumura(rel: Relation, strict: Relation) -> bool:
     # no strict step b > a whose a reaches b by weak steps
-    reach = list(rel)
-    n = len(reach)
-    for k in range(n):
-        bit = 1 << k
-        row_k = reach[k]
-        for i in range(n):
-            if reach[i] & bit:
-                reach[i] |= row_k
+    reach = transitive_closure(rel)
     for b, row in enumerate(strict):
         bit = 1 << b
         m = row
@@ -154,17 +135,17 @@ def _suzumura(rel: Relation, strict: list[int]) -> bool:
 
 def is_quasi_transitive(rel: Relation) -> bool:
     """The strict part is transitive."""
-    return is_transitive(_strict_rows(rel))
+    return is_transitive(strict_part(rel))
 
 
 def is_acyclic(rel: Relation) -> bool:
     """No strict-betterness cycles."""
-    return _strict_acyclic(_strict_rows(rel))
+    return _strict_acyclic(strict_part(rel))
 
 
 def is_suzumura_consistent(rel: Relation) -> bool:
     """No weak-preference cycle containing a strict step."""
-    return _suzumura(rel, _strict_rows(rel))
+    return _suzumura(rel, strict_part(rel))
 
 
 def is_ferrers(rel: Relation) -> bool:
@@ -337,7 +318,7 @@ def implied_pairs() -> frozenset[tuple[RelationProperty, RelationProperty]]:
 
 def _lattice_flags(rel: Relation) -> int:
     """Bitmask of LATTICE_NODES flags, computing the strict rows once."""
-    strict = _strict_rows(rel)
+    strict = strict_part(rel)
     total = is_total(rel)
     values = (
         is_transitive(rel),

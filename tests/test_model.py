@@ -173,7 +173,7 @@ def test_canonical_counts():
 
 
 def test_canonical_orbits_partition_space():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         reps = canonical_relations(n)
         total = sum(len(orbit(rep)) for rep in reps)
         assert total == 2 ** (n * n)
@@ -181,14 +181,6 @@ def test_canonical_orbits_partition_space():
             assert canonical_form(rep) == rep
             assert min(orbit(rep)) == rep
             assert orbit_size(rep) == len(orbit(rep))
-
-
-def test_orbit_sizes_of_the_four_world_classes():
-    # orbit_size divides n! by the automorphism count
-    reps = canonical_relations(4)
-    assert sum(orbit_size(rep) for rep in reps) == 2 ** 16
-    for rep in reps:
-        assert orbit_size(rep) == len(orbit(rep)), rep
 
 
 def test_canonical_form_is_the_orbit_minimum():

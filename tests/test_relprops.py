@@ -53,15 +53,6 @@ def _classes_up_to_4():
     return [rel for n in (1, 2, 3, 4) for rel in canonical_relations(n)]
 
 
-def test_all_properties_match_oracle_on_every_n4_class():
-    rels = canonical_relations(4)
-    assert len(rels) == 3044
-    for rel in rels:
-        expected = naive_properties(4, set(relation_pairs(rel)))
-        for prop in RelationProperty:
-            assert check_property(prop, rel) == expected[prop.value], (rel, prop)
-
-
 def test_has_all_is_check_all():
     # the class builder calls has_all's predicate; check_all is the
     # reference conjunction
@@ -84,19 +75,18 @@ def test_lattice_flags_agree_with_the_property_checks():
         assert _lattice_flags(rel) == expected, rel
 
 
-LIMIT_ASSUMPTIONS = (P.MAX_LIMITED, P.MAX_SMOOTH, P.OPT_LIMITED, P.OPT_SMOOTH)
-
-
 def test_limit_assumptions_match_subset_definitions():
-    # the checks use the finite order equivalents; the oracle quantifies
-    # over every non-empty world set.  n <= 3 is covered exhaustively above;
-    # here every n=4 class and evenly spaced n=5 relations.
+    # the checks use the finite order equivalents (the limit assumptions)
+    # and tight bit loops; the oracle quantifies over pairs, triples and
+    # every non-empty world set.  n <= 3 is covered exhaustively above;
+    # here all twelve properties on every n=4 class and evenly spaced n=5
+    # relations.
     rels = list(canonical_relations(4))
     assert len(rels) == 3044
     rels += [unpack_relation(packed, 5) for packed in range(0, 1 << 25, (1 << 25) // 97)]
     for rel in rels:
         expected = naive_properties(len(rel), set(relation_pairs(rel)))
-        for prop in LIMIT_ASSUMPTIONS:
+        for prop in RelationProperty:
             assert check_property(prop, rel) == expected[prop.value], (rel, prop)
 
 
