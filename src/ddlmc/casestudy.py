@@ -19,11 +19,12 @@ All UNSAT outcomes are reported as "unsat up to bound n=K", never as
 unconditional inconsistency: a formula set can be unsatisfiable at every
 finite size yet satisfiable in an infinite model, and infinite models are
 out of scope for this tool.
+
+Each analysis runs several searches under one timeout: the deadline is
+fixed when the call starts, and each search gets what is left of it.
 """
 
 from __future__ import annotations
-
-import time
 
 from . import formula as fm
 from .finder import (
@@ -34,7 +35,7 @@ from .finder import (
     find_satisfying_model,
     longest_strict_chain,
 )
-from .model import check_world_bound, model_json
+from .model import check_world_bound, model_json, time_left
 from .relprops import RelationProperty, is_acyclic
 from .semantics import EvalRule
 
@@ -113,9 +114,10 @@ def _search(
     max_n,
     *,
     iso_reject=True,
-    timeout=None,
+    deadline=None,
     frame_filter=None,
 ) -> SearchResult:
+    """One search of a case study, stopping at the call's shared deadline."""
     spec = SearchSpec(
         max_n=max_n,
         rule=rule,
@@ -123,7 +125,7 @@ def _search(
         properties=tuple(properties),
         atoms=ATOMS,
         iso_reject=iso_reject,
-        timeout=timeout,
+        timeout=time_left(deadline),
         frame_filter=frame_filter,
     )
     return find_satisfying_model(spec)
@@ -154,11 +156,7 @@ def run_grid(
     cells = []
     for label, props in GRID_ROWS:
         for rule in rules:
-            remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
-            result = _search(
-                SCENARIO, props, rule, max_n,
-                iso_reject=iso_reject, timeout=remaining,
-            )
+            result = _search(SCENARIO, props, rule, max_n, iso_reject=iso_reject, deadline=deadline)
             expected = GRID_EXPECTED[(label, rule)]
             cell = {
                 "row": label,
@@ -222,11 +220,12 @@ def ascending_chain_evidence(
     argument that forces ever-better worlds under quasi-transitivity.
     """
     targets = (EQ[1], EQ[2], EQ[3])
+    deadline = deadline_after(timeout)
     checks = []
     for props in ((_R.QUASI_TRANSITIVE,), (_R.TRANSITIVE,)):
         result = _search(
             targets, props, EvalRule.MAX, max_n,
-            iso_reject=iso_reject, timeout=timeout,
+            iso_reject=iso_reject, deadline=deadline,
         )
         checks.append(
             {
@@ -240,11 +239,11 @@ def ascending_chain_evidence(
 
     free = _search(
         targets, (), EvalRule.MAX, max_n,
-        iso_reject=iso_reject, timeout=timeout,
+        iso_reject=iso_reject, deadline=deadline,
     )
     cyclic = _search(
         targets, (), EvalRule.MAX, max_n,
-        iso_reject=iso_reject, timeout=timeout,
+        iso_reject=iso_reject, deadline=deadline,
         frame_filter=lambda rel: not is_acyclic(rel),
     )
     cyclic_witness = _witness(cyclic)
@@ -289,15 +288,16 @@ def interval_order_analysis(
     """
     io = (_R.INTERVAL_ORDER,)
     triple = (EQ[1], EQ[3], EQ[4])
+    deadline = deadline_after(timeout)
 
     main = _search(triple, io, EvalRule.MAX, max_n,
-                   iso_reject=iso_reject, timeout=timeout)
+                   iso_reject=iso_reject, deadline=deadline)
     without_eq4 = _search((EQ[1], EQ[3]), io, EvalRule.MAX, max_n,
-                          iso_reject=iso_reject, timeout=timeout)
+                          iso_reject=iso_reject, deadline=deadline)
     no_props = _search(triple, (), EvalRule.MAX, max_n,
-                       iso_reject=iso_reject, timeout=timeout)
+                       iso_reject=iso_reject, deadline=deadline)
     full = _search((EQ[1], EQ[2], EQ[3], EQ[4]), io, EvalRule.MAX, max_n,
-                   iso_reject=iso_reject, timeout=timeout)
+                   iso_reject=iso_reject, deadline=deadline)
 
     return {
         "rule": "max",
@@ -347,11 +347,12 @@ def fmp_evidence(
         ("transitive", (_R.TRANSITIVE,)),
         ("interval_order", (_R.INTERVAL_ORDER,)),
     )
+    deadline = deadline_after(timeout)
     checks = []
     for label, props in classes:
         result = _search(
             targets, props, EvalRule.MAX, max_n,
-            iso_reject=iso_reject, timeout=timeout,
+            iso_reject=iso_reject, deadline=deadline,
         )
         checks.append(
             {

@@ -11,6 +11,14 @@ paradox      the mere-addition grid (satisfiability per property and rule)
 lattice      implications and independence witnesses between relation properties
 props        report which properties a model's relation has
 
+Each command accepts only the options it reads.  Every command takes
+--json and --timing.  eval, check-model, find-model and correspond take
+--rule; eval and check-model also take --strict-atoms.  The five search
+commands (find-model, correspond, collapse, paradox, lattice) take
+--max-n, --timeout and --workers, and all of them but lattice take
+--iso-reject/--no-iso-reject.  paradox picks its rules with --rules.
+Anything else is a usage error.
+
 Exit codes: 0 the requested confirmation/witness was obtained, 1 it was
 refuted or nothing was found up to the bound, 2 usage error.  A --max-n
 outside the supported range and a negative --timeout are usage errors,
@@ -18,9 +26,9 @@ reported before any work.
 
 Reports are deterministic: identical argv produces byte-identical JSON.
 Timing is therefore reported only with --timing (the elapsed_ms field is
-null otherwise).  Every search command (find-model, correspond, collapse,
-paradox and lattice) stops at --timeout and reports "status": "timeout"
-(exit 1).  --workers is accepted and ignored: scans are serial.
+null otherwise).  Every search command stops at --timeout (0: no limit)
+and reports "status": "timeout" (exit 1).  --workers is accepted and
+ignored: scans are serial.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import sys
 import time
 
 from . import casestudy
-from .finder import SearchSpec, SearchTimeout, find_satisfying_model, longest_strict_chain
+from .finder import CYCLIC, SearchSpec, SearchTimeout, find_satisfying_model, longest_strict_chain
 from .formula import ParseError, parse, render
 from .model import ModelFormatError, parse_model, serialize_model, worlds_from_mask
 from .relprops import (
@@ -85,8 +93,10 @@ def _print_report(report: dict, args, started: float) -> None:
         print(text)
 
 
-def _timeout(args) -> float | None:
-    return None if args.timeout == 0 else args.timeout
+def _chain(model) -> int | str:
+    """longest_strict_chain as reported: a world count or "cyclic"."""
+    chain = longest_strict_chain(model)
+    return "cyclic" if chain is CYCLIC else chain
 
 
 def _seconds(text: str) -> float:
@@ -137,14 +147,13 @@ def _cmd_check_model(args) -> int:
     for f in formulas:
         formula_results[render(f)] = valid_in_model(f, model, rule, strict_atoms=args.strict_atoms)
     ok = all(prop_results.values()) and all(formula_results.values())
-    chain = longest_strict_chain(model)
     report = {
         "command": "check-model",
         "rule": rule.value,
         "n": model.n,
         "properties": prop_results,
         "formulas": formula_results,
-        "longest_strict_chain": "cyclic" if chain is not None and not isinstance(chain, int) else chain,
+        "longest_strict_chain": _chain(model),
         "ok": ok,
         "_text": "\n".join(
             [f"model: {args.model} (n={model.n}, rule={rule})"]
@@ -171,7 +180,7 @@ def _cmd_find_model(args) -> int:
             atoms=atoms,
             mode=args.mode,
             iso_reject=args.iso_reject,
-            timeout=_timeout(args),
+            timeout=args.timeout,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -192,7 +201,7 @@ def _cmd_find_model(args) -> int:
 def _cmd_correspond(args) -> int:
     rule = rule_from_name(args.rule)
     if args.table:
-        report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, timeout=_timeout(args))
+        report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, timeout=args.timeout)
         report = {"command": "correspond", **report}
         lines = [f"correspondence table [{rule}] up to n={args.max_n}"]
         for row in report["rows"]:
@@ -216,7 +225,7 @@ def _cmd_correspond(args) -> int:
         prop = property_from_name(args.converse)
         result = converse_search(
             args.axiom, prop, rule, args.max_n,
-            iso_reject=args.iso_reject, timeout=_timeout(args),
+            iso_reject=args.iso_reject, timeout=args.timeout,
             model_level=args.model_level,
         )
         report = {"command": "correspond", **result.to_json()}
@@ -232,7 +241,7 @@ def _cmd_correspond(args) -> int:
     props = _parse_props(args.props)
     result = forward_check(
         props, args.axiom, rule, args.max_n,
-        iso_reject=args.iso_reject, timeout=_timeout(args),
+        iso_reject=args.iso_reject, timeout=args.timeout,
     )
     report = {"command": "correspond", **result.to_json()}
     props_text = "+".join(p.value for p in props) or "(none)"
@@ -247,7 +256,7 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    report = rule_collapse(args.max_n, iso_reject=args.iso_reject, timeout=_timeout(args))
+    report = rule_collapse(args.max_n, iso_reject=args.iso_reject, timeout=args.timeout)
     report = {"command": "collapse", **report}
     report["_text"] = (
         f"rule collapse on reflexive+total+transitive frames up to n={args.max_n}: "
@@ -260,7 +269,7 @@ def _cmd_collapse(args) -> int:
 def _cmd_paradox(args) -> int:
     rules = tuple(rule_from_name(r) for r in args.rules.split(",")) if args.rules else casestudy.GRID_RULES
     report = casestudy.run_grid(
-        args.max_n, rules=rules, iso_reject=args.iso_reject, timeout=_timeout(args)
+        args.max_n, rules=rules, iso_reject=args.iso_reject, timeout=args.timeout
     )
     report = {"command": "paradox", **report}
     report["_text"] = casestudy.grid_text(report)
@@ -269,7 +278,7 @@ def _cmd_paradox(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    report = {"command": "lattice", **lattice_report(args.max_n, timeout=_timeout(args))}
+    report = {"command": "lattice", **lattice_report(args.max_n, timeout=args.timeout)}
     ok = all(a["status"] == "confirmed" for a in report["arrows"]) and all(
         i["status"] == "witness" for i in report["independence"]
     )
@@ -288,16 +297,16 @@ def _cmd_lattice(args) -> int:
 def _cmd_props(args) -> int:
     model = _read_model(args.model)
     results = {p.value: check_property(p, model) for p in RelationProperty}
-    chain = longest_strict_chain(model)
+    chain = _chain(model)
     report = {
         "command": "props",
         "n": model.n,
         "properties": results,
-        "longest_strict_chain": chain if isinstance(chain, int) else "cyclic",
+        "longest_strict_chain": chain,
         "_text": "\n".join(
             [f"model: {args.model} (n={model.n})"]
             + [f"  {name}: {'yes' if v else 'no'}" for name, v in results.items()]
-            + [f"  longest strict chain: {chain if isinstance(chain, int) else 'cyclic'}"]
+            + [f"  longest strict chain: {chain}"]
         ),
     }
     _print_report(report, args, args._started)
@@ -307,78 +316,72 @@ def _cmd_props(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, *, max_n_default: int | None = None) -> None:
-    sub.add_argument("--rule", default="max", help="evaluation rule: opt, max or lewis")
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--timing", action="store_true", help="fill in elapsed_ms (non-deterministic)")
-    sub.add_argument("--workers", type=int, default=1, help="ignored; scans are serial")
-    sub.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
-                     help="wall-clock budget in seconds for searches; 0 disables (default 60)")
-    sub.add_argument("--iso-reject", dest="iso_reject", action="store_true", default=True,
-                     help="enumerate one frame per isomorphism class (default)")
-    sub.add_argument("--no-iso-reject", dest="iso_reject", action="store_false")
-    sub.add_argument("--strict-atoms", action="store_true",
-                     help="error on atoms missing from the valuation instead of reading them as empty")
-    if max_n_default is not None:
-        sub.add_argument("--max-n", type=int, default=max_n_default, help="world-count bound")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # One parent parser per concern; each command takes the ones it reads.
+    output, rule, strict_atoms, search, iso_reject = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    output.add_argument("--json", action="store_true", help="emit a JSON report")
+    output.add_argument("--timing", action="store_true", help="fill in elapsed_ms (non-deterministic)")
+    rule.add_argument("--rule", default="max", help="evaluation rule: opt, max or lewis")
+    strict_atoms.add_argument(
+        "--strict-atoms", action="store_true",
+        help="error on atoms missing from the valuation instead of reading them as empty",
+    )
+    search.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
+                        help="wall-clock budget in seconds; 0 disables (default 60)")
+    search.add_argument("--workers", type=int, default=1, help="accepted and ignored; scans are serial")
+    iso_reject.add_argument("--iso-reject", action=argparse.BooleanOptionalAction, default=True,
+                            help="enumerate one frame per isomorphism class (default)")
+
     parser = argparse.ArgumentParser(
         prog="ddlmc",
         description="Finite-model checks for preference-based dyadic deontic logic.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("eval", help="evaluate a formula in a model")
+    def command(name, fn, summary, *groups, max_n=None):
+        sub = commands.add_parser(name, help=summary, parents=groups)
+        if max_n is not None:
+            sub.add_argument("--max-n", type=int, default=max_n,
+                             help=f"world-count bound (default {max_n})")
+        sub.set_defaults(fn=fn)
+        return sub
+
+    p = command("eval", _cmd_eval, "evaluate a formula in a model", rule, strict_atoms, output)
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("formula", help="formula text")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_eval)
 
-    p = commands.add_parser("check-model", help="re-validate a model against formulas/properties")
+    p = command("check-model", _cmd_check_model, "re-validate a model against formulas/properties",
+                rule, strict_atoms, output)
     p.add_argument("--model", required=True)
     p.add_argument("--props", default="", help="comma-separated properties to require")
     p.add_argument("formulas", nargs="*", help="formulas that must be valid in the model")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check_model)
 
-    p = commands.add_parser("find-model", help="search for a satisfying or refuting model")
+    p = command("find-model", _cmd_find_model, "search for a satisfying or refuting model",
+                rule, search, iso_reject, output, max_n=5)
     p.add_argument("targets", nargs="+", help="target formulas")
     p.add_argument("--props", default="", help="comma-separated relation properties")
     p.add_argument("--atoms", default="", help="atom order for the valuation search")
     p.add_argument("--mode", choices=("satisfy", "refute"), default="satisfy")
-    _add_common(p, max_n_default=5)
-    p.set_defaults(fn=_cmd_find_model)
 
-    p = commands.add_parser("correspond", help="property/axiom correspondence checks")
+    p = command("correspond", _cmd_correspond, "property/axiom correspondence checks",
+                rule, search, iso_reject, output, max_n=3)
     p.add_argument("--table", action="store_true", help="run the full table for the rule")
     p.add_argument("--axiom", default="", help="axiom schema name")
     p.add_argument("--props", default="", help="properties for a forward check")
     p.add_argument("--converse", default="", help="property for a converse search")
     p.add_argument("--model-level", action="store_true",
                    help="converse search over models (fixed atoms) instead of frames")
-    _add_common(p, max_n_default=3)
-    p.set_defaults(fn=_cmd_correspond)
 
-    p = commands.add_parser("collapse", help="check the three rules collapse on well-behaved frames")
-    _add_common(p, max_n_default=4)
-    p.set_defaults(fn=_cmd_collapse)
-
-    p = commands.add_parser("paradox", help="mere-addition satisfiability grid")
+    command("collapse", _cmd_collapse, "check the three rules collapse on well-behaved frames",
+            search, iso_reject, output, max_n=4)
+    p = command("paradox", _cmd_paradox, "mere-addition satisfiability grid",
+                search, iso_reject, output, max_n=4)
     p.add_argument("--rules", default="", help="comma-separated rule subset (default all three)")
-    _add_common(p, max_n_default=4)
-    p.set_defaults(fn=_cmd_paradox)
-
-    p = commands.add_parser("lattice", help="implications between relation properties")
-    _add_common(p, max_n_default=4)
-    p.set_defaults(fn=_cmd_lattice)
-
-    p = commands.add_parser("props", help="report a model's relation properties")
+    command("lattice", _cmd_lattice, "implications between relation properties", search, output, max_n=4)
+    p = command("props", _cmd_props, "report a model's relation properties", output)
     p.add_argument("--model", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_props)
-
     return parser
 
 

@@ -52,6 +52,13 @@ def deadline_after(timeout: float | None) -> float | None:
     return None if not timeout else time.monotonic() + timeout
 
 
+def time_left(deadline: float | None) -> float | None:
+    """The timeout that ends at deadline, for the next search sharing it.
+
+    At least 0.01 s, since a timeout of 0 would mean no limit."""
+    return None if deadline is None else max(deadline - time.monotonic(), 0.01)
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -171,15 +178,6 @@ class PreferenceModel:
     def full_mask(self) -> int:
         return full_mask(self.n)
 
-    def strict(self) -> Relation:
-        return strict_part(self.rel)
-
-    def equal(self) -> Relation:
-        return equal_goodness(self.rel)
-
-    def atom_mask(self, name: str) -> int | None:
-        return self.valuation.get(name)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PreferenceModel):
             return NotImplemented
@@ -286,9 +284,9 @@ def model_json(m: PreferenceModel) -> dict:
 # Permutation action on relations, enumeration, canonical orbit representatives
 #
 # Relations are compared by their rows read as a tuple (row 0 first, each row
-# an int bitmask).  pack_relation preserves that order, putting row 0 in the
-# most significant position, so integer order on packed values equals tuple
-# order on relations.
+# an int bitmask).  A relation packs into one int of n*n bits with row 0 in
+# the most significant position (unpack_relation reads that layout), so
+# integer order on packed values equals tuple order on relations.
 
 
 def all_relations(n: int) -> Iterator[Relation]:
@@ -306,14 +304,6 @@ def permute_relation(rel: Relation, perm: tuple[int, ...]) -> Relation:
             shifted |= 1 << perm[j]
         rows[perm[i]] = shifted
     return tuple(rows)
-
-
-def pack_relation(rel: Relation) -> int:
-    packed = 0
-    n = len(rel)
-    for row in rel:
-        packed = (packed << n) | row
-    return packed
 
 
 def unpack_relation(packed: int, n: int) -> Relation:

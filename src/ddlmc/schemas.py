@@ -23,12 +23,19 @@ carry a pass/fail expectation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from itertools import product
 
 from . import formula as fm
 from .finder import deadline_after, enumerate_frames, scan_frames
-from .model import PreferenceModel, Relation, check_world_bound, model_json, worlds_from_mask
+from .model import (
+    PreferenceModel,
+    Relation,
+    check_world_bound,
+    model_json,
+    time_left,
+    worlds_from_mask,
+)
 from .relprops import RelationProperty, check_property
 from .semantics import EvalRule, first_valuation, frame_counterexample, truth_set
 
@@ -120,7 +127,7 @@ def forward_check(
     hit, per_n = scan_frames(
         max_n,
         lambda n: enumerate_frames(n, props, iso_reject, deadline),
-        lambda rel: frame_counterexample(body, rel, rule, force=True),
+        lambda rel: frame_counterexample(body, rel, rule),
         deadline,
     )
     result = ForwardResult(name, rule, props, max_n, "confirmed", sum(per_n.values()))
@@ -184,7 +191,9 @@ def converse_search(
     Frame-level (default): the axiom must hold under every assignment to
     its metavariables.  Model-level reproduces a fixed-valuation reading:
     metavariables are read as atoms and the search ranges over valuations too,
-    so a witness is a model in which that single instance holds.
+    so a witness is a model in which that single instance holds.  Before it
+    is reported, a witness is re-checked with check_property and, under
+    every assignment it claims, with the reference truth_set.
     """
     check_world_bound(max_n)
     name, body = _resolve(axiom)
@@ -201,7 +210,7 @@ def converse_search(
     def probe(rel):
         if model_level:
             return first_valuation((body,), rel, rule, names, deadline=deadline)
-        return True if frame_counterexample(body, rel, rule, force=True) is None else None
+        return True if frame_counterexample(body, rel, rule) is None else None
 
     hit, per_n = scan_frames(max_n, frames, probe, deadline)
     result = ConverseResult(
@@ -210,13 +219,18 @@ def converse_search(
     )
     if hit is not None:
         n, rel, env = hit
+        if check_property(prop, rel):
+            raise AssertionError(f"witness frame has {prop.value}")
         if model_level:
             witness = PreferenceModel(n, rel, dict(zip(names, env)))
-            valid = truth_set(body, witness, rule, assignment=witness.valuation)
-            if valid != witness.full_mask:
-                raise AssertionError(f"witness does not validate {name}")
+            assignments = (witness.valuation,)
         else:
             witness = PreferenceModel(n, rel)
+            every = product(range(1 << n), repeat=len(names))
+            assignments = (dict(zip(names, masks)) for masks in every)
+        for assignment in assignments:
+            if truth_set(body, witness, rule, assignment=assignment) != witness.full_mask:
+                raise AssertionError(f"witness does not validate {name}")
         result.status = "witness"
         result.witness = witness
     return result
@@ -317,8 +331,9 @@ def table_sweep(
     deadline = deadline_after(timeout)
 
     def check(props, axiom):
-        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
-        return forward_check(props, axiom, rule, max_n, iso_reject=iso_reject, timeout=remaining)
+        return forward_check(
+            props, axiom, rule, max_n, iso_reject=iso_reject, timeout=time_left(deadline)
+        )
 
     rows_out = []
     for row in _sweep_rows(rule):

@@ -20,8 +20,8 @@ keeps small model files terse but can mask typos, so ``strict_atoms=True``
 turns the fallback into an error.
 
 Frame validity instantiates a schema's metavariables with every assignment
-of world sets; the loops are exponential and capped by default (n <= 4 for
-up to two metavariables, n <= 3 for three; pass ``force=True`` to override).
+of world sets, on frames of 1..5 worlds (the exhaustive world bound): at
+n=5 three metavariables make 2**15 assignments, one bit-sliced pass.
 
 Exhaustive scans use a bit-sliced evaluator that checks every valuation of
 a frame at once.  Valuations of k names over n worlds are numbered like the
@@ -56,6 +56,7 @@ from .model import (
     mask_from_worlds,
     strict_part,
     transpose,
+    worlds_from_mask,
 )
 from .relprops import RelationProperty
 
@@ -349,47 +350,23 @@ def first_valuation(
 # ---------------------------------------------------------------------------
 # Frame validity
 
-_FRAME_CAP_FEW_VARS = 4  # up to two metavariables
-_FRAME_CAP_MANY_VARS = 3  # three or more
-
-
-def _check_frame_cap(n: int, nvars: int, force: bool) -> None:
-    cap = _FRAME_CAP_FEW_VARS if nvars <= 2 else _FRAME_CAP_MANY_VARS
-    if n > cap and not force:
-        raise ValueError(
-            f"frame validity over {nvars} metavariables is capped at n={cap} "
-            f"by default (got n={n}); pass force=True to override"
-        )
-
-
-def frame_counterexample(
-    schema: fm.Formula,
-    rel: Relation,
-    rule: EvalRule,
-    *,
-    force: bool = False,
-) -> dict[str, int] | None:
+def frame_counterexample(schema: fm.Formula, rel: Relation, rule: EvalRule) -> dict[str, int] | None:
     """Lexicographically least falsifying assignment, or None if frame-valid.
 
-    The schema must be built from metavariables only (no atoms).
+    The schema must be built from metavariables only (no atoms), and the
+    frame must have 1..5 worlds.
     """
+    check_world_bound(len(rel))
     if fm.atoms(schema):
         raise ValueError("schema contains ordinary atoms; use metavariables")
     names = tuple(sorted(fm.metavars(schema)))
-    _check_frame_cap(len(rel), len(names), force)
     env = first_valuation((schema,), rel, rule, names, "refute")
     return None if env is None else dict(zip(names, env))
 
 
-def valid_on_frame(
-    schema: fm.Formula,
-    rel: Relation,
-    rule: EvalRule,
-    *,
-    force: bool = False,
-) -> bool:
+def valid_on_frame(schema: fm.Formula, rel: Relation, rule: EvalRule) -> bool:
     """Frame validity: true under every assignment of world sets."""
-    return frame_counterexample(schema, rel, rule, force=force) is None
+    return frame_counterexample(schema, rel, rule) is None
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +418,9 @@ def rule_collapse(max_n: int, iso_reject: bool = True, timeout: float | None = N
         "max_n": max_n,
         "frames_checked": frames_checked,
         "frame": {"n": n, "rel": list(rel)},
-        "antecedent": _worlds(v >> n),
-        "consequent": _worlds(v & full_mask(n)),
+        "antecedent": list(worlds_from_mask(v >> n)),
+        "consequent": list(worlds_from_mask(v & full_mask(n))),
         "opt": bool(opt >> v & 1),
         "max": bool(mx >> v & 1),
         "lewis": bool(lewis >> v & 1),
     }
-
-
-def _worlds(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -4,7 +4,11 @@ suite runs the full n <= 4 versions)."""
 from __future__ import annotations
 
 import random
+import time
 
+import pytest
+
+from ddlmc import casestudy
 from ddlmc import formula as fm
 from ddlmc.casestudy import (
     ATOMS,
@@ -23,6 +27,7 @@ from ddlmc.casestudy import (
     ascending_chain_evidence,
     run_grid,
 )
+from ddlmc.finder import SearchResult
 from ddlmc.model import PreferenceModel
 from ddlmc.semantics import EvalRule, truth_set
 
@@ -107,6 +112,30 @@ def test_fmp_small():
     report = fmp_evidence(3)
     assert [c["status"] for c in report["classes"]] == ["unsat_up_to_bound"] * 3
     assert "out of scope" in report["note"]
+
+
+@pytest.mark.parametrize("analysis, searches", [
+    (ascending_chain_evidence, 4),
+    (interval_order_analysis, 4),
+    (fmp_evidence, 3),
+])
+def test_case_study_searches_share_one_budget(analysis, searches, monkeypatch):
+    # Each search gets what is left of the call's budget, not a fresh one:
+    # every search sleeps 10 ms, so each budget is at least 10 ms below the
+    # one before.
+    budgets = []
+
+    def search(spec):
+        budgets.append(spec.timeout)
+        time.sleep(0.01)
+        return SearchResult("unsat_up_to_bound", spec)
+
+    monkeypatch.setattr(casestudy, "find_satisfying_model", search)
+    analysis(3, timeout=100)
+    assert len(budgets) == searches
+    assert budgets[0] <= 100
+    for before, after in zip(budgets, budgets[1:]):
+        assert after <= before - 0.01
 
 
 def test_near_miss_models_already_start_a_strict_chain():

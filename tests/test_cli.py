@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from ddlmc.cli import main
+from ddlmc.cli import build_parser, main
 
 MODEL = "worlds 3\nrel 0>=2 2>=1\nval A = {0}\nval Ap = {1}\nval B = {2}\n"
 
@@ -227,3 +227,66 @@ def test_strict_atoms_flag(model_file, capsys):
     assert code == 0
     code = main(["eval", "--model", model_file, "--rule", "max", "--strict-atoms", "zz | ~zz"])
     assert code == 2
+
+
+_OUTPUT = {"json", "timing"}
+_SEARCH = {"max_n", "timeout", "workers"} | _OUTPUT
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    dests = {
+        name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        for name, sub in subparsers.items()
+    }
+    assert dests == {
+        "eval": {"rule", "strict_atoms", "model"} | _OUTPUT,
+        "check-model": {"rule", "strict_atoms", "model", "props"} | _OUTPUT,
+        "find-model": {"rule", "iso_reject", "props", "atoms", "mode"} | _SEARCH,
+        "correspond": {"rule", "iso_reject", "table", "axiom", "props", "converse",
+                       "model_level"} | _SEARCH,
+        "collapse": {"iso_reject"} | _SEARCH,
+        "paradox": {"iso_reject", "rules"} | _SEARCH,
+        "lattice": _SEARCH,
+        "props": {"model"} | _OUTPUT,
+    }
+    assert sum(map(len, dests.values())) == 54
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("eval --model MODEL p", "--workers 2"),
+    ("eval --model MODEL p", "--timeout 5"),
+    ("eval --model MODEL p", "--no-iso-reject"),
+    ("check-model --model MODEL", "--workers 2"),
+    ("check-model --model MODEL", "--timeout 5"),
+    ("check-model --model MODEL", "--no-iso-reject"),
+    ("find-model p --max-n 1", "--strict-atoms"),
+    ("correspond --axiom Id --max-n 1", "--strict-atoms"),
+    ("collapse --max-n 1", "--rule lewis"),
+    ("collapse --max-n 1", "--strict-atoms"),
+    ("paradox --max-n 1", "--strict-atoms"),
+    ("lattice --max-n 1", "--rule lewis"),
+    ("lattice --max-n 1", "--no-iso-reject"),
+    ("lattice --max-n 1", "--strict-atoms"),
+    ("props --model MODEL", "--rule lewis"),
+    ("props --model MODEL", "--workers 2"),
+    ("props --model MODEL", "--timeout 5"),
+    ("props --model MODEL", "--no-iso-reject"),
+    ("props --model MODEL", "--strict-atoms"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv, option, model_file, capsys):
+    started = time.monotonic()
+    code = main(argv.replace("MODEL", model_file).split() + option.split())
+    captured = capsys.readouterr()
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: " + option.split()[0] in captured.err
+
+
+def test_paradox_rule_is_an_abbreviation_of_rules(capsys):
+    # argparse reads --rule as the unique prefix of --rules, so a single
+    # rule's column comes out, not the three-rule grid
+    by_prefix = run(capsys, "paradox", "--max-n", "3", "--rule", "lewis", "--json")
+    assert by_prefix == run(capsys, "paradox", "--max-n", "3", "--rules", "lewis", "--json")
+    assert json.loads(by_prefix[1])["rules"] == ["lewis"]

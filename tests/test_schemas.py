@@ -31,7 +31,7 @@ def test_forward_examples():
     result = forward_check([P.TRANSITIVE], "Sp", EvalRule.MAX, 3)
     assert result.status == "counterexample"
     assert check_property(P.TRANSITIVE, result.counter_frame)
-    assert not valid_on_frame(SCHEMAS["Sp"], result.counter_frame, EvalRule.MAX, force=True)
+    assert not valid_on_frame(SCHEMAS["Sp"], result.counter_frame, EvalRule.MAX)
 
 
 def test_forward_counterexample_assignment_refutes():
@@ -92,7 +92,7 @@ def test_converse_trivial_witness():
     result = converse_search("Id", P.TRANSITIVE, EvalRule.MAX, 3)
     assert result.status == "witness"
     assert not check_property(P.TRANSITIVE, result.witness.rel)
-    assert valid_on_frame(SCHEMAS["Id"], result.witness.rel, EvalRule.MAX, force=True)
+    assert valid_on_frame(SCHEMAS["Id"], result.witness.rel, EvalRule.MAX)
 
 
 def test_converse_dstar_limitedness_none():
@@ -100,6 +100,15 @@ def test_converse_dstar_limitedness_none():
     # validate D* while failing it
     result = converse_search("Dstar", P.MAX_LIMITED, EvalRule.MAX, 4)
     assert result.status == "none_up_to_bound"
+
+
+def test_converse_frame_witness_is_revalidated(monkeypatch):
+    # A scan that wrongly calls every frame valid must not get a witness
+    # past the reference evaluator: the least frame lacking opt-limitedness
+    # falsifies D* under opt.
+    monkeypatch.setattr("ddlmc.schemas.frame_counterexample", lambda *args, **kwargs: None)
+    with pytest.raises(AssertionError, match="does not validate Dstar"):
+        converse_search("Dstar", P.OPT_LIMITED, EvalRule.OPT, 2)
 
 
 def test_converse_cm_smoothness():
@@ -177,7 +186,7 @@ def test_frame_validity_agrees_with_oracle():
     for rel in all_relations(2):
         for name in picks:
             for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS):
-                fast = valid_on_frame(SCHEMAS[name], rel, rule, force=True)
+                fast = valid_on_frame(SCHEMAS[name], rel, rule)
                 slow = _oracle_frame_valid(SCHEMAS[name], rel, rule.value)
                 assert fast == slow, (name, rel, rule)
 

@@ -203,12 +203,20 @@ def test_frame_validity_rejects_atoms():
         valid_on_frame(parse("O(p / ?f)"), (0,), EvalRule.MAX)
 
 
-def test_frame_validity_cap():
-    schema = parse("O(?g -> ?h / ?f) -> (O(?g / ?f) -> O(?h / ?f))")
-    rel = tuple([0] * 4)
-    with pytest.raises(ValueError):
-        valid_on_frame(schema, rel, EvalRule.MAX)  # three metavars, n=4
-    assert valid_on_frame(schema, rel, EvalRule.MAX, force=True)
+def test_frame_validity_cap(monkeypatch):
+    # The one cap is the world bound 1..5, checked before any work.
+    cok = parse("O(?g -> ?h / ?f) -> (O(?g / ?f) -> O(?h / ?f))")
+    assert valid_on_frame(cok, (0,) * 4, EvalRule.MAX)  # three metavars, n=4
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scanned a frame outside the bound")
+
+    monkeypatch.setattr("ddlmc.semantics.first_valuation", no_work)
+    for rel in ((0,) * 6, ()):
+        with pytest.raises(ValueError, match="1..5"):
+            frame_counterexample(cok, rel, EvalRule.MAX)
+        with pytest.raises(ValueError, match="1..5"):
+            valid_on_frame(cok, rel, EvalRule.MAX)
 
 
 def test_box_is_global_modality():
