@@ -53,7 +53,6 @@ from .semantics import (
     best_set,
     cond_holds,
     frame_counterexample,
-    rule_collapse,
     truth_set,
     valid_in_model,
     valid_on_frame,
@@ -66,6 +65,7 @@ from .finder import (
     enumerate_frames,
     find_satisfying_model,
     longest_strict_chain,
+    rule_collapse,
 )
 from .schemas import (
     SCHEMAS,

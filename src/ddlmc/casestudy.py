@@ -20,8 +20,9 @@ unconditional inconsistency: a formula set can be unsatisfiable at every
 finite size yet satisfiable in an infinite model, and infinite models are
 out of scope for this tool.
 
-Each analysis runs several searches under one timeout: the deadline is
-fixed when the call starts, and each search gets what is left of it.
+Each analysis runs several searches and hands every one of them the
+caller's deadline, a ``time.monotonic()`` value (None: no limit), so one
+deadline covers the whole analysis.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .finder import (
     CYCLIC,
     SearchResult,
     SearchSpec,
-    deadline_after,
     find_satisfying_model,
     longest_strict_chain,
 )
-from .model import check_world_bound, model_json, time_left
+from .model import check_world_bound, model_json
 from .relprops import RelationProperty, is_acyclic
 from .semantics import EvalRule
 
@@ -117,7 +117,7 @@ def _search(
     deadline=None,
     frame_filter=None,
 ) -> SearchResult:
-    """One search of a case study, stopping at the call's shared deadline."""
+    """One search of a case study, stopping at the caller's deadline."""
     spec = SearchSpec(
         max_n=max_n,
         rule=rule,
@@ -125,7 +125,7 @@ def _search(
         properties=tuple(properties),
         atoms=ATOMS,
         iso_reject=iso_reject,
-        timeout=time_left(deadline),
+        deadline=deadline,
         frame_filter=frame_filter,
     )
     return find_satisfying_model(spec)
@@ -144,15 +144,13 @@ def run_grid(
     *,
     rules=GRID_RULES,
     iso_reject: bool = True,
-    workers: int = 1,
-    timeout: float | None = None,
+    deadline: float | None = None,
 ) -> dict:
     """Satisfiability of EQ0..EQ4 per property row and evaluation rule.
 
-    One timeout covers the whole grid; workers is ignored (scans are serial).
+    One deadline covers the whole grid.
     """
     check_world_bound(max_n)
-    deadline = deadline_after(timeout)
     cells = []
     for label, props in GRID_ROWS:
         for rule in rules:
@@ -209,18 +207,17 @@ def ascending_chain_evidence(
     max_n: int = 4,
     *,
     iso_reject: bool = True,
-    timeout: float | None = None,
+    deadline: float | None = None,
 ) -> dict:
     """EQ1..EQ3 under the max rule: unsatisfiable at every finite size once
     the strict part must be transitive, satisfiable without that.
 
     The unrestricted search reports the least witness; a second search
     restricted to frames with a strict cycle exhibits a cyclic witness
-    (its longest strict chain is the CYCLIC marker), matching the chain
-    argument that forces ever-better worlds under quasi-transitivity.
+    (its longest strict chain is CYCLIC), matching the chain argument that
+    forces ever-better worlds under quasi-transitivity.
     """
     targets = (EQ[1], EQ[2], EQ[3])
-    deadline = deadline_after(timeout)
     checks = []
     for props in ((_R.QUASI_TRANSITIVE,), (_R.TRANSITIVE,)):
         result = _search(
@@ -248,9 +245,9 @@ def ascending_chain_evidence(
     )
     cyclic_witness = _witness(cyclic)
     if cyclic.model is not None:
-        if longest_strict_chain(cyclic.model) is not CYCLIC:
+        if longest_strict_chain(cyclic.model) != CYCLIC:
             raise AssertionError("the cyclic witness has no strict cycle")
-        cyclic_witness["longest_strict_chain"] = "cyclic"
+        cyclic_witness["longest_strict_chain"] = CYCLIC
 
     return {
         "formulas": [fm.render(t) for t in targets],
@@ -277,7 +274,7 @@ def interval_order_analysis(
     max_n: int = 4,
     *,
     iso_reject: bool = True,
-    timeout: float | None = None,
+    deadline: float | None = None,
 ) -> dict:
     """Satisfiability of EQ1, EQ3, EQ4 on interval orders under the max rule.
 
@@ -288,7 +285,6 @@ def interval_order_analysis(
     """
     io = (_R.INTERVAL_ORDER,)
     triple = (EQ[1], EQ[3], EQ[4])
-    deadline = deadline_after(timeout)
 
     main = _search(triple, io, EvalRule.MAX, max_n,
                    iso_reject=iso_reject, deadline=deadline)
@@ -332,7 +328,7 @@ def fmp_evidence(
     max_n: int = 4,
     *,
     iso_reject: bool = True,
-    timeout: float | None = None,
+    deadline: float | None = None,
 ) -> dict:
     """EQ1 & EQ2 & EQ3 under the max rule has no finite model in the
     quasi-transitive, transitive, or interval-order classes up to the bound.
@@ -347,7 +343,6 @@ def fmp_evidence(
         ("transitive", (_R.TRANSITIVE,)),
         ("interval_order", (_R.INTERVAL_ORDER,)),
     )
-    deadline = deadline_after(timeout)
     checks = []
     for label, props in classes:
         result = _search(

@@ -19,6 +19,10 @@ commands (find-model, correspond, collapse, paradox, lattice) take
 --iso-reject/--no-iso-reject.  paradox picks its rules with --rules.
 Anything else is a usage error.
 
+correspond runs one mode: --table alone, --axiom with --props (a
+forward check), or --axiom with --converse and optionally --model-level
+(a converse search); options of another mode are usage errors.
+
 Exit codes: 0 the requested confirmation/witness was obtained, 1 it was
 refuted or nothing was found up to the bound, 2 usage error.  A --max-n
 outside the supported range and a negative --timeout are usage errors,
@@ -26,9 +30,10 @@ reported before any work.
 
 Reports are deterministic: identical argv produces byte-identical JSON.
 Timing is therefore reported only with --timing (the elapsed_ms field is
-null otherwise).  Every search command stops at --timeout (0: no limit)
-and reports "status": "timeout" (exit 1).  --workers is accepted and
-ignored: scans are serial.
+null otherwise).  --timeout (0: no limit) is turned into one deadline when
+the command starts, and every search of the command stops at it and
+reports "status": "timeout" (exit 1).  --workers is accepted and ignored:
+scans are serial.
 """
 
 from __future__ import annotations
@@ -39,7 +44,13 @@ import sys
 import time
 
 from . import casestudy
-from .finder import CYCLIC, SearchSpec, SearchTimeout, find_satisfying_model, longest_strict_chain
+from .finder import (
+    SearchSpec,
+    SearchTimeout,
+    find_satisfying_model,
+    longest_strict_chain,
+    rule_collapse,
+)
 from .formula import ParseError, parse, render
 from .model import ModelFormatError, parse_model, serialize_model, worlds_from_mask
 from .relprops import (
@@ -49,7 +60,7 @@ from .relprops import (
     property_from_name,
 )
 from .schemas import SCHEMAS, converse_search, forward_check, table_sweep
-from .semantics import rule_collapse, rule_from_name, truth_set, valid_in_model
+from .semantics import rule_from_name, truth_set, valid_in_model
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -91,12 +102,6 @@ def _print_report(report: dict, args, started: float) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(text)
-
-
-def _chain(model) -> int | str:
-    """longest_strict_chain as reported: a world count or "cyclic"."""
-    chain = longest_strict_chain(model)
-    return "cyclic" if chain is CYCLIC else chain
 
 
 def _seconds(text: str) -> float:
@@ -153,7 +158,7 @@ def _cmd_check_model(args) -> int:
         "n": model.n,
         "properties": prop_results,
         "formulas": formula_results,
-        "longest_strict_chain": _chain(model),
+        "longest_strict_chain": longest_strict_chain(model),
         "ok": ok,
         "_text": "\n".join(
             [f"model: {args.model} (n={model.n}, rule={rule})"]
@@ -180,7 +185,7 @@ def _cmd_find_model(args) -> int:
             atoms=atoms,
             mode=args.mode,
             iso_reject=args.iso_reject,
-            timeout=args.timeout,
+            deadline=args.deadline,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -200,8 +205,19 @@ def _cmd_find_model(args) -> int:
 
 def _cmd_correspond(args) -> int:
     rule = rule_from_name(args.rule)
+    forward_or_converse = [
+        flag for flag, value in (("--axiom", args.axiom), ("--props", args.props),
+                                 ("--converse", args.converse), ("--model-level", args.model_level))
+        if value
+    ]
+    if args.table and forward_or_converse:
+        raise UsageError(f"correspond --table does not read {', '.join(forward_or_converse)}")
+    if args.converse and args.props:
+        raise UsageError("correspond --converse does not read --props")
+    if args.model_level and not args.converse:
+        raise UsageError("correspond --model-level needs --converse")
     if args.table:
-        report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, timeout=args.timeout)
+        report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, deadline=args.deadline)
         report = {"command": "correspond", **report}
         lines = [f"correspondence table [{rule}] up to n={args.max_n}"]
         for row in report["rows"]:
@@ -225,7 +241,7 @@ def _cmd_correspond(args) -> int:
         prop = property_from_name(args.converse)
         result = converse_search(
             args.axiom, prop, rule, args.max_n,
-            iso_reject=args.iso_reject, timeout=args.timeout,
+            iso_reject=args.iso_reject, deadline=args.deadline,
             model_level=args.model_level,
         )
         report = {"command": "correspond", **result.to_json()}
@@ -241,7 +257,7 @@ def _cmd_correspond(args) -> int:
     props = _parse_props(args.props)
     result = forward_check(
         props, args.axiom, rule, args.max_n,
-        iso_reject=args.iso_reject, timeout=args.timeout,
+        iso_reject=args.iso_reject, deadline=args.deadline,
     )
     report = {"command": "correspond", **result.to_json()}
     props_text = "+".join(p.value for p in props) or "(none)"
@@ -256,7 +272,7 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    report = rule_collapse(args.max_n, iso_reject=args.iso_reject, timeout=args.timeout)
+    report = rule_collapse(args.max_n, iso_reject=args.iso_reject, deadline=args.deadline)
     report = {"command": "collapse", **report}
     report["_text"] = (
         f"rule collapse on reflexive+total+transitive frames up to n={args.max_n}: "
@@ -269,7 +285,7 @@ def _cmd_collapse(args) -> int:
 def _cmd_paradox(args) -> int:
     rules = tuple(rule_from_name(r) for r in args.rules.split(",")) if args.rules else casestudy.GRID_RULES
     report = casestudy.run_grid(
-        args.max_n, rules=rules, iso_reject=args.iso_reject, timeout=args.timeout
+        args.max_n, rules=rules, iso_reject=args.iso_reject, deadline=args.deadline
     )
     report = {"command": "paradox", **report}
     report["_text"] = casestudy.grid_text(report)
@@ -278,7 +294,7 @@ def _cmd_paradox(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    report = {"command": "lattice", **lattice_report(args.max_n, timeout=args.timeout)}
+    report = {"command": "lattice", **lattice_report(args.max_n, deadline=args.deadline)}
     ok = all(a["status"] == "confirmed" for a in report["arrows"]) and all(
         i["status"] == "witness" for i in report["independence"]
     )
@@ -297,7 +313,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_props(args) -> int:
     model = _read_model(args.model)
     results = {p.value: check_property(p, model) for p in RelationProperty}
-    chain = _chain(model)
+    chain = longest_strict_chain(model)
     report = {
         "command": "props",
         "n": model.n,
@@ -393,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     args._started = time.monotonic()
+    timeout = getattr(args, "timeout", 0)  # 0: no limit
+    args.deadline = args._started + timeout if timeout else None
     try:
         return args.fn(args)
     except SearchTimeout:

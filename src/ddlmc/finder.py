@@ -13,10 +13,14 @@ atom masks in the declared atom order, the first atom the most significant
 base-2^n digit, so the lowest valuation bit that settles the targets is the
 least valuation.  Searches count frames, not valuations.
 
-``scan_frames`` is the one scan loop: the model search, forward checks,
-converse searches and the rule collapse all hand it a frame source and a
-probe, and it returns the first hit, smallest universe first.  Scans are
-serial; the work is pure Python, so threads would not run it faster.
+``scan_frames`` is the one search skeleton: it enumerates the frames with
+the given properties itself, narrowed by an optional frame filter, and
+returns the first probe hit, smallest universe first.  The model search,
+forward checks, converse searches and the rule collapse differ only in the
+probe, the properties and the filter they hand it.  Every search stops at
+a deadline, a ``time.monotonic()`` value (None: no limit), raising
+``SearchTimeout``.  Scans are serial; the work is pure Python, so threads
+would not run it faster.
 """
 
 from __future__ import annotations
@@ -29,33 +33,25 @@ from . import formula as fm
 from .model import (
     PreferenceModel,
     Relation,
+    SearchTimeout,
     all_relations,
     canonical_relations,
     check_world_bound,
-    deadline_after,
+    full_mask,
     model_json,
     strict_part,
-    transitive_closure,
+    worlds_from_mask,
 )
 from .relprops import RelationProperty, check_all, check_property, has_all
-from .semantics import EvalRule, SearchTimeout, first_valuation, truth_set, valid_in_model
+from .semantics import (
+    EvalRule,
+    first_valuation,
+    sliced_values,
+    truth_set,
+    valid_in_model,
+)
 
-
-class _Cyclic:
-    """Marker: the strict part contains a cycle, so chain length is undefined."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CYCLIC"
-
-
-CYCLIC = _Cyclic()
+CYCLIC = "cyclic"  # longest_strict_chain of a relation with a strict cycle
 
 
 def enumerate_frames(
@@ -84,35 +80,24 @@ def enumerate_frames(
             yield rel
 
 
-def longest_strict_chain(m: PreferenceModel | Relation):
-    """Worlds on the longest strictly-increasing chain, or CYCLIC."""
+def longest_strict_chain(m: PreferenceModel | Relation) -> int | str:
+    """Worlds on the longest strictly-increasing chain, or CYCLIC.
+
+    Peels strict layers: each round removes the worlds with no strict
+    successor among those left, so the rounds count the worlds on the
+    longest chain, and a round that removes nothing leaves a strict cycle.
+    """
     rel = m.rel if isinstance(m, PreferenceModel) else tuple(m)
     strict = strict_part(rel)
-    n = len(rel)
-    closure = transitive_closure(strict)
-    if any(closure[i] >> i & 1 for i in range(n)):
-        return CYCLIC
-    # strict[i] holds the worlds i is strictly better than; the longest
-    # chain ending downward from i is 1 + max over successors.
-    memo: dict[int, int] = {}
-
-    def depth(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        best = 0
-        row = strict[i]
-        j = 0
-        while row:
-            if row & 1:
-                cand = depth(j)
-                if cand > best:
-                    best = cand
-            row >>= 1
-            j += 1
-        memo[i] = best + 1
-        return memo[i]
-
-    return max(depth(i) for i in range(n))
+    left = full_mask(len(rel))
+    rounds = 0
+    while left:
+        bottom = sum(1 << i for i, row in enumerate(strict) if left >> i & 1 and not row & left)
+        if not bottom:
+            return CYCLIC
+        left ^= bottom
+        rounds += 1
+    return rounds
 
 
 @dataclass
@@ -120,7 +105,8 @@ class SearchSpec:
     """What to search for: targets plus the model class to range over.
 
     frame_filter, when set, further restricts the frames scanned (it sees
-    the relation rows and must be a pure predicate).
+    the relation rows and must be a pure predicate).  The search stops at
+    deadline, a ``time.monotonic()`` value (None: no limit).
     """
 
     max_n: int
@@ -130,9 +116,8 @@ class SearchSpec:
     atoms: Sequence[str] | None = None
     mode: str = "satisfy"  # or "refute"
     iso_reject: bool = True
-    workers: int = 1  # ignored; scans are serial
-    timeout: float | None = None
-    frame_filter: object = None
+    deadline: float | None = None
+    frame_filter: Callable[[Relation], bool] | None = None
 
     def __post_init__(self):
         self.targets = tuple(self.targets)
@@ -150,6 +135,9 @@ class SearchSpec:
             self.atoms = tuple(mentioned)
         else:
             self.atoms = tuple(self.atoms)
+            repeated = sorted({a for a in self.atoms if self.atoms.count(a) > 1})
+            if repeated:
+                raise ValueError(f"atoms {repeated} are listed more than once")
             missing = set(mentioned) - set(self.atoms)
             if missing:
                 raise ValueError(f"atoms {sorted(missing)} appear in targets but not in spec.atoms")
@@ -192,18 +180,13 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     frames_checked counts frames up to and including the witness frame, or
     all filtered frames when the bound is exhausted.
     """
-    deadline = deadline_after(spec.timeout)
-
-    def frames(n):
-        rels = enumerate_frames(n, spec.properties, spec.iso_reject, deadline)
-        if spec.frame_filter is None:
-            return rels
-        return (rel for rel in rels if spec.frame_filter(rel))
-
     def probe(rel):
-        return first_valuation(spec.targets, rel, spec.rule, spec.atoms, spec.mode, deadline)
+        return first_valuation(spec.targets, rel, spec.rule, spec.atoms, spec.mode, spec.deadline)
 
-    hit, per_n = scan_frames(spec.max_n, frames, probe, deadline)
+    hit, per_n = scan_frames(
+        spec.max_n, spec.properties, probe,
+        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,
+    )
     checked = sum(per_n.values())
     if hit is None:
         status = "unsat_up_to_bound" if spec.mode == "satisfy" else "no_refutation_up_to_bound"
@@ -217,22 +200,29 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
 
 def scan_frames(
     max_n: int,
-    frames: Callable[[int], Iterable[Relation]],
+    properties: Sequence[RelationProperty],
     probe: Callable[[Relation], object],
+    *,
+    iso_reject: bool = True,
     deadline: float | None = None,
+    frame_filter: Callable[[Relation], bool] | None = None,
 ):
     """First (n, rel, probe(rel)) whose probe result is not None, plus the
     frames scanned per world count.
 
-    Universes are scanned smallest first and each frames(n) in its own
-    (lazy) order, so the hit is the least one.  per_n[n] counts the frames
-    scanned up to and including the hit; the deadline is checked every 256
-    frames.
+    The frames of n worlds are ``enumerate_frames(n, properties,
+    iso_reject)`` that pass frame_filter, in ascending order; universes are
+    scanned smallest first, so the hit is the least one.  per_n[n] counts
+    the frames scanned up to and including the hit; the deadline is checked
+    every 256 frames.
     """
     per_n: dict[int, int] = {}
     for n in range(1, max_n + 1):
+        frames = enumerate_frames(n, properties, iso_reject, deadline)
+        if frame_filter is not None:
+            frames = filter(frame_filter, frames)
         idx = -1
-        for idx, rel in enumerate(frames(n)):
+        for idx, rel in enumerate(frames):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
             result = probe(rel)
@@ -254,3 +244,55 @@ def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:
     if spec.mode == "refute":
         if all(valid_in_model(t, model, spec.rule) for t in spec.targets):
             raise AssertionError("refutation witness validates all targets")
+
+
+# ---------------------------------------------------------------------------
+# Collapse of the three rules on well-behaved frames
+
+
+def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None = None) -> dict:
+    """On reflexive total transitive frames the three conditionals agree.
+
+    Compares the extensional conditional for every antecedent/consequent
+    pair on every such frame up to max_n, returning a report with either
+    status "confirmed" or the first disagreeing frame.  Raises SearchTimeout
+    at the deadline.
+    """
+    check_world_bound(max_n)
+    props = (
+        RelationProperty.REFLEXIVE,
+        RelationProperty.TOTAL,
+        RelationProperty.TRANSITIVE,
+    )
+    cond = fm.Oblig(fm.MetaVar("g"), fm.MetaVar("f"))
+
+    def probe(rel):
+        opt, mx, lewis = (
+            sliced_values(cond, rel, rule, ("f", "g"))[0]
+            for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
+        )
+        diverged = (opt ^ mx) | (mx ^ lewis)
+        return (diverged, opt, mx, lewis) if diverged else None
+
+    hit, per_n = scan_frames(max_n, props, probe, iso_reject=iso_reject, deadline=deadline)
+    frames_checked = sum(per_n.values())
+    if hit is None:
+        return {
+            "status": "confirmed",
+            "max_n": max_n,
+            "frames_checked": frames_checked,
+            "properties": [p.value for p in props],
+        }
+    n, rel, (diverged, opt, mx, lewis) = hit
+    v = (diverged & -diverged).bit_length() - 1
+    return {
+        "status": "diverged",
+        "max_n": max_n,
+        "frames_checked": frames_checked,
+        "frame": {"n": n, "rel": list(rel)},
+        "antecedent": list(worlds_from_mask(v >> n)),
+        "consequent": list(worlds_from_mask(v & full_mask(n))),
+        "opt": bool(opt >> v & 1),
+        "max": bool(mx >> v & 1),
+        "lewis": bool(lewis >> v & 1),
+    }

@@ -46,19 +46,6 @@ def check_world_bound(max_n: int, upper: int = MAX_EXHAUSTIVE_WORLDS) -> None:
         raise ValueError(f"world-count bound must be in 1..{upper}, got {max_n}")
 
 
-def deadline_after(timeout: float | None) -> float | None:
-    """The monotonic deadline timeout seconds from now; None when timeout
-    is None or 0 (no limit)."""
-    return None if not timeout else time.monotonic() + timeout
-
-
-def time_left(deadline: float | None) -> float | None:
-    """The timeout that ends at deadline, for the next search sharing it.
-
-    At least 0.01 s, since a timeout of 0 would mean no limit."""
-    return None if deadline is None else max(deadline - time.monotonic(), 0.01)
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 

@@ -45,7 +45,6 @@ from .model import (
     SearchTimeout,
     canonical_relations,
     check_world_bound,
-    deadline_after,
     orbit_size,
     strict_part,
     transitive_closure,
@@ -332,16 +331,16 @@ def _lattice_flags(rel: Relation) -> int:
     return sum(1 << idx for idx, value in enumerate(values) if value)
 
 
-def lattice_report(max_n: int, timeout: float | None = None) -> dict:
+def lattice_report(max_n: int, deadline: float | None = None) -> dict:
     """Exhaustively confirm every implied pair and witness every other pair.
 
     One pass per universe size computes all property flags per isomorphism
     class and a histogram of flag patterns weighted by orbit size, so the
     report covers every ordered pair of LATTICE_NODES at once.  Raises
-    SearchTimeout after timeout seconds (None or 0: no limit).
+    SearchTimeout at the deadline, a ``time.monotonic()`` value (None: no
+    limit).
     """
     check_world_bound(max_n)
-    deadline = deadline_after(timeout)
     implied = implied_pairs()
     bit = {p: 1 << i for i, p in enumerate(LATTICE_NODES)}
     open_pairs = [

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import formula as fm
-from .finder import deadline_after, enumerate_frames, scan_frames
+from .finder import scan_frames
 from .model import (
     PreferenceModel,
     Relation,
     check_world_bound,
     model_json,
-    time_left,
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_property
@@ -117,18 +116,15 @@ def forward_check(
     max_n: int,
     *,
     iso_reject: bool = True,
-    timeout: float | None = None,
+    deadline: float | None = None,
 ) -> ForwardResult:
     """Exhaustively check property => axiom on all frames up to max_n."""
     check_world_bound(max_n)
     name, body = _resolve(axiom)
     props = tuple(properties)
-    deadline = deadline_after(timeout)
     hit, per_n = scan_frames(
-        max_n,
-        lambda n: enumerate_frames(n, props, iso_reject, deadline),
-        lambda rel: frame_counterexample(body, rel, rule),
-        deadline,
+        max_n, props, lambda rel: frame_counterexample(body, rel, rule),
+        iso_reject=iso_reject, deadline=deadline,
     )
     result = ForwardResult(name, rule, props, max_n, "confirmed", sum(per_n.values()))
     if hit is not None:
@@ -183,7 +179,7 @@ def converse_search(
     max_n: int,
     *,
     iso_reject: bool = True,
-    timeout: float | None = None,
+    deadline: float | None = None,
     model_level: bool = False,
 ) -> ConverseResult:
     """Search for a frame that validates the axiom yet lacks the property.
@@ -198,21 +194,16 @@ def converse_search(
     check_world_bound(max_n)
     name, body = _resolve(axiom)
     names = tuple(sorted(fm.metavars(body)))
-    deadline = deadline_after(timeout)
-
-    def frames(n):
-        return (
-            rel
-            for rel in enumerate_frames(n, (), iso_reject, deadline)
-            if not check_property(prop, rel)
-        )
 
     def probe(rel):
         if model_level:
             return first_valuation((body,), rel, rule, names, deadline=deadline)
         return True if frame_counterexample(body, rel, rule) is None else None
 
-    hit, per_n = scan_frames(max_n, frames, probe, deadline)
+    hit, per_n = scan_frames(
+        max_n, (), probe, iso_reject=iso_reject, deadline=deadline,
+        frame_filter=lambda rel: not check_property(prop, rel),
+    )
     result = ConverseResult(
         axiom=name, rule=rule, prop=prop, max_n=max_n, status="none_up_to_bound",
         frames_checked=sum(per_n.values()), model_level=model_level,
@@ -315,8 +306,7 @@ def table_sweep(
     max_n: int = 3,
     *,
     iso_reject: bool = True,
-    workers: int = 1,
-    timeout: float | None = None,
+    deadline: float | None = None,
 ) -> dict:
     """Run every row of the correspondence table for one evaluation rule.
 
@@ -324,16 +314,12 @@ def table_sweep(
     dropped-property counterexample search over unconstrained frames; rows
     with no corresponding axiom are probed and reported as bounded evidence
     only (finiteness can validate axioms spuriously), so they carry no
-    expectation.  One timeout covers the whole table; workers is ignored
-    (scans are serial).
+    expectation.  Every check runs to the one deadline.
     """
     check_world_bound(max_n, 4)
-    deadline = deadline_after(timeout)
 
     def check(props, axiom):
-        return forward_check(
-            props, axiom, rule, max_n, iso_reject=iso_reject, timeout=time_left(deadline)
-        )
+        return forward_check(props, axiom, rule, max_n, iso_reject=iso_reject, deadline=deadline)
 
     rows_out = []
     for row in _sweep_rows(rule):

@@ -33,8 +33,12 @@ connectives are bitwise operations, and a conditional combines the
 per-world ints along the frame's betterness relation.  The lowest set bit
 of a result is the least valuation.  A slice holds at most 2**16
 valuations; beyond that the leading names are bound one mask tuple at a
-time, in ascending order.  ``truth_set`` stays the reference evaluator and
+time, in ascending order, and a deadline (a ``time.monotonic()`` value)
+is checked between slices.  ``truth_set`` stays the reference evaluator and
 re-validates every witness the scans report.
+
+This module evaluates one frame at a time; searches over frames, the rule
+collapse among them, live in ``finder``.
 """
 
 from __future__ import annotations
@@ -50,15 +54,11 @@ from .model import (
     Relation,
     SearchTimeout,
     check_world_bound,
-    deadline_after,
-    full_mask,
     iter_bits,
     mask_from_worlds,
     strict_part,
     transpose,
-    worlds_from_mask,
 )
-from .relprops import RelationProperty
 
 Assignment = dict[str, int]
 
@@ -367,60 +367,3 @@ def frame_counterexample(schema: fm.Formula, rel: Relation, rule: EvalRule) -> d
 def valid_on_frame(schema: fm.Formula, rel: Relation, rule: EvalRule) -> bool:
     """Frame validity: true under every assignment of world sets."""
     return frame_counterexample(schema, rel, rule) is None
-
-
-# ---------------------------------------------------------------------------
-# Collapse of the three rules on well-behaved frames
-
-
-def rule_collapse(max_n: int, iso_reject: bool = True, timeout: float | None = None) -> dict:
-    """On reflexive total transitive frames the three conditionals agree.
-
-    Compares the extensional conditional for every antecedent/consequent
-    pair on every such frame up to max_n, returning a report with either
-    status "confirmed" or the first disagreeing frame.  Raises SearchTimeout
-    after timeout seconds (None or 0: no limit).
-    """
-    from .finder import enumerate_frames, scan_frames
-
-    check_world_bound(max_n)
-    deadline = deadline_after(timeout)
-    props = (
-        RelationProperty.REFLEXIVE,
-        RelationProperty.TOTAL,
-        RelationProperty.TRANSITIVE,
-    )
-    cond = fm.Oblig(fm.MetaVar("g"), fm.MetaVar("f"))
-
-    def probe(rel):
-        opt, mx, lewis = (
-            sliced_values(cond, rel, rule, ("f", "g"))[0]
-            for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
-        )
-        diverged = (opt ^ mx) | (mx ^ lewis)
-        return (diverged, opt, mx, lewis) if diverged else None
-
-    hit, per_n = scan_frames(
-        max_n, lambda n: enumerate_frames(n, props, iso_reject, deadline), probe, deadline
-    )
-    frames_checked = sum(per_n.values())
-    if hit is None:
-        return {
-            "status": "confirmed",
-            "max_n": max_n,
-            "frames_checked": frames_checked,
-            "properties": [p.value for p in props],
-        }
-    n, rel, (diverged, opt, mx, lewis) = hit
-    v = (diverged & -diverged).bit_length() - 1
-    return {
-        "status": "diverged",
-        "max_n": max_n,
-        "frames_checked": frames_checked,
-        "frame": {"n": n, "rel": list(rel)},
-        "antecedent": list(worlds_from_mask(v >> n)),
-        "consequent": list(worlds_from_mask(v & full_mask(n))),
-        "opt": bool(opt >> v & 1),
-        "max": bool(mx >> v & 1),
-        "lewis": bool(lewis >> v & 1),
-    }

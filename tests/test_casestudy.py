@@ -118,24 +118,21 @@ def test_fmp_small():
     (ascending_chain_evidence, 4),
     (interval_order_analysis, 4),
     (fmp_evidence, 3),
+    (run_grid, 18),
 ])
 def test_case_study_searches_share_one_budget(analysis, searches, monkeypatch):
-    # Each search gets what is left of the call's budget, not a fresh one:
-    # every search sleeps 10 ms, so each budget is at least 10 ms below the
-    # one before.
-    budgets = []
+    # Every search gets the caller's deadline itself, so one deadline
+    # covers the whole call.
+    deadline = time.monotonic() + 100
+    seen = []
 
     def search(spec):
-        budgets.append(spec.timeout)
-        time.sleep(0.01)
+        seen.append(spec.deadline)
         return SearchResult("unsat_up_to_bound", spec)
 
     monkeypatch.setattr(casestudy, "find_satisfying_model", search)
-    analysis(3, timeout=100)
-    assert len(budgets) == searches
-    assert budgets[0] <= 100
-    for before, after in zip(budgets, budgets[1:]):
-        assert after <= before - 0.01
+    analysis(3, deadline=deadline)
+    assert seen == [deadline] * searches
 
 
 def test_near_miss_models_already_start_a_strict_chain():

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from ddlmc import cli
 from ddlmc.cli import build_parser, main
 
 MODEL = "worlds 3\nrel 0>=2 2>=1\nval A = {0}\nval Ap = {1}\nval B = {2}\n"
@@ -146,7 +147,11 @@ def test_usage_errors(model_file, capsys):
     assert main(["eval", "--model", model_file, "p & "]) == 2
     assert main(["correspond", "--axiom", "NoSuchAxiom"]) == 2
     assert main(["find-model", "p", "--props", "nonsense"]) == 2
+    # a repeated atom name used to crash the sliced n=3 scan
+    assert main("find-model []~(p&q) []~(p&r) []~(q&r) <>p <>q <>r "
+                "--atoms p,q,r,s,t,p --max-n 3".split()) == 2
     assert main(["nonsense-command"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_json_reports_are_deterministic(capsys):
@@ -220,6 +225,27 @@ def test_bounds_fail_loudly_before_any_work(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert "1.." in captured.err or ">= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "correspond --table --axiom CM",
+    "correspond --table --props transitive",
+    "correspond --table --converse transitive",
+    "correspond --table --model-level",
+    "correspond --axiom CM --converse max_smooth --props transitive",
+    "correspond --axiom CM --props total --model-level",
+])
+def test_correspond_options_of_another_mode_are_usage_errors(argv, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("searched before the options were checked")
+
+    for name in ("table_sweep", "forward_check", "converse_search"):
+        monkeypatch.setattr(cli, name, search)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: correspond --")
 
 
 def test_strict_atoms_flag(model_file, capsys):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -17,10 +17,12 @@ from ddlmc.finder import (
     longest_strict_chain,
 )
 from ddlmc.formula import parse
-from ddlmc.model import PreferenceModel, relation_from_pairs
+from ddlmc.model import PreferenceModel, all_relations, relation_from_pairs, relation_pairs
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.relprops import check_property
 from ddlmc.semantics import EvalRule, first_valuation, truth_set
+
+from oracle import naive_properties, strict_pairs
 
 
 def test_enumerate_counts():
@@ -56,6 +58,20 @@ def test_longest_strict_chain_examples():
     assert longest_strict_chain(relation_from_pairs(2, [(0, 1), (1, 0)])) == 1
     # strict 3-cycle
     assert longest_strict_chain(relation_from_pairs(3, [(0, 1), (1, 2), (2, 0)])) is CYCLIC
+    # every relation up to three worlds, against a brute-force longest
+    # strict path and the oracle's acyclicity
+    for n in (1, 2, 3):
+        for rel in all_relations(n):
+            pairs = set(relation_pairs(rel))
+            strict = strict_pairs(pairs)
+            if not naive_properties(n, pairs)["acyclic"]:
+                assert longest_strict_chain(rel) is CYCLIC
+                continue
+            longest = max(
+                k for k in range(1, n + 1) for path in permutations(range(n), k)
+                if all((a, b) in strict for a, b in zip(path[1:], path))
+            )
+            assert longest_strict_chain(rel) == longest
 
 
 def test_spec_validation():
@@ -65,6 +81,13 @@ def test_spec_validation():
         SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("?x"),))
     with pytest.raises(ValueError):
         SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("p"),), atoms=("q",))
+    # Six names over three worlds span two slices: the first p would be
+    # fixed per slice while the second p is scanned within it.
+    with pytest.raises(ValueError, match=r"\['p'\] are listed more than once"):
+        SearchSpec(
+            max_n=3, rule=EvalRule.MAX, targets=(parse("<>p"),),
+            atoms=("p", "q", "r", "s", "t", "p"),
+        )
     spec = SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("O(p/q)"),))
     assert spec.atoms == ("p", "q")
 
@@ -101,18 +124,6 @@ def test_search_respects_properties():
     assert result.status == "sat"
     for prop in spec.properties:
         assert check_property(prop, result.model)
-
-
-def test_search_worker_counts_agree():
-    targets = tuple(parse(s) for s in ("P(Ap / A | Ap)", "O(~Ap / Ap | B)", "O(~B / A | B)"))
-    results = []
-    for workers in (1, 3):
-        spec = SearchSpec(
-            max_n=3, rule=EvalRule.MAX, targets=targets,
-            atoms=("A", "Ap", "B"), workers=workers,
-        )
-        results.append(find_satisfying_model(spec).to_json())
-    assert results[0] == results[1]
 
 
 def test_search_iso_and_noniso_find_same_least_witness():
@@ -194,7 +205,7 @@ def test_timeout_holds_while_unrestricted_classes_are_built():
     # speed of the host
     model._canonical_cache.pop((5, None), None)
     spec = SearchSpec(
-        max_n=5, rule=EvalRule.MAX, targets=[parse("p & ~p")], timeout=1,
+        max_n=5, rule=EvalRule.MAX, targets=[parse("p & ~p")], deadline=time.monotonic() + 1,
     )
     start = time.monotonic()
     with pytest.raises(SearchTimeout):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from ddlmc import schemas
 from ddlmc.formula import metavars
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.relprops import check_property
 from ddlmc.schemas import (
     SCHEMAS,
+    ForwardResult,
     converse_search,
     forward_check,
     table_sweep,
@@ -151,6 +155,21 @@ def test_sweep_lewis_rows():
     assert rows["totality"]["axioms"]["Dstar"]["match"]
     # COK needs both properties: dropping them yields a counterexample
     assert rows["transitivity+totality"]["axioms"]["COK"]["dropped"]["status"] == "counterexample"
+
+
+def test_sweep_hands_every_check_the_callers_deadline(monkeypatch):
+    # One deadline covers the table: the 8 unconditional checks and a
+    # forward and a dropped-property check per correspondence axiom (4).
+    deadline = time.monotonic() + 100
+    seen = []
+
+    def check(props, axiom, rule, max_n, **kwargs):
+        seen.append(kwargs["deadline"])
+        return ForwardResult(axiom, rule, tuple(props), max_n, "confirmed", 0)
+
+    monkeypatch.setattr(schemas, "forward_check", check)
+    table_sweep(EvalRule.LEWIS, 3, deadline=deadline)
+    assert seen == [deadline] * 16
 
 
 def _oracle_frame_valid(body, rel, rule_name):

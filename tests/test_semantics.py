@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlmc import formula as fm
+from ddlmc.finder import rule_collapse
 from ddlmc.formula import expand, parse
 from ddlmc.model import PreferenceModel, all_relations, mask_from_worlds
 from ddlmc.semantics import (
@@ -16,7 +17,6 @@ from ddlmc.semantics import (
     best_set,
     cond_holds,
     frame_counterexample,
-    rule_collapse,
     sliced_values,
     truth_set,
     valid_in_model,
