@@ -148,9 +148,13 @@ def run_grid(
 ) -> dict:
     """Satisfiability of EQ0..EQ4 per property row and evaluation rule.
 
-    One deadline covers the whole grid.
+    One deadline covers the whole grid; a repeated rule is rejected.
     """
     check_world_bound(max_n)
+    rules = tuple(rules)
+    repeated = sorted({r.value for r in rules if rules.count(r) > 1})
+    if repeated:
+        raise ValueError(f"rules {repeated} are listed more than once")
     cells = []
     for label, props in GRID_ROWS:
         for rule in rules:

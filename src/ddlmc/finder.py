@@ -8,10 +8,11 @@ is invariant under world relabeling the reported witness is the same with
 or without rejection.
 
 Each frame's valuations are scanned at once by the bit-sliced evaluator
-(``semantics.first_valuation``): valuations are numbered like the tuple of
-atom masks in the declared atom order, the first atom the most significant
+(``semantics.scanner``): valuations are numbered like the tuple of atom
+masks in the declared atom order, the first atom the most significant
 base-2^n digit, so the lowest valuation bit that settles the targets is the
-least valuation.  Searches count frames, not valuations.
+least valuation.  Each search compiles its formulas once and runs the
+compiled probe on every frame.  Searches count frames, not valuations.
 
 ``scan_frames`` is the one search skeleton: it enumerates the frames with
 the given properties itself, narrowed by an optional frame filter, and
@@ -43,13 +44,7 @@ from .model import (
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_all, check_property, has_all
-from .semantics import (
-    EvalRule,
-    first_valuation,
-    sliced_values,
-    truth_set,
-    valid_in_model,
-)
+from .semantics import EvalRule, scanner, slicer, truth_set, valid_in_model
 
 CYCLIC = "cyclic"  # longest_strict_chain of a relation with a strict cycle
 
@@ -180,11 +175,9 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     frames_checked counts frames up to and including the witness frame, or
     all filtered frames when the bound is exhausted.
     """
-    def probe(rel):
-        return first_valuation(spec.targets, rel, spec.rule, spec.atoms, spec.mode, spec.deadline)
-
+    scan = scanner(spec.targets, spec.rule, spec.atoms, spec.mode)
     hit, per_n = scan_frames(
-        spec.max_n, spec.properties, probe,
+        spec.max_n, spec.properties, lambda rel: scan(rel, spec.deadline),
         iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,
     )
     checked = sum(per_n.values())
@@ -265,12 +258,10 @@ def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None
         RelationProperty.TRANSITIVE,
     )
     cond = fm.Oblig(fm.MetaVar("g"), fm.MetaVar("f"))
+    tables = [slicer(cond, rule, ("f", "g")) for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)]
 
     def probe(rel):
-        opt, mx, lewis = (
-            sliced_values(cond, rel, rule, ("f", "g"))[0]
-            for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
-        )
+        opt, mx, lewis = (values(rel)[0] for values in tables)
         diverged = (opt ^ mx) | (mx ^ lewis)
         return (diverged, opt, mx, lewis) if diverged else None
 

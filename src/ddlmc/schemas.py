@@ -36,7 +36,7 @@ from .model import (
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_property
-from .semantics import EvalRule, first_valuation, frame_counterexample, truth_set
+from .semantics import EvalRule, scanner, schema_names, truth_set
 
 _SCHEMA_SOURCES = {
     "K": "[](?f -> ?g) -> ([]?f -> []?g)",
@@ -121,14 +121,16 @@ def forward_check(
     """Exhaustively check property => axiom on all frames up to max_n."""
     check_world_bound(max_n)
     name, body = _resolve(axiom)
+    names = schema_names(body)
     props = tuple(properties)
     hit, per_n = scan_frames(
-        max_n, props, lambda rel: frame_counterexample(body, rel, rule),
+        max_n, props, scanner((body,), rule, names, "refute"),
         iso_reject=iso_reject, deadline=deadline,
     )
     result = ForwardResult(name, rule, props, max_n, "confirmed", sum(per_n.values()))
     if hit is not None:
-        n, rel, assignment = hit
+        n, rel, env = hit
+        assignment = dict(zip(names, env))
         frame = PreferenceModel(n, rel)
         if truth_set(body, frame, rule, assignment=assignment) == frame.full_mask:
             raise AssertionError(f"counterexample does not falsify {name}")
@@ -193,12 +195,13 @@ def converse_search(
     """
     check_world_bound(max_n)
     name, body = _resolve(axiom)
-    names = tuple(sorted(fm.metavars(body)))
+    names = schema_names(body)
+    scan = scanner((body,), rule, names, "satisfy" if model_level else "refute")
 
     def probe(rel):
         if model_level:
-            return first_valuation((body,), rel, rule, names, deadline=deadline)
-        return True if frame_counterexample(body, rel, rule) is None else None
+            return scan(rel, deadline)
+        return True if scan(rel) is None else None
 
     hit, per_n = scan_frames(
         max_n, (), probe, iso_reject=iso_reject, deadline=deadline,

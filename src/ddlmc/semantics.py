@@ -34,7 +34,11 @@ per-world ints along the frame's betterness relation.  The lowest set bit
 of a result is the least valuation.  A slice holds at most 2**16
 valuations; beyond that the leading names are bound one mask tuple at a
 time, in ascending order, and a deadline (a ``time.monotonic()`` value)
-is checked between slices.  ``truth_set`` stays the reference evaluator and
+is checked between slices.  A search compiles its formulas once, into
+closures over a slice, and runs them on every frame: ``scanner`` builds the
+least-valuation probe, ``slicer`` the per-world values, and
+``first_valuation``, ``frame_counterexample`` and ``sliced_values`` are
+their one-shot forms.  ``truth_set`` stays the reference evaluator and
 re-validates every witness the scans report.
 
 This module evaluates one frame at a time; searches over frames, the rule
@@ -45,8 +49,9 @@ from __future__ import annotations
 
 import enum
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import and_, or_
 
 from . import formula as fm
 from .model import (
@@ -247,58 +252,114 @@ class _Slice:
             violated |= ant[a] & ~cons[a] & ~beaten
         return self.ones ^ violated
 
-    def value(self, g: fm.Formula) -> list[int]:
-        """Per world, the valuations where g holds."""
-        ones = self.ones
-        if isinstance(g, (fm.Atom, fm.MetaVar)):
-            return self.cols[g.name]
-        if isinstance(g, fm.Not):
-            return [ones ^ x for x in self.value(g.child)]
-        if isinstance(g, fm.Or):
-            return [x | y for x, y in zip(self.value(g.left), self.value(g.right))]
-        if isinstance(g, fm.And):
-            return [x & y for x, y in zip(self.value(g.left), self.value(g.right))]
-        if isinstance(g, fm.Implies):
-            return [(ones ^ x) | y for x, y in zip(self.value(g.left), self.value(g.right))]
-        if isinstance(g, fm.Iff):
-            return [ones ^ x ^ y for x, y in zip(self.value(g.left), self.value(g.right))]
-        if isinstance(g, fm.Top):
-            return [ones] * self.n
-        if isinstance(g, fm.Bot):
-            return [0] * self.n
-        if isinstance(g, fm.Box):
-            v = ones
-            for x in self.value(g.child):
-                v &= x
-            return [v] * self.n
-        if isinstance(g, fm.Diamond):
-            v = 0
-            for x in self.value(g.child):
-                v |= x
-            return [v] * self.n
-        if isinstance(g, fm.Oblig):
-            v = self.cond(self.value(g.consequent), self.value(g.antecedent))
-            return [v] * self.n
-        if isinstance(g, fm.Perm):
-            cons = [ones ^ x for x in self.value(g.consequent)]
-            return [ones ^ self.cond(cons, self.value(g.antecedent))] * self.n
-        if isinstance(g, (fm.PrefGeq, fm.PrefGt)):
-            left, right = self.value(g.left), self.value(g.right)
-            both = [x | y for x, y in zip(left, right)]
-            v = ones ^ self.cond([ones ^ x for x in left], both)
-            if isinstance(g, fm.PrefGt):
-                v &= self.cond([ones ^ y for y in right], both)
-            return [v] * self.n
+
+def _compile(g: fm.Formula):
+    """g compiled once into a closure: a _Slice -> per world, the valuations
+    where g holds."""
+    if isinstance(g, (fm.Atom, fm.MetaVar)):
+        name = g.name
+        return lambda s: s.cols[name]
+    if isinstance(g, fm.Top):
+        return lambda s: [s.ones] * s.n
+    if isinstance(g, fm.Bot):
+        return lambda s: [0] * s.n
+    if isinstance(g, fm.Not):
+        child = _compile(g.child)
+        return lambda s: [s.ones ^ x for x in child(s)]
+    if isinstance(g, fm.Box):
+        child = _compile(g.child)
+        return lambda s: [reduce(and_, child(s), s.ones)] * s.n
+    if isinstance(g, fm.Diamond):
+        child = _compile(g.child)
+        return lambda s: [reduce(or_, child(s), 0)] * s.n
+    if isinstance(g, fm.Oblig):
+        cons, ant = _compile(g.consequent), _compile(g.antecedent)
+        return lambda s: [s.cond(cons(s), ant(s))] * s.n
+    if isinstance(g, fm.Perm):
+        cons, ant = _compile(g.consequent), _compile(g.antecedent)
+        return lambda s: [s.ones ^ s.cond([s.ones ^ x for x in cons(s)], ant(s))] * s.n
+    if not isinstance(g, (fm.Or, fm.And, fm.Implies, fm.Iff, fm.PrefGeq, fm.PrefGt)):
         raise TypeError(f"not a formula: {g!r}")
+    left, right = _compile(g.left), _compile(g.right)
+    if isinstance(g, fm.Or):
+        return lambda s: [x | y for x, y in zip(left(s), right(s))]
+    if isinstance(g, fm.And):
+        return lambda s: [x & y for x, y in zip(left(s), right(s))]
+    if isinstance(g, fm.Implies):
+        return lambda s: [(s.ones ^ x) | y for x, y in zip(left(s), right(s))]
+    if isinstance(g, fm.Iff):
+        return lambda s: [s.ones ^ x ^ y for x, y in zip(left(s), right(s))]
+    gt = isinstance(g, fm.PrefGt)
+
+    def pref(s):
+        ones, xs, ys = s.ones, left(s), right(s)
+        both = [x | y for x, y in zip(xs, ys)]
+        v = ones ^ s.cond([ones ^ x for x in xs], both)
+        if gt:
+            v &= s.cond([ones ^ y for y in ys], both)
+        return [v] * s.n
+
+    return pref
+
+
+def slicer(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
+    """f compiled once: values(rel) is, per world of rel, the valuations of
+    names where f holds, in one slice."""
+    program = _compile(f)
+
+    def values(rel: Relation) -> list[int]:
+        n = len(rel)
+        if n * len(names) > _SLICE_LOG2:
+            raise ValueError(f"{len(names)} names over {n} worlds exceed one slice")
+        cols, ones = _columns(n, len(names))
+        return program(_Slice(rel, rule, dict(zip(names, cols)), ones))
+
+    return values
 
 
 def sliced_values(f: fm.Formula, rel: Relation, rule: EvalRule, names: tuple[str, ...]) -> list[int]:
-    """Per world of rel, the valuations of names where f holds, in one slice."""
-    n = len(rel)
-    if n * len(names) > _SLICE_LOG2:
-        raise ValueError(f"{len(names)} names over {n} worlds exceed one slice")
-    cols, ones = _columns(n, len(names))
-    return _Slice(rel, rule, dict(zip(names, cols)), ones).value(f)
+    """One-shot ``slicer(f, rule, names)(rel)``."""
+    return slicer(f, rule, names)(rel)
+
+
+def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satisfy"):
+    """The formulas compiled once: probe(rel, deadline=None) is the least
+    valuation of names (a tuple of masks) settling them on rel, or None.
+
+    mode "satisfy" asks for every formula true at every world, "refute" for
+    some formula false at some world.  Atoms and metavariables alike are
+    read from the valuation.  When 2**(n * len(names)) exceeds one slice,
+    the leading names are bound to constant columns one mask tuple at a
+    time, in ascending order, with the deadline checked between slices.
+    """
+    programs = [_compile(f) for f in formulas]
+    satisfy = mode == "satisfy"
+
+    def probe(rel: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
+        n = len(rel)
+        size = 1 << n
+        tail = min(len(names), _SLICE_LOG2 // n)
+        lead = len(names) - tail
+        tail_cols, ones = _columns(n, tail)
+        cols = dict(zip(names[lead:], tail_cols))
+        s = _Slice(rel, rule, cols, ones)
+        for head in product(range(size), repeat=lead):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout()
+            for name, mask in zip(names, head):
+                cols[name] = [ones if mask >> a & 1 else 0 for a in range(n)]
+            holds = ones  # valuations where every formula holds at every world
+            for program in programs:
+                holds = reduce(and_, program(s), holds)
+                if not holds:
+                    break
+            hits = holds if satisfy else ones ^ holds
+            if hits:
+                v = (hits & -hits).bit_length() - 1
+                return head + tuple(v >> (tail - 1 - i) * n & size - 1 for i in range(tail))
+        return None
+
+    return probe
 
 
 def first_valuation(
@@ -309,46 +370,19 @@ def first_valuation(
     mode: str = "satisfy",
     deadline: float | None = None,
 ) -> tuple[int, ...] | None:
-    """Least valuation of names (a tuple of masks) settling the formulas.
-
-    mode "satisfy" asks for every formula true at every world, "refute" for
-    some formula false at some world.  Atoms and metavariables alike are
-    read from the valuation.  When 2**(n * len(names)) exceeds one slice,
-    the leading names are bound to constant columns one mask tuple at a
-    time, in ascending order, with the deadline checked between slices.
-    """
-    n = len(rel)
-    size = 1 << n
-    tail = min(len(names), _SLICE_LOG2 // n)
-    lead = len(names) - tail
-    tail_cols, ones = _columns(n, tail)
-    cols = dict(zip(names[lead:], tail_cols))
-    scan = _Slice(rel, rule, cols, ones)
-    for head in product(range(size), repeat=lead):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout()
-        for name, mask in zip(names, head):
-            cols[name] = [ones if mask >> a & 1 else 0 for a in range(n)]
-        if mode == "satisfy":
-            hits = ones
-            for f in formulas:
-                for x in scan.value(f):
-                    hits &= x
-                if not hits:
-                    break
-        else:
-            hits = 0
-            for f in formulas:
-                for x in scan.value(f):
-                    hits |= ones ^ x
-        if hits:
-            v = (hits & -hits).bit_length() - 1
-            return head + tuple(v >> (tail - 1 - i) * n & size - 1 for i in range(tail))
-    return None
+    """One-shot ``scanner(formulas, rule, names, mode)(rel, deadline)``."""
+    return scanner(formulas, rule, names, mode)(rel, deadline)
 
 
 # ---------------------------------------------------------------------------
 # Frame validity
+
+def schema_names(schema: fm.Formula) -> tuple[str, ...]:
+    """A schema's metavariables, sorted; a schema with atoms is rejected."""
+    if fm.atoms(schema):
+        raise ValueError("schema contains ordinary atoms; use metavariables")
+    return tuple(sorted(fm.metavars(schema)))
+
 
 def frame_counterexample(schema: fm.Formula, rel: Relation, rule: EvalRule) -> dict[str, int] | None:
     """Lexicographically least falsifying assignment, or None if frame-valid.
@@ -357,10 +391,8 @@ def frame_counterexample(schema: fm.Formula, rel: Relation, rule: EvalRule) -> d
     frame must have 1..5 worlds.
     """
     check_world_bound(len(rel))
-    if fm.atoms(schema):
-        raise ValueError("schema contains ordinary atoms; use metavariables")
-    names = tuple(sorted(fm.metavars(schema)))
-    env = first_valuation((schema,), rel, rule, names, "refute")
+    names = schema_names(schema)
+    env = scanner((schema,), rule, names, "refute")(rel)
     return None if env is None else dict(zip(names, env))
 
 

@@ -76,6 +76,17 @@ def test_grid_small_bound_consistent():
     assert "UNSAT!" in text and "property" in text
 
 
+def test_grid_rejects_a_repeated_rule(monkeypatch):
+    # A repeated rule used to run each of its cells twice; it is rejected
+    # before any search.
+    def search(spec):
+        raise AssertionError("searched with a repeated rule")
+
+    monkeypatch.setattr(casestudy, "find_satisfying_model", search)
+    with pytest.raises(ValueError, match=r"\['max'\] are listed more than once"):
+        run_grid(2, rules=(EvalRule.MAX, EvalRule.OPT, EvalRule.MAX))
+
+
 def test_grid_witnesses_revalidate():
     report = run_grid(3, rules=(EvalRule.MAX,))
     for cell in report["cells"]:

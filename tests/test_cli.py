@@ -150,6 +150,8 @@ def test_usage_errors(model_file, capsys):
     # a repeated atom name used to crash the sliced n=3 scan
     assert main("find-model []~(p&q) []~(p&r) []~(q&r) <>p <>q <>r "
                 "--atoms p,q,r,s,t,p --max-n 3".split()) == 2
+    # a repeated rule used to run each of its cells twice
+    assert main("paradox --max-n 2 --rules max,max --json".split()) == 2
     assert main(["nonsense-command"]) == 2
     assert capsys.readouterr().out == ""
 

@@ -27,6 +27,8 @@ GOLDEN = [
     ("bench/golden/grid.json", "paradox --max-n 4 --timeout 0 --json", 0),
     ("bench/golden/table_lewis_w2.json",
      "correspond --table --rule lewis --max-n 4 --workers 2 --timeout 0 --json", 0),
+    ("bench/golden/n5_transitive.json",
+     "find-model O(p/T) O(~p/T) <>T --props transitive --max-n 5 --timeout 0 --json", 1),
     ("tests/golden/table_max.json", "correspond --table --rule max --max-n 4 --json", 0),
     ("tests/golden/table_opt.json", "correspond --table --rule opt --max-n 3 --json", 0),
     ("tests/golden/table_opt4.json", "correspond --table --rule opt --max-n 4 --json", 0),

@@ -110,7 +110,7 @@ def test_converse_frame_witness_is_revalidated(monkeypatch):
     # A scan that wrongly calls every frame valid must not get a witness
     # past the reference evaluator: the least frame lacking opt-limitedness
     # falsifies D* under opt.
-    monkeypatch.setattr("ddlmc.schemas.frame_counterexample", lambda *args, **kwargs: None)
+    monkeypatch.setattr("ddlmc.schemas.scanner", lambda *args, **kwargs: lambda rel, deadline=None: None)
     with pytest.raises(AssertionError, match="does not validate Dstar"):
         converse_search("Dstar", P.OPT_LIMITED, EvalRule.OPT, 2)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,13 @@ from ddlmc import formula as fm
 from ddlmc.finder import rule_collapse
 from ddlmc.formula import expand, parse
 from ddlmc.model import PreferenceModel, all_relations, mask_from_worlds
+from ddlmc.schemas import forward_check
 from ddlmc.semantics import (
     EvalRule,
     best_set,
     cond_holds,
     frame_counterexample,
+    scanner,
     sliced_values,
     truth_set,
     valid_in_model,
@@ -203,6 +206,57 @@ def test_frame_validity_rejects_atoms():
         valid_on_frame(parse("O(p / ?f)"), (0,), EvalRule.MAX)
 
 
+# Five names make 2**20 valuations at n=4 and 2**25 at n=5, past one
+# 2**16-bit slice.  <>?c & O(~?c / T) fails under every rule exactly when
+# every world is at least as good as every other, as on _FULL: there each
+# least valuation needs a nonempty ?a, so it lies past the first slice.  On
+# the other frames the least valuations come early, which keeps the plain
+# reference loop short.
+_SCAN_NAMES = ("a", "b", "c", "d", "e")
+_SCAN_TARGETS = {
+    "satisfy": (
+        "[](?b -> ?a)", "<>(?d & ~?c)", "[](?e -> ?d)",
+        "<>?a | (<>?c & O(~?c / T))", "P(?e / ?d) | O(?e / ?d)",
+    ),
+    "refute": ("(<>?c & O(~?c / T)) -> <>?a", "?a -> (?b | [](?d -> ?e))"),
+}
+_FULL = (15, 15, 15, 15)
+
+
+@pytest.mark.parametrize("mode", sorted(_SCAN_TARGETS))
+@pytest.mark.parametrize("rule", RULES)
+def test_one_probe_serves_every_size_and_slice(rule, mode):
+    # One probe runs on every frame, from one world to five and back.
+    targets = [parse(t) for t in _SCAN_TARGETS[mode]]
+    probe = scanner(targets, rule, _SCAN_NAMES, mode)
+    frames = [(0,), (1,), (0, 3), (2, 1), (0, 1, 7), (6, 5, 3), (0, 1, 2, 15), _FULL,
+              (0, 1, 18, 4, 8), (0, 1, 0, 0, 0), (1,)]
+    for rel in frames:
+        frame = PreferenceModel(len(rel), rel)
+        expected = None
+        for env in product(range(1 << frame.n), repeat=len(_SCAN_NAMES)):
+            assignment = dict(zip(_SCAN_NAMES, env))
+            holds = all(truth_set(f, frame, rule, assignment) == frame.full_mask for f in targets)
+            if holds == (mode == "satisfy"):
+                expected = env
+                break
+        if rel == _FULL:
+            assert expected[0] != 0
+        assert probe(rel) == expected, rel
+
+
+def test_a_search_reads_the_schema_names_once(monkeypatch):
+    # The schema is compiled once per search, so its atoms and
+    # metavariables are read once, not once per frame.
+    calls = []
+    for name in ("atoms", "metavars"):
+        original = getattr(fm, name)
+        monkeypatch.setattr(fm, name, lambda f, original=original: calls.append(f) or original(f))
+    result = forward_check((), "Abs", EvalRule.LEWIS, 4)
+    assert result.frames_checked > 3000
+    assert len(calls) == 2
+
+
 def test_frame_validity_cap(monkeypatch):
     # The one cap is the world bound 1..5, checked before any work.
     cok = parse("O(?g -> ?h / ?f) -> (O(?g / ?f) -> O(?h / ?f))")
@@ -211,7 +265,7 @@ def test_frame_validity_cap(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("scanned a frame outside the bound")
 
-    monkeypatch.setattr("ddlmc.semantics.first_valuation", no_work)
+    monkeypatch.setattr("ddlmc.semantics.scanner", no_work)
     for rel in ((0,) * 6, ()):
         with pytest.raises(ValueError, match="1..5"):
             frame_counterexample(cok, rel, EvalRule.MAX)
