@@ -41,11 +41,13 @@ from .model import (
     transitive_closure,
 )
 from .relprops import (
+    CYCLIC,
     Confirmed,
     RelationProperty,
     Witness,
     check_property,
     lattice_report,
+    longest_strict_chain,
     property_implication,
 )
 from .semantics import (
@@ -58,13 +60,11 @@ from .semantics import (
     valid_on_frame,
 )
 from .finder import (
-    CYCLIC,
     SearchSpec,
     SearchResult,
     SearchTimeout,
     enumerate_frames,
     find_satisfying_model,
-    longest_strict_chain,
     rule_collapse,
 )
 from .schemas import (

@@ -28,15 +28,9 @@ deadline covers the whole analysis.
 from __future__ import annotations
 
 from . import formula as fm
-from .finder import (
-    CYCLIC,
-    SearchResult,
-    SearchSpec,
-    find_satisfying_model,
-    longest_strict_chain,
-)
+from .finder import SearchResult, SearchSpec, find_satisfying_model
 from .model import check_world_bound, model_json
-from .relprops import RelationProperty, is_acyclic
+from .relprops import CYCLIC, RelationProperty, is_acyclic, longest_strict_chain
 from .semantics import EvalRule
 
 ATOMS = ("A", "Ap", "B")

@@ -44,19 +44,14 @@ import sys
 import time
 
 from . import casestudy
-from .finder import (
-    SearchSpec,
-    SearchTimeout,
-    find_satisfying_model,
-    longest_strict_chain,
-    rule_collapse,
-)
+from .finder import SearchSpec, SearchTimeout, find_satisfying_model, rule_collapse
 from .formula import ParseError, parse, render
 from .model import ModelFormatError, parse_model, serialize_model, worlds_from_mask
 from .relprops import (
     RelationProperty,
     check_property,
     lattice_report,
+    longest_strict_chain,
     property_from_name,
 )
 from .schemas import SCHEMAS, converse_search, forward_check, table_sweep
@@ -122,10 +117,7 @@ def _cmd_eval(args) -> int:
     model = _read_model(args.model)
     rule = rule_from_name(args.rule)
     f = _parse_formula(args.formula)
-    try:
-        mask = truth_set(f, model, rule, strict_atoms=args.strict_atoms)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+    mask = truth_set(f, model, rule, strict_atoms=args.strict_atoms)
     valid = mask == model.full_mask
     report = {
         "command": "eval",

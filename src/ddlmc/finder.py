@@ -40,13 +40,10 @@ from .model import (
     check_world_bound,
     full_mask,
     model_json,
-    strict_part,
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_all, check_property, has_all
-from .semantics import EvalRule, scanner, slicer, truth_set, valid_in_model
-
-CYCLIC = "cyclic"  # longest_strict_chain of a relation with a strict cycle
+from .semantics import EvalRule, scanner, slicer, truth_set
 
 
 def enumerate_frames(
@@ -73,26 +70,6 @@ def enumerate_frames(
             raise SearchTimeout()
         if check_all(props, rel):
             yield rel
-
-
-def longest_strict_chain(m: PreferenceModel | Relation) -> int | str:
-    """Worlds on the longest strictly-increasing chain, or CYCLIC.
-
-    Peels strict layers: each round removes the worlds with no strict
-    successor among those left, so the rounds count the worlds on the
-    longest chain, and a round that removes nothing leaves a strict cycle.
-    """
-    rel = m.rel if isinstance(m, PreferenceModel) else tuple(m)
-    strict = strict_part(rel)
-    left = full_mask(len(rel))
-    rounds = 0
-    while left:
-        bottom = sum(1 << i for i, row in enumerate(strict) if left >> i & 1 and not row & left)
-        if not bottom:
-            return CYCLIC
-        left ^= bottom
-        rounds += 1
-    return rounds
 
 
 @dataclass
@@ -230,13 +207,11 @@ def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:
     for prop in spec.properties:
         if not check_property(prop, model):
             raise AssertionError(f"witness fails property {prop}")
-    for t in spec.targets:
-        valid = truth_set(t, model, spec.rule) == model.full_mask
-        if spec.mode == "satisfy" and not valid:
-            raise AssertionError(f"witness fails target {fm.render(t)}")
-    if spec.mode == "refute":
-        if all(valid_in_model(t, model, spec.rule) for t in spec.targets):
-            raise AssertionError("refutation witness validates all targets")
+    failed = [t for t in spec.targets if truth_set(t, model, spec.rule) != model.full_mask]
+    if spec.mode == "satisfy" and failed:
+        raise AssertionError(f"witness fails target {fm.render(failed[0])}")
+    if spec.mode == "refute" and not failed:
+        raise AssertionError("refutation witness validates all targets")
 
 
 # ---------------------------------------------------------------------------

@@ -281,18 +281,6 @@ def all_relations(n: int) -> Iterator[Relation]:
     yield from product(range(1 << n), repeat=n)
 
 
-def permute_relation(rel: Relation, perm: tuple[int, ...]) -> Relation:
-    """Relabel worlds: new relation holds (perm[i], perm[j]) iff rel holds (i, j)."""
-    n = len(rel)
-    rows = [0] * n
-    for i, row in enumerate(rel):
-        shifted = 0
-        for j in iter_bits(row):
-            shifted |= 1 << perm[j]
-        rows[perm[i]] = shifted
-    return tuple(rows)
-
-
 def unpack_relation(packed: int, n: int) -> Relation:
     mask = full_mask(n)
     return tuple((packed >> ((n - 1 - i) * n)) & mask for i in range(n))
@@ -335,17 +323,6 @@ def orbit_size(rel: Relation) -> int:
     automorphisms, which are the permutations that map rel to itself."""
     images = _orbit_images(rel)
     return len(images) // images.count(images[0])
-
-
-def canonical_form(rel: Relation) -> Relation:
-    """Least relation (row-tuple order) in the world-permutation orbit."""
-    return unpack_relation(min(_orbit_images(rel)), len(rel))
-
-
-def orbit(rel: Relation) -> frozenset[Relation]:
-    """All relabelings of rel."""
-    n = len(rel)
-    return frozenset(permute_relation(rel, p) for p in permutations(range(n)))
 
 
 _canonical_cache: dict[tuple[int, object], tuple[Relation, ...]] = {}

@@ -17,7 +17,8 @@ Logic* 2014).  The subset definitions are the test reference, in
 
 Each check is one tight loop over the row bitmasks; the cycle and
 strict-transitivity checks first compute the strict rows once
-(``model.strict_part``).
+(``model.strict_part``).  One peel of strict layers decides acyclicity and
+gives the longest strict chain (``longest_strict_chain``).
 ``has_all(props)`` returns one flat predicate for the class builder: the
 check itself for a single property, else one loop over the checks.
 
@@ -103,19 +104,25 @@ def is_transitive(rel: Relation) -> bool:
     return True
 
 
-def _strict_acyclic(strict: Relation) -> bool:
-    # peel worlds with no strict successor among those left; a strict
-    # cycle never peels
+def _strict_layers(strict: Relation) -> int | None:
+    """Rounds that peel every world, each round removing the worlds with no
+    strict successor among those left: the number of worlds on the longest
+    strict chain, or None on a strict cycle, which never peels."""
     left = (1 << len(strict)) - 1
-    changed = True
-    while changed:
-        changed = False
-        for i, row in enumerate(strict):
-            bit = 1 << i
-            if left & bit and not row & left:
-                left ^= bit
-                changed = True
-    return not left
+    layers = 0
+    while left:
+        bottom = 0
+        bit = 1
+        for row in strict:
+            if not row & left:
+                bottom |= bit
+            bit <<= 1
+        bottom &= left  # worlds peeled in an earlier round drop out
+        if not bottom:
+            return None
+        left ^= bottom
+        layers += 1
+    return layers
 
 
 def _suzumura(rel: Relation, strict: Relation) -> bool:
@@ -139,7 +146,17 @@ def is_quasi_transitive(rel: Relation) -> bool:
 
 def is_acyclic(rel: Relation) -> bool:
     """No strict-betterness cycles."""
-    return _strict_acyclic(strict_part(rel))
+    return _strict_layers(strict_part(rel)) is not None
+
+
+CYCLIC = "cyclic"  # longest_strict_chain of a relation with a strict cycle
+
+
+def longest_strict_chain(m: PreferenceModel | Relation) -> int | str:
+    """Worlds on the longest strictly-increasing chain, or CYCLIC."""
+    rel = m.rel if isinstance(m, PreferenceModel) else tuple(m)
+    layers = _strict_layers(strict_part(rel))
+    return CYCLIC if layers is None else layers
 
 
 def is_suzumura_consistent(rel: Relation) -> bool:
@@ -323,7 +340,7 @@ def _lattice_flags(rel: Relation) -> int:
         is_transitive(rel),
         is_transitive(strict),
         _suzumura(rel, strict),
-        _strict_acyclic(strict),
+        _strict_layers(strict) is not None,
         total and is_ferrers(rel),
         total,
         is_reflexive(rel),

@@ -118,7 +118,11 @@ def forward_check(
     iso_reject: bool = True,
     deadline: float | None = None,
 ) -> ForwardResult:
-    """Exhaustively check property => axiom on all frames up to max_n."""
+    """Exhaustively check property => axiom on all frames up to max_n.
+
+    Before it is reported, a counterexample is re-checked with
+    check_property and, under its assignment, with the reference truth_set.
+    """
     check_world_bound(max_n)
     name, body = _resolve(axiom)
     names = schema_names(body)
@@ -132,6 +136,9 @@ def forward_check(
         n, rel, env = hit
         assignment = dict(zip(names, env))
         frame = PreferenceModel(n, rel)
+        for prop in props:
+            if not check_property(prop, rel):
+                raise AssertionError(f"counterexample frame lacks {prop.value}")
         if truth_set(body, frame, rule, assignment=assignment) == frame.full_mask:
             raise AssertionError(f"counterexample does not falsify {name}")
         result.status = "counterexample"

@@ -36,10 +36,10 @@ valuations; beyond that the leading names are bound one mask tuple at a
 time, in ascending order, and a deadline (a ``time.monotonic()`` value)
 is checked between slices.  A search compiles its formulas once, into
 closures over a slice, and runs them on every frame: ``scanner`` builds the
-least-valuation probe, ``slicer`` the per-world values, and
-``first_valuation``, ``frame_counterexample`` and ``sliced_values`` are
-their one-shot forms.  ``truth_set`` stays the reference evaluator and
-re-validates every witness the scans report.
+least-valuation probe and ``slicer`` the per-world values;
+``frame_counterexample`` is the one-shot frame-validity form.
+``truth_set`` stays the reference evaluator and re-validates every witness
+the scans report.
 
 This module evaluates one frame at a time; searches over frames, the rule
 collapse among them, live in ``finder``.
@@ -128,7 +128,7 @@ def truth_set(
             mask = m.valuation.get(g.name)
             if mask is None:
                 if strict_atoms:
-                    raise KeyError(f"atom {g.name!r} has no valuation entry")
+                    raise ValueError(f"atom {g.name!r} has no valuation entry")
                 return 0
             return mask
         if isinstance(g, fm.MetaVar):
@@ -317,11 +317,6 @@ def slicer(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
     return values
 
 
-def sliced_values(f: fm.Formula, rel: Relation, rule: EvalRule, names: tuple[str, ...]) -> list[int]:
-    """One-shot ``slicer(f, rule, names)(rel)``."""
-    return slicer(f, rule, names)(rel)
-
-
 def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satisfy"):
     """The formulas compiled once: probe(rel, deadline=None) is the least
     valuation of names (a tuple of masks) settling them on rel, or None.
@@ -360,18 +355,6 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
         return None
 
     return probe
-
-
-def first_valuation(
-    formulas,
-    rel: Relation,
-    rule: EvalRule,
-    names: tuple[str, ...],
-    mode: str = "satisfy",
-    deadline: float | None = None,
-) -> tuple[int, ...] | None:
-    """One-shot ``scanner(formulas, rule, names, mode)(rel, deadline)``."""
-    return scanner(formulas, rule, names, mode)(rel, deadline)
 
 
 # ---------------------------------------------------------------------------

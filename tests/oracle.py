@@ -9,7 +9,7 @@ functions on everything.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 from ddlmc import formula as fm
 
@@ -113,6 +113,14 @@ def reachable_pairs(n, pairs):
 
 def strict_pairs(pairs):
     return {(a, b) for (a, b) in pairs if (b, a) not in pairs}
+
+
+def orbit(n, pairs):
+    """Every relabelling of the pair set by a permutation of the n worlds."""
+    return {
+        frozenset((perm[a], perm[b]) for a, b in pairs)
+        for perm in permutations(range(n))
+    }
 
 
 def nonempty_subsets(worlds):

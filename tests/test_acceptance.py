@@ -28,13 +28,15 @@ from ddlmc.casestudy import (
     ascending_chain_evidence,
     run_grid,
 )
-from ddlmc.finder import CYCLIC, longest_strict_chain, rule_collapse
+from ddlmc.finder import rule_collapse
 from ddlmc.model import PreferenceModel, parse_model
 from ddlmc.relprops import (
+    CYCLIC,
     Confirmed,
     RelationProperty as P,
     check_property,
     lattice_report,
+    longest_strict_chain,
     property_implication,
 )
 from ddlmc.schemas import forward_check, table_sweep

@@ -253,8 +253,12 @@ def test_correspond_options_of_another_mode_are_usage_errors(argv, capsys, monke
 def test_strict_atoms_flag(model_file, capsys):
     code, _ = run(capsys, "eval", "--model", model_file, "--rule", "max", "zz | ~zz")
     assert code == 0
-    code = main(["eval", "--model", model_file, "--rule", "max", "--strict-atoms", "zz | ~zz"])
-    assert code == 2
+    for command in ("eval", "check-model"):
+        code = main([command, "--model", model_file, "--rule", "max", "--strict-atoms", "zz | ~zz"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: atom 'zz' has no valuation entry\n"
+        assert captured.out == ""
 
 
 _OUTPUT = {"json", "timing"}

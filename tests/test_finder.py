@@ -1,28 +1,26 @@
-"""Frame enumeration, model search, and strict-chain diagnostics."""
+"""Frame enumeration and model search."""
 
 from __future__ import annotations
 
 import time
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
 from ddlmc import model
 from ddlmc.finder import (
-    CYCLIC,
     SearchSpec,
     SearchTimeout,
     enumerate_frames,
     find_satisfying_model,
-    longest_strict_chain,
 )
 from ddlmc.formula import parse
-from ddlmc.model import PreferenceModel, all_relations, relation_from_pairs, relation_pairs
+from ddlmc.model import PreferenceModel, relation_from_pairs, relation_pairs
+from ddlmc.relprops import CYCLIC, check_property, longest_strict_chain
 from ddlmc.relprops import RelationProperty as P
-from ddlmc.relprops import check_property
-from ddlmc.semantics import EvalRule, first_valuation, truth_set
+from ddlmc.semantics import EvalRule, scanner, truth_set
 
-from oracle import naive_properties, strict_pairs
+from oracle import orbit
 
 
 def test_enumerate_counts():
@@ -42,36 +40,12 @@ def test_enumerate_is_sorted_and_filters():
 def test_enumerate_iso_yields_canonical_representatives():
     frames = list(enumerate_frames(3, [P.TOTAL], iso_reject=True))
     # every total relation must be isomorphic to exactly one representative
-    from ddlmc.model import orbit
-
     seen = set()
     for rep in frames:
-        assert rep == min(orbit(rep))
-        seen |= orbit(rep)
+        images = {relation_from_pairs(3, pairs) for pairs in orbit(3, relation_pairs(rep))}
+        assert rep == min(images)
+        seen |= images
     assert len(seen) == 27
-
-
-def test_longest_strict_chain_examples():
-    assert longest_strict_chain(relation_from_pairs(3, [(1, 0), (2, 1)])) == 3
-    assert longest_strict_chain(relation_from_pairs(2, [])) == 1
-    # a weak 2-cycle has an empty strict part: no strict cycle
-    assert longest_strict_chain(relation_from_pairs(2, [(0, 1), (1, 0)])) == 1
-    # strict 3-cycle
-    assert longest_strict_chain(relation_from_pairs(3, [(0, 1), (1, 2), (2, 0)])) is CYCLIC
-    # every relation up to three worlds, against a brute-force longest
-    # strict path and the oracle's acyclicity
-    for n in (1, 2, 3):
-        for rel in all_relations(n):
-            pairs = set(relation_pairs(rel))
-            strict = strict_pairs(pairs)
-            if not naive_properties(n, pairs)["acyclic"]:
-                assert longest_strict_chain(rel) is CYCLIC
-                continue
-            longest = max(
-                k for k in range(1, n + 1) for path in permutations(range(n), k)
-                if all((a, b) in strict for a, b in zip(path[1:], path))
-            )
-            assert longest_strict_chain(rel) == longest
 
 
 def test_spec_validation():
@@ -193,9 +167,7 @@ def test_deadline_stops_a_sliced_scan():
     # deadline must stop the scan instead
     targets = (parse("[]~a"), parse("<>a"))
     with pytest.raises(SearchTimeout):
-        first_valuation(
-            targets, (0, 1, 2, 8), EvalRule.MAX, _FIVE_ATOMS, deadline=time.monotonic() - 1,
-        )
+        scanner(targets, EvalRule.MAX, _FIVE_ATOMS)((0, 1, 2, 8), time.monotonic() - 1)
 
 
 def test_timeout_holds_while_unrestricted_classes_are_built():

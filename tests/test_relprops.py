@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain, permutations
+
 import pytest
 
 from ddlmc.model import (
@@ -14,6 +16,7 @@ from ddlmc.model import (
 from ddlmc.casestudy import GRID_ROWS
 from ddlmc.relprops import (
     LATTICE_ARROWS,
+    CYCLIC,
     LATTICE_NODES,
     Confirmed,
     RelationProperty,
@@ -24,11 +27,12 @@ from ddlmc.relprops import (
     has_all,
     implied_pairs,
     lattice_report,
+    longest_strict_chain,
     property_from_name,
     property_implication,
 )
 
-from oracle import naive_properties
+from oracle import naive_properties, strict_pairs
 
 P = RelationProperty
 
@@ -47,6 +51,30 @@ def test_all_properties_match_oracle_exhaustively_n_le_3():
                 assert check_property(prop, rel) == expected[prop.value], (
                     n, rel, prop,
                 )
+
+
+def test_longest_strict_chain_examples():
+    assert longest_strict_chain(relation_from_pairs(3, [(1, 0), (2, 1)])) == 3
+    assert longest_strict_chain(relation_from_pairs(2, [])) == 1
+    # a weak 2-cycle has an empty strict part: no strict cycle
+    assert longest_strict_chain(relation_from_pairs(2, [(0, 1), (1, 0)])) == 1
+    # strict 3-cycle
+    assert longest_strict_chain(relation_from_pairs(3, [(0, 1), (1, 2), (2, 0)])) is CYCLIC
+    # every relation up to three worlds and a sample at four, against a
+    # brute-force longest strict path and the oracle's acyclicity
+    sample = (unpack_relation(packed, 4) for packed in range(0, 1 << 16, 131))
+    for rel in chain(all_relations(1), all_relations(2), all_relations(3), sample):
+        n = len(rel)
+        pairs = set(relation_pairs(rel))
+        strict = strict_pairs(pairs)
+        if not naive_properties(n, pairs)["acyclic"]:
+            assert longest_strict_chain(rel) is CYCLIC
+            continue
+        longest = max(
+            k for k in range(1, n + 1) for path in permutations(range(n), k)
+            if all((a, b) in strict for a, b in zip(path[1:], path))
+        )
+        assert longest_strict_chain(rel) == longest
 
 
 def _classes_up_to_4():

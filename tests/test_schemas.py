@@ -17,7 +17,7 @@ from ddlmc.schemas import (
     forward_check,
     table_sweep,
 )
-from ddlmc.semantics import EvalRule, truth_set, valid_on_frame
+from ddlmc.semantics import EvalRule, frame_counterexample, truth_set, valid_on_frame
 
 
 def test_registry_contents():
@@ -50,6 +50,17 @@ def test_forward_counterexample_assignment_refutes():
     )
     # re-evaluate the schema under the reported assignment
     assert truth_set(SCHEMAS["Dstar"], model, EvalRule.OPT, model.valuation) != model.full_mask
+
+
+def test_forward_counterexample_frame_is_revalidated(monkeypatch):
+    # A scan that hands back a frame without the requested property must
+    # not get it past check_property: the irreflexive one-world frame
+    # falsifies D* under opt but is not reflexive.
+    env = frame_counterexample(SCHEMAS["Dstar"], (0,), EvalRule.OPT)
+    hit = (1, (0,), tuple(env.values()))
+    monkeypatch.setattr(schemas, "scan_frames", lambda *args, **kwargs: (hit, {1: 1}))
+    with pytest.raises(AssertionError, match="lacks reflexive"):
+        forward_check([P.REFLEXIVE], "Dstar", EvalRule.OPT, 1)
 
 
 def test_dex_valid_under_max_refuted_under_lewis():
