@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -186,22 +187,40 @@ def test_canonical_orbits_partition_space():
             assert orbit_size(rep) == len(images)
 
 
+def _sampled_relations(n):
+    """Every relation for n <= 3, every 97th packed value above."""
+    if n <= 3:
+        return all_relations(n)
+    step = (1 << (n * n)) // 97
+    return (unpack_relation(packed, n) for packed in range(0, 1 << (n * n), step))
+
+
+def _canonical_form(rel):
+    """The class builder's representative of rel: its least relabelling."""
+    return unpack_relation(min(_orbit_images(rel)), len(rel))
+
+
 def test_orbit_images_are_the_oracle_orbit():
     # the class builder reads every relabelling from packed lanes; the
     # oracle relabels a pair set world by world
-    def relations(n):
-        if n <= 3:
-            return all_relations(n)
-        step = (1 << (n * n)) // 97
-        return (unpack_relation(packed, n) for packed in range(0, 1 << (n * n), step))
-
     for n in (1, 2, 3, 4, 5):
-        for rel in relations(n):
+        for rel in _sampled_relations(n):
             packed = _orbit_images(rel)
             images = _oracle_orbit(rel)
             assert {unpack_relation(image, n) for image in packed} == images, rel
-            assert unpack_relation(min(packed), n) == min(images), rel
             assert orbit_size(rel) == len(images), rel
+
+
+def test_canonical_form_is_the_orbit_minimum():
+    for n in (1, 2, 3, 4, 5):
+        for rel in _sampled_relations(n):
+            assert _canonical_form(rel) == min(_oracle_orbit(rel)), rel
+
+
+def test_canonical_form_is_orbit_invariant():
+    for rel in itertools.islice(all_relations(3), 0, 512, 7):
+        forms = {_canonical_form(image) for image in _oracle_orbit(rel)}
+        assert len(forms) == 1, rel
 
 
 def test_property_classes_equal_the_filtered_walk():
