@@ -45,7 +45,7 @@ import time
 
 from . import casestudy
 from .finder import SearchSpec, SearchTimeout, find_satisfying_model, rule_collapse
-from .formula import ParseError, parse, render
+from .formula import ParseError, metavars, parse, render
 from .model import ModelFormatError, parse_model, serialize_model, worlds_from_mask
 from .relprops import (
     RelationProperty,
@@ -167,6 +167,9 @@ def _cmd_find_model(args) -> int:
     rule = rule_from_name(args.rule)
     props = _parse_props(args.props)
     targets = [_parse_formula(t) for t in args.targets]
+    for t in targets:
+        if metavars(t):
+            raise UsageError(f"target contains metavariables: {render(t)}")
     atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip()) if args.atoms else None
     try:
         spec = SearchSpec(

@@ -14,14 +14,16 @@ base-2^n digit, so the lowest valuation bit that settles the targets is the
 least valuation.  Each search compiles its formulas once and runs the
 compiled probe on every frame.  Searches count frames, not valuations.
 
-``scan_frames`` is the one search skeleton: it enumerates the frames with
-the given properties itself, narrowed by an optional frame filter, and
-returns the first probe hit, smallest universe first.  The model search,
-forward checks, converse searches and the rule collapse differ only in the
-probe, the properties and the filter they hand it.  Every search stops at
-a deadline, a ``time.monotonic()`` value (None: no limit), raising
-``SearchTimeout``.  Scans are serial; the work is pure Python, so threads
-would not run it faster.
+``scan_frames`` is the one search skeleton: it checks the world bound,
+enumerates the frames with the given properties, narrowed by an optional
+frame filter, and returns the first probe hit, smallest universe first.
+A search for a least (frame, valuation) witness is a ``SearchSpec`` run by
+``find_satisfying_model`` (the model search, forward checks, model-level
+converses), re-validated in one place, ``_revalidate``; the frame-level
+converse and the rule collapse hand ``scan_frames`` a probe of their own.
+Every search stops at a deadline, a ``time.monotonic()`` value (None: no
+limit), raising ``SearchTimeout``.  Scans are serial; the work is pure
+Python, so threads would not run it faster.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .model import (
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_all, check_property, has_all
-from .semantics import EvalRule, scanner, slicer, truth_set
+from .semantics import EvalRule, cond_holds, scanner, slicer, truth_set
 
 
 def enumerate_frames(
@@ -76,9 +78,11 @@ def enumerate_frames(
 class SearchSpec:
     """What to search for: targets plus the model class to range over.
 
-    frame_filter, when set, further restricts the frames scanned (it sees
-    the relation rows and must be a pure predicate).  The search stops at
-    deadline, a ``time.monotonic()`` value (None: no limit).
+    atoms orders the valuation's names (default: the targets' names,
+    sorted); metavariables are read from it like atoms, and one name may
+    not be both.  frame_filter, a pure predicate on the relation rows,
+    narrows the frames scanned and is re-checked on the witness.  The
+    search stops at deadline, a ``time.monotonic()`` value (None: no limit).
     """
 
     max_n: int
@@ -94,15 +98,15 @@ class SearchSpec:
     def __post_init__(self):
         self.targets = tuple(self.targets)
         self.properties = tuple(self.properties)
-        check_world_bound(self.max_n)
         if not self.targets:
             raise ValueError("search needs at least one target formula")
         if self.mode not in ("satisfy", "refute"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        for t in self.targets:
-            if fm.metavars(t):
-                raise ValueError(f"target contains metavariables: {fm.render(t)}")
-        mentioned = sorted(set().union(*(fm.atoms(t) for t in self.targets)))
+        atoms = set().union(*(fm.atoms(t) for t in self.targets))
+        metavars = set().union(*(fm.metavars(t) for t in self.targets))
+        if atoms & metavars:
+            raise ValueError(f"names {sorted(atoms & metavars)} are used as atoms and as metavariables")
+        mentioned = sorted(atoms | metavars)
         if self.atoms is None:
             self.atoms = tuple(mentioned)
         else:
@@ -146,8 +150,8 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
 
     Satisfying means every target true at every world (absolute formulas
     make the two readings coincide); refuting means some target false at
-    some world.  Found models are re-validated with the reference evaluator
-    and the property checker before being returned.
+    some world.  Found models are re-validated by ``_revalidate`` before
+    being returned.
 
     frames_checked counts frames up to and including the witness frame, or
     all filtered frames when the bound is exhausted.
@@ -184,8 +188,9 @@ def scan_frames(
     iso_reject)`` that pass frame_filter, in ascending order; universes are
     scanned smallest first, so the hit is the least one.  per_n[n] counts
     the frames scanned up to and including the hit; the deadline is checked
-    every 256 frames.
+    every 256 frames.  A max_n outside the world bound is rejected first.
     """
+    check_world_bound(max_n)
     per_n: dict[int, int] = {}
     for n in range(1, max_n + 1):
         frames = enumerate_frames(n, properties, iso_reject, deadline)
@@ -206,8 +211,10 @@ def scan_frames(
 def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:
     for prop in spec.properties:
         if not check_property(prop, model):
-            raise AssertionError(f"witness fails property {prop}")
-    failed = [t for t in spec.targets if truth_set(t, model, spec.rule) != model.full_mask]
+            raise AssertionError(f"witness lacks {prop.value}")
+    if spec.frame_filter is not None and not spec.frame_filter(model.rel):
+        raise AssertionError("witness frame fails the frame filter")
+    failed = [t for t in spec.targets if truth_set(t, model, spec.rule, model.valuation) != model.full_mask]
     if spec.mode == "satisfy" and failed:
         raise AssertionError(f"witness fails target {fm.render(failed[0])}")
     if spec.mode == "refute" and not failed:
@@ -223,22 +230,22 @@ def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None
 
     Compares the extensional conditional for every antecedent/consequent
     pair on every such frame up to max_n, returning a report with either
-    status "confirmed" or the first disagreeing frame.  Raises SearchTimeout
-    at the deadline.
+    status "confirmed" or the first disagreeing frame, whose verdicts are
+    those of the reference ``cond_holds``.  Raises SearchTimeout at the
+    deadline.
     """
-    check_world_bound(max_n)
     props = (
         RelationProperty.REFLEXIVE,
         RelationProperty.TOTAL,
         RelationProperty.TRANSITIVE,
     )
+    rules = (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
     cond = fm.Oblig(fm.MetaVar("g"), fm.MetaVar("f"))
-    tables = [slicer(cond, rule, ("f", "g")) for rule in (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)]
+    tables = [slicer(cond, rule, ("f", "g")) for rule in rules]
 
     def probe(rel):
         opt, mx, lewis = (values(rel)[0] for values in tables)
-        diverged = (opt ^ mx) | (mx ^ lewis)
-        return (diverged, opt, mx, lewis) if diverged else None
+        return (opt ^ mx) | (mx ^ lewis) or None
 
     hit, per_n = scan_frames(max_n, props, probe, iso_reject=iso_reject, deadline=deadline)
     frames_checked = sum(per_n.values())
@@ -249,16 +256,19 @@ def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None
             "frames_checked": frames_checked,
             "properties": [p.value for p in props],
         }
-    n, rel, (diverged, opt, mx, lewis) = hit
+    n, rel, diverged = hit
     v = (diverged & -diverged).bit_length() - 1
+    antecedent, consequent = v >> n, v & full_mask(n)
+    frame = PreferenceModel(n, rel)
+    verdicts = {rule.value: cond_holds(rule, consequent, antecedent, frame) for rule in rules}
+    if len(set(verdicts.values())) == 1:
+        raise AssertionError("the reference conditional does not diverge on the reported frame")
     return {
         "status": "diverged",
         "max_n": max_n,
         "frames_checked": frames_checked,
         "frame": {"n": n, "rel": list(rel)},
-        "antecedent": list(worlds_from_mask(v >> n)),
-        "consequent": list(worlds_from_mask(v & full_mask(n))),
-        "opt": bool(opt >> v & 1),
-        "max": bool(mx >> v & 1),
-        "lewis": bool(lewis >> v & 1),
+        "antecedent": list(worlds_from_mask(antecedent)),
+        "consequent": list(worlds_from_mask(consequent)),
+        **verdicts,
     }

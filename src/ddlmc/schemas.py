@@ -9,10 +9,12 @@ Schemata are written over the metavariables ?f, ?g, ?h.
 whether every frame with a given set of betterness properties validates an
 axiom schema, reporting the least counterexample frame otherwise.
 ``converse_search`` hunts for a frame (or, in model-level mode, a model)
-validating the axiom while lacking the property.  ``table_sweep`` runs the
-whole correspondence table for one evaluation rule, including the
-documented background assumptions and, for each correspondence row, a
-dropped-property counterexample search.
+validating the axiom while lacking the property.  Forward checks and
+model-level converses are refute and satisfy ``SearchSpec`` searches over
+the schema's metavariables.  ``table_sweep`` runs the whole correspondence
+table for one evaluation rule, including the documented background
+assumptions and, for each correspondence row, a dropped-property
+counterexample search.
 
 Rows whose property is known not to correspond to any axiom are reported
 as bounded evidence only: at finite sizes some axioms can become valid as
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import formula as fm
-from .finder import scan_frames
+from .finder import SearchSpec, find_satisfying_model, scan_frames
 from .model import (
     PreferenceModel,
     Relation,
@@ -120,30 +122,20 @@ def forward_check(
 ) -> ForwardResult:
     """Exhaustively check property => axiom on all frames up to max_n.
 
-    Before it is reported, a counterexample is re-checked with
-    check_property and, under its assignment, with the reference truth_set.
+    A least falsifying (frame, assignment) is re-validated by the search
+    before it is reported.
     """
-    check_world_bound(max_n)
     name, body = _resolve(axiom)
-    names = schema_names(body)
     props = tuple(properties)
-    hit, per_n = scan_frames(
-        max_n, props, scanner((body,), rule, names, "refute"),
-        iso_reject=iso_reject, deadline=deadline,
-    )
-    result = ForwardResult(name, rule, props, max_n, "confirmed", sum(per_n.values()))
-    if hit is not None:
-        n, rel, env = hit
-        assignment = dict(zip(names, env))
-        frame = PreferenceModel(n, rel)
-        for prop in props:
-            if not check_property(prop, rel):
-                raise AssertionError(f"counterexample frame lacks {prop.value}")
-        if truth_set(body, frame, rule, assignment=assignment) == frame.full_mask:
-            raise AssertionError(f"counterexample does not falsify {name}")
+    found = find_satisfying_model(SearchSpec(
+        max_n=max_n, rule=rule, targets=(body,), properties=props, atoms=schema_names(body),
+        mode="refute", iso_reject=iso_reject, deadline=deadline,
+    ))
+    result = ForwardResult(name, rule, props, max_n, "confirmed", found.frames_checked)
+    if found.model is not None:
         result.status = "counterexample"
-        result.counter_frame = rel
-        result.counter_assignment = assignment
+        result.counter_frame = found.model.rel
+        result.counter_assignment = found.model.valuation
     return result
 
 
@@ -194,47 +186,44 @@ def converse_search(
     """Search for a frame that validates the axiom yet lacks the property.
 
     Frame-level (default): the axiom must hold under every assignment to
-    its metavariables.  Model-level reproduces a fixed-valuation reading:
-    metavariables are read as atoms and the search ranges over valuations too,
-    so a witness is a model in which that single instance holds.  Before it
-    is reported, a witness is re-checked with check_property and, under
-    every assignment it claims, with the reference truth_set.
+    its metavariables; a witness is re-checked with check_property and,
+    under every assignment, with the reference truth_set.  Model-level
+    reproduces a fixed-valuation reading: a satisfy-mode search over the
+    metavariables' valuations too, so a witness is a model in which that
+    single instance holds.
     """
-    check_world_bound(max_n)
     name, body = _resolve(axiom)
     names = schema_names(body)
-    scan = scanner((body,), rule, names, "satisfy" if model_level else "refute")
 
-    def probe(rel):
-        if model_level:
-            return scan(rel, deadline)
-        return True if scan(rel) is None else None
+    def lacks(rel):
+        return not check_property(prop, rel)
 
-    hit, per_n = scan_frames(
-        max_n, (), probe, iso_reject=iso_reject, deadline=deadline,
-        frame_filter=lambda rel: not check_property(prop, rel),
-    )
-    result = ConverseResult(
-        axiom=name, rule=rule, prop=prop, max_n=max_n, status="none_up_to_bound",
-        frames_checked=sum(per_n.values()), model_level=model_level,
-    )
-    if hit is not None:
-        n, rel, env = hit
-        if check_property(prop, rel):
-            raise AssertionError(f"witness frame has {prop.value}")
-        if model_level:
-            witness = PreferenceModel(n, rel, dict(zip(names, env)))
-            assignments = (witness.valuation,)
-        else:
+    if model_level:
+        found = find_satisfying_model(SearchSpec(
+            max_n=max_n, rule=rule, targets=(body,), atoms=names,
+            iso_reject=iso_reject, deadline=deadline, frame_filter=lacks,
+        ))
+        frames_checked, witness = found.frames_checked, found.model
+    else:
+        refute = scanner((body,), rule, names, "refute")
+        hit, per_n = scan_frames(
+            max_n, (), lambda rel: True if refute(rel, deadline) is None else None,
+            iso_reject=iso_reject, deadline=deadline, frame_filter=lacks,
+        )
+        frames_checked, witness = sum(per_n.values()), None
+        if hit is not None:
+            n, rel, _ = hit
             witness = PreferenceModel(n, rel)
-            every = product(range(1 << n), repeat=len(names))
-            assignments = (dict(zip(names, masks)) for masks in every)
-        for assignment in assignments:
-            if truth_set(body, witness, rule, assignment=assignment) != witness.full_mask:
-                raise AssertionError(f"witness does not validate {name}")
-        result.status = "witness"
-        result.witness = witness
-    return result
+            if not lacks(rel):
+                raise AssertionError(f"witness frame has {prop.value}")
+            for masks in product(range(1 << n), repeat=len(names)):
+                if truth_set(body, witness, rule, dict(zip(names, masks))) != witness.full_mask:
+                    raise AssertionError(f"witness does not validate {name}")
+    return ConverseResult(
+        axiom=name, rule=rule, prop=prop, max_n=max_n,
+        status="none_up_to_bound" if witness is None else "witness",
+        frames_checked=frames_checked, model_level=model_level, witness=witness,
+    )
 
 
 # ---------------------------------------------------------------------------

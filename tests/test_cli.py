@@ -156,6 +156,15 @@ def test_usage_errors(model_file, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("target", ["?x", "p & ?p"])
+def test_find_model_rejects_metavariables(target, capsys):
+    code = main(["find-model", target])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: target contains metavariables: {target}\n"
+
+
 def test_json_reports_are_deterministic(capsys):
     outputs = set()
     for workers in ("1", "2", "1"):

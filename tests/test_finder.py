@@ -13,10 +13,12 @@ from ddlmc.finder import (
     SearchTimeout,
     enumerate_frames,
     find_satisfying_model,
+    rule_collapse,
 )
 from ddlmc.formula import parse
 from ddlmc.model import PreferenceModel, relation_from_pairs, relation_pairs
-from ddlmc.relprops import CYCLIC, check_property, longest_strict_chain
+from ddlmc.relprops import CYCLIC, check_property, is_acyclic, longest_strict_chain
+from ddlmc.schemas import converse_search, forward_check
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.semantics import EvalRule, scanner, truth_set
 
@@ -51,8 +53,10 @@ def test_enumerate_iso_yields_canonical_representatives():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(max_n=3, rule=EvalRule.MAX, targets=())
-    with pytest.raises(ValueError):
-        SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("?x"),))
+    # metavariables are read from the valuation like atoms, so one name
+    # cannot be both
+    with pytest.raises(ValueError, match=r"\['p'\] are used as atoms and as metavariables"):
+        SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("p & ?p"),))
     with pytest.raises(ValueError):
         SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("p"),), atoms=("q",))
     # Six names over three worlds span two slices: the first p would be
@@ -121,8 +125,6 @@ def test_refute_mode():
 
 
 def test_frame_filter():
-    from ddlmc.relprops import is_acyclic
-
     spec = SearchSpec(
         max_n=3, rule=EvalRule.MAX, targets=(parse("<>T"),),
         frame_filter=lambda rel: not is_acyclic(rel),
@@ -130,6 +132,57 @@ def test_frame_filter():
     result = find_satisfying_model(spec)
     assert result.status == "sat"
     assert longest_strict_chain(result.model) is CYCLIC
+
+
+def test_frame_filter_is_revalidated(monkeypatch):
+    # A scan that hands back a frame the filter rejects must not get it
+    # past the search: the reflexive one-world frame has no strict cycle.
+    monkeypatch.setattr("ddlmc.finder.scan_frames", lambda *args, **kwargs: ((1, (1,), ()), {1: 1}))
+    spec = SearchSpec(
+        max_n=3, rule=EvalRule.MAX, targets=(parse("<>T"),),
+        frame_filter=lambda rel: not is_acyclic(rel),
+    )
+    with pytest.raises(AssertionError, match="frame filter"):
+        find_satisfying_model(spec)
+
+
+def test_collapse_divergence_is_revalidated(monkeypatch):
+    # A slicer that makes opt disagree with max and lewis on every frame
+    # must not get a divergence past the reference cond_holds: on the
+    # first frame, the reflexive one-world frame, the three rules agree.
+    def slicer(cond, rule, names):
+        return lambda rel: [1 if rule is EvalRule.OPT else 0] * len(rel)
+
+    monkeypatch.setattr("ddlmc.finder.slicer", slicer)
+    with pytest.raises(AssertionError, match="does not diverge"):
+        rule_collapse(3)
+
+
+_SEARCHES = {
+    "forward_check": lambda max_n, deadline: forward_check(
+        [P.REFLEXIVE], "Dstar", EvalRule.OPT, max_n, deadline=deadline),
+    "converse_frame": lambda max_n, deadline: converse_search(
+        "Id", P.REFLEXIVE, EvalRule.MAX, max_n, deadline=deadline),
+    "converse_model": lambda max_n, deadline: converse_search(
+        "Id", P.REFLEXIVE, EvalRule.MAX, max_n, deadline=deadline, model_level=True),
+    "rule_collapse": lambda max_n, deadline: rule_collapse(max_n, deadline=deadline),
+}
+
+
+@pytest.mark.parametrize("search", sorted(_SEARCHES))
+def test_library_searches_check_bound_and_deadline(search, monkeypatch):
+    run = _SEARCHES[search]
+    assert run(2, None)  # runs to completion within the bound
+    with pytest.raises(SearchTimeout):
+        run(3, time.monotonic() - 1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scanned a frame outside the bound")
+
+    monkeypatch.setattr("ddlmc.finder.enumerate_frames", no_work)
+    for max_n in (0, 6):
+        with pytest.raises(ValueError, match="1..5"):
+            run(max_n, None)
 
 
 _FIVE_ATOMS = ("a", "b", "c", "d", "e")

@@ -58,7 +58,7 @@ def test_forward_counterexample_frame_is_revalidated(monkeypatch):
     # falsifies D* under opt but is not reflexive.
     env = frame_counterexample(SCHEMAS["Dstar"], (0,), EvalRule.OPT)
     hit = (1, (0,), tuple(env.values()))
-    monkeypatch.setattr(schemas, "scan_frames", lambda *args, **kwargs: (hit, {1: 1}))
+    monkeypatch.setattr("ddlmc.finder.scan_frames", lambda *args, **kwargs: (hit, {1: 1}))
     with pytest.raises(AssertionError, match="lacks reflexive"):
         forward_check([P.REFLEXIVE], "Dstar", EvalRule.OPT, 1)
 

@@ -247,14 +247,19 @@ def test_one_probe_serves_every_size_and_slice(rule, mode):
 
 def test_a_search_reads_the_schema_names_once(monkeypatch):
     # The schema is compiled once per search, so its atoms and
-    # metavariables are read once, not once per frame.
+    # metavariables are read a fixed number of times, not once per frame:
+    # a search over 3 frames reads them as often as one over thousands.
     calls = []
     for name in ("atoms", "metavars"):
         original = getattr(fm, name)
         monkeypatch.setattr(fm, name, lambda f, original=original: calls.append(f) or original(f))
-    result = forward_check((), "Abs", EvalRule.LEWIS, 4)
-    assert result.frames_checked > 3000
-    assert len(calls) == 2
+    counts = []
+    for max_n in (1, 4):
+        calls.clear()
+        counts.append((forward_check((), "Abs", EvalRule.LEWIS, max_n).frames_checked, len(calls)))
+    (small, small_calls), (large, large_calls) = counts
+    assert small < 4 and large > 3000
+    assert small_calls == large_calls
 
 
 def test_frame_validity_cap(monkeypatch):
