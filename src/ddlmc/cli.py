@@ -90,6 +90,15 @@ def _parse_formula(text: str):
         raise UsageError(f"bad formula {text!r}: {exc}") from None
 
 
+def _parse_ground(texts: list[str], what: str) -> list:
+    """Formulas read under a model's valuation, so with no metavariables."""
+    formulas = [_parse_formula(t) for t in texts]
+    for f in formulas:
+        if metavars(f):
+            raise UsageError(f"{what} contains metavariables: {render(f)}")
+    return formulas
+
+
 def _print_report(report: dict, args, started: float) -> None:
     report["elapsed_ms"] = int((time.monotonic() - started) * 1000) if args.timing else None
     text = report.pop("_text", None)
@@ -138,7 +147,7 @@ def _cmd_check_model(args) -> int:
     model = _read_model(args.model)
     rule = rule_from_name(args.rule)
     props = _parse_props(args.props)
-    formulas = [_parse_formula(t) for t in args.formulas]
+    formulas = _parse_ground(args.formulas, "formula")
     prop_results = {p.value: check_property(p, model) for p in props}
     formula_results = {}
     for f in formulas:
@@ -166,10 +175,7 @@ def _cmd_check_model(args) -> int:
 def _cmd_find_model(args) -> int:
     rule = rule_from_name(args.rule)
     props = _parse_props(args.props)
-    targets = [_parse_formula(t) for t in args.targets]
-    for t in targets:
-        if metavars(t):
-            raise UsageError(f"target contains metavariables: {render(t)}")
+    targets = _parse_ground(args.targets, "target")
     atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip()) if args.atoms else None
     try:
         spec = SearchSpec(
@@ -234,36 +240,29 @@ def _cmd_correspond(args) -> int:
 
     if args.converse:
         prop = property_from_name(args.converse)
-        result = converse_search(
+        report = converse_search(
             args.axiom, prop, rule, args.max_n,
             iso_reject=args.iso_reject, deadline=args.deadline,
             model_level=args.model_level,
         )
-        report = {"command": "correspond", **result.to_json()}
-        report["_text"] = (
-            f"converse {args.axiom} => {prop}: {result.status} "
-            f"(checked {result.frames_checked} frames)"
+        witness = report.get("witness")
+        heading = f"converse {args.axiom} => {prop}"
+        ok = witness is not None
+    else:
+        props = _parse_props(args.props)
+        report = forward_check(
+            props, args.axiom, rule, args.max_n,
+            iso_reject=args.iso_reject, deadline=args.deadline,
         )
-        if result.witness is not None:
-            report["_text"] += "\n" + serialize_model(result.witness).rstrip()
-        _print_report(report, args, args._started)
-        return 0 if result.status == "witness" else 1
-
-    props = _parse_props(args.props)
-    result = forward_check(
-        props, args.axiom, rule, args.max_n,
-        iso_reject=args.iso_reject, deadline=args.deadline,
-    )
-    report = {"command": "correspond", **result.to_json()}
-    props_text = "+".join(p.value for p in props) or "(none)"
-    report["_text"] = (
-        f"forward {props_text} => {args.axiom} [{rule}]: {result.status} "
-        f"(checked {result.frames_checked} frames)"
-    )
-    if result.counter_frame is not None:
-        report["_text"] += "\n" + report["counterexample"]["model_text"].rstrip()
+        witness = report.get("counterexample")
+        heading = f"forward {'+'.join(p.value for p in props) or '(none)'} => {args.axiom} [{rule}]"
+        ok = witness is None
+    report = {"command": "correspond", **report}
+    report["_text"] = f"{heading}: {report['status']} (checked {report['frames_checked']} frames)"
+    if witness is not None:
+        report["_text"] += "\n" + witness["model_text"].rstrip()
     _print_report(report, args, args._started)
-    return 0 if result.confirmed else 1
+    return 0 if ok else 1
 
 
 def _cmd_collapse(args) -> int:

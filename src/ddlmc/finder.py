@@ -17,10 +17,12 @@ compiled probe on every frame.  Searches count frames, not valuations.
 ``scan_frames`` is the one search skeleton: it checks the world bound,
 enumerates the frames with the given properties, narrowed by an optional
 frame filter, and returns the first probe hit, smallest universe first.
-A search for a least (frame, valuation) witness is a ``SearchSpec`` run by
-``find_satisfying_model`` (the model search, forward checks, model-level
-converses), re-validated in one place, ``_revalidate``; the frame-level
-converse and the rule collapse hand ``scan_frames`` a probe of their own.
+A search for a least witness is a ``SearchSpec`` run by
+``find_satisfying_model``: a (frame, valuation) in satisfy and refute mode
+(the model search, forward checks, model-level converses), a frame in
+valid mode (frame-level converses).  Every such witness is re-validated in
+one place, ``_revalidate``; only the rule collapse hands ``scan_frames`` a
+probe of its own.
 Every search stops at a deadline, a ``time.monotonic()`` value (None: no
 limit), raising ``SearchTimeout``.  Scans are serial; the work is pure
 Python, so threads would not run it faster.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import formula as fm
@@ -40,12 +43,11 @@ from .model import (
     all_relations,
     canonical_relations,
     check_world_bound,
-    full_mask,
     model_json,
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_all, check_property, has_all
-from .semantics import EvalRule, cond_holds, scanner, slicer, truth_set
+from .semantics import EvalRule, cond_holds, least_valuation, scanner, slicer, truth_set
 
 
 def enumerate_frames(
@@ -74,13 +76,26 @@ def enumerate_frames(
             yield rel
 
 
+# Per mode, the status of a search that found a witness and of one that
+# exhausted its bound.
+_STATUS = {
+    "satisfy": ("sat", "unsat_up_to_bound"),
+    "refute": ("refuted", "no_refutation_up_to_bound"),
+    "valid": ("valid", "no_valid_frame_up_to_bound"),
+}
+
+
 @dataclass
 class SearchSpec:
     """What to search for: targets plus the model class to range over.
 
     atoms orders the valuation's names (default: the targets' names,
     sorted); metavariables are read from it like atoms, and one name may
-    not be both.  frame_filter, a pure predicate on the relation rows,
+    not be both.  mode is "satisfy" (every target true at every world),
+    "refute" (some target false at some world) or "valid" (every target
+    true at every world under every valuation of atoms: a frame witness,
+    reported with an empty valuation).  frame_filter, a pure predicate on
+    the relation rows,
     narrows the frames scanned and is re-checked on the witness.  The
     search stops at deadline, a ``time.monotonic()`` value (None: no limit).
     """
@@ -90,7 +105,7 @@ class SearchSpec:
     targets: Sequence[fm.Formula]
     properties: Sequence[RelationProperty] = ()
     atoms: Sequence[str] | None = None
-    mode: str = "satisfy"  # or "refute"
+    mode: str = "satisfy"  # or "refute" or "valid"
     iso_reject: bool = True
     deadline: float | None = None
     frame_filter: Callable[[Relation], bool] | None = None
@@ -100,7 +115,7 @@ class SearchSpec:
         self.properties = tuple(self.properties)
         if not self.targets:
             raise ValueError("search needs at least one target formula")
-        if self.mode not in ("satisfy", "refute"):
+        if self.mode not in _STATUS:
             raise ValueError(f"unknown search mode {self.mode!r}")
         atoms = set().union(*(fm.atoms(t) for t in self.targets))
         metavars = set().union(*(fm.metavars(t) for t in self.targets))
@@ -121,7 +136,7 @@ class SearchSpec:
 
 @dataclass
 class SearchResult:
-    status: str  # sat | unsat_up_to_bound | refuted | no_refutation_up_to_bound
+    status: str  # one of the spec mode's two _STATUS entries
     spec: SearchSpec
     model: PreferenceModel | None = None
     frames_checked: int = 0
@@ -150,7 +165,8 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
 
     Satisfying means every target true at every world (absolute formulas
     make the two readings coincide); refuting means some target false at
-    some world.  Found models are re-validated by ``_revalidate`` before
+    some world; valid means every target true at every world under every
+    valuation.  Found models are re-validated by ``_revalidate`` before
     being returned.
 
     frames_checked counts frames up to and including the witness frame, or
@@ -162,14 +178,13 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
         iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,
     )
     checked = sum(per_n.values())
+    found, exhausted = _STATUS[spec.mode]
     if hit is None:
-        status = "unsat_up_to_bound" if spec.mode == "satisfy" else "no_refutation_up_to_bound"
-        return SearchResult(status, spec, frames_checked=checked, per_n_frames=per_n)
+        return SearchResult(exhausted, spec, frames_checked=checked, per_n_frames=per_n)
     n, rel, env = hit
     model = PreferenceModel(n, rel, dict(zip(spec.atoms, env)))
     _revalidate(model, spec)
-    status = "sat" if spec.mode == "satisfy" else "refuted"
-    return SearchResult(status, spec, model, frames_checked=checked, per_n_frames=per_n)
+    return SearchResult(found, spec, model, frames_checked=checked, per_n_frames=per_n)
 
 
 def scan_frames(
@@ -209,14 +224,25 @@ def scan_frames(
 
 
 def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:
+    """Re-check a witness with check_property, the frame filter and the
+    reference truth_set: under its valuation, or in valid mode under every
+    valuation of spec.atoms."""
     for prop in spec.properties:
         if not check_property(prop, model):
             raise AssertionError(f"witness lacks {prop.value}")
     if spec.frame_filter is not None and not spec.frame_filter(model.rel):
         raise AssertionError("witness frame fails the frame filter")
-    failed = [t for t in spec.targets if truth_set(t, model, spec.rule, model.valuation) != model.full_mask]
-    if spec.mode == "satisfy" and failed:
-        raise AssertionError(f"witness fails target {fm.render(failed[0])}")
+    instances = [model]
+    if spec.mode == "valid":
+        instances = (
+            PreferenceModel(model.n, model.rel, dict(zip(spec.atoms, masks)))
+            for masks in product(range(1 << model.n), repeat=len(spec.atoms))
+        )
+    w = model.full_mask
+    for instance in instances:
+        failed = [t for t in spec.targets if truth_set(t, instance, spec.rule, instance.valuation) != w]
+        if spec.mode != "refute" and failed:
+            raise AssertionError(f"witness fails target {fm.render(failed[0])}")
     if spec.mode == "refute" and not failed:
         raise AssertionError("refutation witness validates all targets")
 
@@ -257,8 +283,7 @@ def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None
             "properties": [p.value for p in props],
         }
     n, rel, diverged = hit
-    v = (diverged & -diverged).bit_length() - 1
-    antecedent, consequent = v >> n, v & full_mask(n)
+    antecedent, consequent = least_valuation(diverged, n, 2)
     frame = PreferenceModel(n, rel)
     verdicts = {rule.value: cond_holds(rule, consequent, antecedent, frame) for rule in rules}
     if len(set(verdicts.values())) == 1:

@@ -9,12 +9,13 @@ Schemata are written over the metavariables ?f, ?g, ?h.
 whether every frame with a given set of betterness properties validates an
 axiom schema, reporting the least counterexample frame otherwise.
 ``converse_search`` hunts for a frame (or, in model-level mode, a model)
-validating the axiom while lacking the property.  Forward checks and
-model-level converses are refute and satisfy ``SearchSpec`` searches over
-the schema's metavariables.  ``table_sweep`` runs the whole correspondence
-table for one evaluation rule, including the documented background
-assumptions and, for each correspondence row, a dropped-property
-counterexample search.
+validating the axiom while lacking the property.  Each is one
+``SearchSpec`` search over the schema's metavariables: a forward check in
+refute mode, a frame-level converse in valid mode and a model-level one in
+satisfy mode; the search re-validates the witness.  Both return their JSON
+report dict.  ``table_sweep`` runs the whole correspondence table for one
+evaluation rule, including the documented background assumptions and, for
+each correspondence row, a dropped-property counterexample search.
 
 Rows whose property is known not to correspond to any axiom are reported
 as bounded evidence only: at finite sizes some axioms can become valid as
@@ -25,20 +26,11 @@ carry a pass/fail expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-
 from . import formula as fm
-from .finder import SearchSpec, find_satisfying_model, scan_frames
-from .model import (
-    PreferenceModel,
-    Relation,
-    check_world_bound,
-    model_json,
-    worlds_from_mask,
-)
+from .finder import SearchSpec, find_satisfying_model
+from .model import PreferenceModel, check_world_bound, model_json, worlds_from_mask
 from .relprops import RelationProperty, check_property
-from .semantics import EvalRule, scanner, schema_names, truth_set
+from .semantics import EvalRule, schema_names
 
 _SCHEMA_SOURCES = {
     "K": "[](?f -> ?g) -> ([]?f -> []?g)",
@@ -72,45 +64,6 @@ def schema(name: str) -> fm.Formula:
         raise ValueError(f"unknown axiom schema {name!r}") from None
 
 
-@dataclass
-class ForwardResult:
-    """Outcome of 'every frame with these properties validates the axiom'."""
-
-    axiom: str
-    rule: EvalRule
-    properties: tuple[RelationProperty, ...]
-    max_n: int
-    status: str  # confirmed | counterexample
-    frames_checked: int
-    counter_frame: Relation | None = None
-    counter_assignment: dict[str, int] | None = None
-
-    @property
-    def confirmed(self) -> bool:
-        return self.status == "confirmed"
-
-    def to_json(self) -> dict:
-        out = {
-            "axiom": self.axiom,
-            "rule": self.rule.value,
-            "properties": [p.value for p in self.properties],
-            "max_n": self.max_n,
-            "status": self.status,
-            "frames_checked": self.frames_checked,
-        }
-        if self.counter_frame is not None:
-            # The frame alone: the metavariable assignment is reported
-            # beside it, not as a valuation.
-            counter = model_json(PreferenceModel(len(self.counter_frame), self.counter_frame))
-            del counter["valuation"]
-            counter["assignment"] = {
-                name: list(worlds_from_mask(mask))
-                for name, mask in sorted(self.counter_assignment.items())
-            }
-            out["counterexample"] = counter
-        return out
-
-
 def forward_check(
     properties,
     axiom: str | fm.Formula,
@@ -119,11 +72,12 @@ def forward_check(
     *,
     iso_reject: bool = True,
     deadline: float | None = None,
-) -> ForwardResult:
+) -> dict:
     """Exhaustively check property => axiom on all frames up to max_n.
 
-    A least falsifying (frame, assignment) is re-validated by the search
-    before it is reported.
+    Returns the report: status "confirmed", or "counterexample" with the
+    least falsifying frame and metavariable assignment, which the search
+    re-validates before it is reported.
     """
     name, body = _resolve(axiom)
     props = tuple(properties)
@@ -131,46 +85,30 @@ def forward_check(
         max_n=max_n, rule=rule, targets=(body,), properties=props, atoms=schema_names(body),
         mode="refute", iso_reject=iso_reject, deadline=deadline,
     ))
-    result = ForwardResult(name, rule, props, max_n, "confirmed", found.frames_checked)
+    report = {
+        "axiom": name,
+        "rule": rule.value,
+        "properties": [p.value for p in props],
+        "max_n": max_n,
+        "status": "confirmed" if found.model is None else "counterexample",
+        "frames_checked": found.frames_checked,
+    }
     if found.model is not None:
-        result.status = "counterexample"
-        result.counter_frame = found.model.rel
-        result.counter_assignment = found.model.valuation
-    return result
+        # The frame alone: the metavariable assignment is reported beside
+        # it, not as a valuation.
+        counter = model_json(PreferenceModel(found.model.n, found.model.rel))
+        del counter["valuation"]
+        counter["assignment"] = {
+            var: list(worlds_from_mask(mask)) for var, mask in sorted(found.model.valuation.items())
+        }
+        report["counterexample"] = counter
+    return report
 
 
 def _resolve(axiom: str | fm.Formula) -> tuple[str, fm.Formula]:
     if isinstance(axiom, str):
         return axiom, schema(axiom)
     return fm.render(axiom), axiom
-
-
-@dataclass
-class ConverseResult:
-    """Outcome of the hunt for axiom-valid frames lacking the property."""
-
-    axiom: str
-    rule: EvalRule
-    prop: RelationProperty
-    max_n: int
-    status: str  # witness | none_up_to_bound
-    frames_checked: int
-    model_level: bool = False
-    witness: PreferenceModel | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "axiom": self.axiom,
-            "rule": self.rule.value,
-            "property": self.prop.value,
-            "max_n": self.max_n,
-            "level": "model" if self.model_level else "frame",
-            "status": self.status,
-            "frames_checked": self.frames_checked,
-        }
-        if self.witness is not None:
-            out["witness"] = model_json(self.witness)
-        return out
 
 
 def converse_search(
@@ -182,48 +120,36 @@ def converse_search(
     iso_reject: bool = True,
     deadline: float | None = None,
     model_level: bool = False,
-) -> ConverseResult:
+) -> dict:
     """Search for a frame that validates the axiom yet lacks the property.
 
-    Frame-level (default): the axiom must hold under every assignment to
-    its metavariables; a witness is re-checked with check_property and,
-    under every assignment, with the reference truth_set.  Model-level
-    reproduces a fixed-valuation reading: a satisfy-mode search over the
-    metavariables' valuations too, so a witness is a model in which that
-    single instance holds.
+    Frame-level (default): a valid-mode search, so the axiom must hold under
+    every assignment to its metavariables.  Model-level reproduces a
+    fixed-valuation reading: a satisfy-mode search over the metavariables'
+    valuations too, so a witness is a model in which that single instance
+    holds.  Either way the frame filter is "lacks the property", and the
+    search re-validates a witness before the report ("witness" or
+    "none_up_to_bound") carries it.
     """
     name, body = _resolve(axiom)
-    names = schema_names(body)
-
-    def lacks(rel):
-        return not check_property(prop, rel)
-
-    if model_level:
-        found = find_satisfying_model(SearchSpec(
-            max_n=max_n, rule=rule, targets=(body,), atoms=names,
-            iso_reject=iso_reject, deadline=deadline, frame_filter=lacks,
-        ))
-        frames_checked, witness = found.frames_checked, found.model
-    else:
-        refute = scanner((body,), rule, names, "refute")
-        hit, per_n = scan_frames(
-            max_n, (), lambda rel: True if refute(rel, deadline) is None else None,
-            iso_reject=iso_reject, deadline=deadline, frame_filter=lacks,
-        )
-        frames_checked, witness = sum(per_n.values()), None
-        if hit is not None:
-            n, rel, _ = hit
-            witness = PreferenceModel(n, rel)
-            if not lacks(rel):
-                raise AssertionError(f"witness frame has {prop.value}")
-            for masks in product(range(1 << n), repeat=len(names)):
-                if truth_set(body, witness, rule, dict(zip(names, masks))) != witness.full_mask:
-                    raise AssertionError(f"witness does not validate {name}")
-    return ConverseResult(
-        axiom=name, rule=rule, prop=prop, max_n=max_n,
-        status="none_up_to_bound" if witness is None else "witness",
-        frames_checked=frames_checked, model_level=model_level, witness=witness,
-    )
+    found = find_satisfying_model(SearchSpec(
+        max_n=max_n, rule=rule, targets=(body,), atoms=schema_names(body),
+        mode="satisfy" if model_level else "valid",
+        iso_reject=iso_reject, deadline=deadline,
+        frame_filter=lambda rel: not check_property(prop, rel),
+    ))
+    report = {
+        "axiom": name,
+        "rule": rule.value,
+        "property": prop.value,
+        "max_n": max_n,
+        "level": "model" if model_level else "frame",
+        "status": "none_up_to_bound" if found.model is None else "witness",
+        "frames_checked": found.frames_checked,
+    }
+    if found.model is not None:
+        report["witness"] = model_json(found.model)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +253,13 @@ def table_sweep(
         row_match: bool | None = True
         for axiom in row["axioms"]:
             forward = check(props, axiom)
-            entry = {"forward": forward.to_json()}
+            entry = {"forward": forward}
             if row["kind"] == "correspondence":
                 dropped = check((), axiom)
-                entry["dropped"] = dropped.to_json()
-                entry["match"] = forward.confirmed and not dropped.confirmed
+                entry["dropped"] = dropped
+                entry["match"] = forward["status"] == "confirmed" and dropped["status"] == "counterexample"
             elif row["kind"] == "unconditional":
-                entry["match"] = forward.confirmed
+                entry["match"] = forward["status"] == "confirmed"
             else:
                 entry["match"] = None
             axioms_out[axiom] = entry

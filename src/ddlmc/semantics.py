@@ -31,12 +31,14 @@ tuples.  A formula's value at a world is one int with bit v set iff the
 formula holds there under valuation v: atoms are truth-table columns,
 connectives are bitwise operations, and a conditional combines the
 per-world ints along the frame's betterness relation.  The lowest set bit
-of a result is the least valuation.  A slice holds at most 2**16
+of a result is the least valuation, which ``least_valuation`` decodes into
+its tuple of masks.  A slice holds at most 2**16
 valuations; beyond that the leading names are bound one mask tuple at a
 time, in ascending order, and a deadline (a ``time.monotonic()`` value)
 is checked between slices.  A search compiles its formulas once, into
 closures over a slice, and runs them on every frame: ``scanner`` builds the
-least-valuation probe and ``slicer`` the per-world values;
+least-valuation probe (or, in "valid" mode, the every-valuation probe) and
+``slicer`` the per-world values;
 ``frame_counterexample`` is the one-shot frame-validity form.
 ``truth_set`` stays the reference evaluator and re-validates every witness
 the scans report.
@@ -317,18 +319,27 @@ def slicer(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
     return values
 
 
+def least_valuation(hits: int, n: int, k: int) -> tuple[int, ...]:
+    """The valuation numbered by the lowest set bit of hits: its k masks
+    over n worlds, the most significant name first."""
+    v = (hits & -hits).bit_length() - 1
+    return tuple(v >> (k - 1 - i) * n & (1 << n) - 1 for i in range(k))
+
+
 def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satisfy"):
     """The formulas compiled once: probe(rel, deadline=None) is the least
     valuation of names (a tuple of masks) settling them on rel, or None.
 
     mode "satisfy" asks for every formula true at every world, "refute" for
-    some formula false at some world.  Atoms and metavariables alike are
-    read from the valuation.  When 2**(n * len(names)) exceeds one slice,
-    the leading names are bound to constant columns one mask tuple at a
-    time, in ascending order, with the deadline checked between slices.
+    some formula false at some world, and "valid" for every formula true at
+    every world under every valuation: its probe returns () when no
+    valuation refutes them, None otherwise.  Atoms and metavariables alike
+    are read from the valuation.  When 2**(n * len(names)) exceeds one
+    slice, the leading names are bound to constant columns one mask tuple
+    at a time, in ascending order, with the deadline checked between slices.
     """
     programs = [_compile(f) for f in formulas]
-    satisfy = mode == "satisfy"
+    satisfy, valid = mode == "satisfy", mode == "valid"
 
     def probe(rel: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
         n = len(rel)
@@ -350,9 +361,8 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
                     break
             hits = holds if satisfy else ones ^ holds
             if hits:
-                v = (hits & -hits).bit_length() - 1
-                return head + tuple(v >> (tail - 1 - i) * n & size - 1 for i in range(tail))
-        return None
+                return None if valid else head + least_valuation(hits, n, tail)
+        return () if valid else None
 
     return probe
 

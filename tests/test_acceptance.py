@@ -58,9 +58,9 @@ def test_criterion_01_e_axiom_validity():
     ok = True
     for rule in (EvalRule.OPT, EvalRule.MAX):
         for name in E_BLOCK:
-            ok = ok and forward_check([], name, rule, 3, iso_reject=False).confirmed
+            ok = ok and forward_check([], name, rule, 3, iso_reject=False)["status"] == "confirmed"
         for name in FEW_VARS:
-            ok = ok and forward_check([], name, rule, 4, iso_reject=True).confirmed
+            ok = ok and forward_check([], name, rule, 4, iso_reject=True)["status"] == "confirmed"
     _line("01", ok, "E axioms + S5 block frame-valid (opt, max), n<=3 all frames, "
           "n<=4 for <=2-metavariable schemata; target <10s", t0)
     assert ok
@@ -115,9 +115,9 @@ def test_criterion_03_table2_lewis_sweep():
 
 def test_criterion_04_deontic_explosion():
     t0 = time.monotonic()
-    valid_max = forward_check([], "DEX", EvalRule.MAX, 3, iso_reject=False).confirmed
+    valid_max = forward_check([], "DEX", EvalRule.MAX, 3, iso_reject=False)["status"] == "confirmed"
     lewis = forward_check([], "DEX", EvalRule.LEWIS, 3)
-    ok = valid_max and lewis.status == "counterexample" and len(lewis.counter_frame) <= 3
+    ok = valid_max and lewis["status"] == "counterexample" and lewis["counterexample"]["n"] <= 3
     _line("04", ok, "DEX frame-valid under max at n<=3; Lewis countermodel frame found", t0)
     assert ok
 

@@ -165,6 +165,36 @@ def test_find_model_rejects_metavariables(target, capsys):
     assert captured.err == f"error: target contains metavariables: {target}\n"
 
 
+@pytest.mark.parametrize("formula", ["?x -> p", "p & ?p"])
+def test_check_model_rejects_metavariables(formula, model_file, capsys):
+    code = main(["check-model", "--model", model_file, formula])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: formula contains metavariables: {formula}\n"
+
+
+def test_find_model_offers_only_satisfy_and_refute(capsys):
+    # valid mode is a library search (frame-level converses), not an option
+    assert main(["find-model", "p | ~p", "--mode", "valid"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("axiom, prop, frames", [
+    ("Dstar", "max_limited", 354),
+    ("CM", "max_smooth", 1634),
+])
+def test_exhausted_frame_level_converse_counts(axiom, prop, frames, capsys):
+    # every frame lacking the property up to n=4 refutes the axiom
+    code, out = run(capsys, "correspond", "--axiom", axiom, "--converse", prop,
+                    "--rule", "max", "--max-n", "4", "--json")
+    report = json.loads(out)
+    assert code == 1
+    assert (report["status"], report["level"], report["frames_checked"]) == (
+        "none_up_to_bound", "frame", frames)
+    assert "witness" not in report
+
+
 def test_json_reports_are_deterministic(capsys):
     outputs = set()
     for workers in ("1", "2", "1"):

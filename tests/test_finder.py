@@ -124,6 +124,20 @@ def test_refute_mode():
     assert truth_set(parse("O(p / T)"), m, EvalRule.MAX) != m.full_mask
 
 
+def test_valid_mode_quantifies_the_atoms_too():
+    # valid mode asks for every valuation of spec.atoms, atoms included:
+    # excluded middle holds on the least frame, a lone atom on none
+    spec = SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("p | ~p"),), mode="valid")
+    result = find_satisfying_model(spec)
+    assert result.status == "valid"
+    assert result.model == PreferenceModel(1, (0,))
+    spec = SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("p"),), mode="valid")
+    result = find_satisfying_model(spec)
+    assert result.status == "no_valid_frame_up_to_bound"
+    assert result.model is None
+    assert result.frames_checked == sum(len(list(enumerate_frames(n, iso_reject=True))) for n in (1, 2, 3))
+
+
 def test_frame_filter():
     spec = SearchSpec(
         max_n=3, rule=EvalRule.MAX, targets=(parse("<>T"),),

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
 
 from ddlmc import schemas
-from ddlmc.formula import metavars
+from ddlmc.formula import metavars, render
+from ddlmc.model import PreferenceModel
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.relprops import check_property
 from ddlmc.schemas import (
     SCHEMAS,
-    ForwardResult,
     converse_search,
     forward_check,
     table_sweep,
 )
 from ddlmc.semantics import EvalRule, frame_counterexample, truth_set, valid_on_frame
+
+
+def _model(witness: dict) -> PreferenceModel:
+    """The model a report's witness or counterexample describes; a
+    counterexample's metavariable assignment becomes its valuation."""
+    valuation = witness["valuation"] if "valuation" in witness else witness["assignment"]
+    return PreferenceModel.from_pairs(witness["n"], witness["rel"], valuation)
 
 
 def test_registry_contents():
@@ -30,24 +38,19 @@ def test_registry_contents():
 
 
 def test_forward_examples():
-    assert forward_check([P.MAX_LIMITED], "Dstar", EvalRule.MAX, 3).confirmed
-    assert forward_check([P.MAX_SMOOTH], "CM", EvalRule.MAX, 3).confirmed
+    assert forward_check([P.MAX_LIMITED], "Dstar", EvalRule.MAX, 3)["status"] == "confirmed"
+    assert forward_check([P.MAX_SMOOTH], "CM", EvalRule.MAX, 3)["status"] == "confirmed"
     result = forward_check([P.TRANSITIVE], "Sp", EvalRule.MAX, 3)
-    assert result.status == "counterexample"
-    assert check_property(P.TRANSITIVE, result.counter_frame)
-    assert not valid_on_frame(SCHEMAS["Sp"], result.counter_frame, EvalRule.MAX)
+    assert result["status"] == "counterexample"
+    frame = _model(result["counterexample"]).rel
+    assert check_property(P.TRANSITIVE, frame)
+    assert not valid_on_frame(SCHEMAS["Sp"], frame, EvalRule.MAX)
 
 
 def test_forward_counterexample_assignment_refutes():
     result = forward_check([], "Dstar", EvalRule.OPT, 2)
-    assert result.status == "counterexample"
-    from ddlmc.model import PreferenceModel
-
-    n = len(result.counter_frame)
-    model = PreferenceModel(
-        n, result.counter_frame,
-        {name: mask for name, mask in result.counter_assignment.items()},
-    )
+    assert result["status"] == "counterexample"
+    model = _model(result["counterexample"])
     # re-evaluate the schema under the reported assignment
     assert truth_set(SCHEMAS["Dstar"], model, EvalRule.OPT, model.valuation) != model.full_mask
 
@@ -64,18 +67,13 @@ def test_forward_counterexample_frame_is_revalidated(monkeypatch):
 
 
 def test_dex_valid_under_max_refuted_under_lewis():
-    assert forward_check([], "DEX", EvalRule.MAX, 3).confirmed
+    assert forward_check([], "DEX", EvalRule.MAX, 3)["status"] == "confirmed"
     result = forward_check([], "DEX", EvalRule.LEWIS, 3)
-    assert result.status == "counterexample"
-    assert len(result.counter_frame) <= 2
+    assert result["status"] == "counterexample"
+    assert result["counterexample"]["n"] <= 2
     # the instance built from the falsifying assignment refutes deontic
     # explosion under lewis in a concrete model
-    from ddlmc.model import PreferenceModel
-
-    model = PreferenceModel(
-        len(result.counter_frame), result.counter_frame,
-        dict(result.counter_assignment),
-    )
+    model = _model(result["counterexample"])
     assert truth_set(SCHEMAS["DEX"], model, EvalRule.LEWIS, model.valuation) != model.full_mask
 
 
@@ -105,36 +103,60 @@ def test_dex_fails_under_lewis_even_on_a_non_limited_model():
 def test_converse_trivial_witness():
     # Id is valid on every frame, so any non-transitive frame witnesses
     result = converse_search("Id", P.TRANSITIVE, EvalRule.MAX, 3)
-    assert result.status == "witness"
-    assert not check_property(P.TRANSITIVE, result.witness.rel)
-    assert valid_on_frame(SCHEMAS["Id"], result.witness.rel, EvalRule.MAX)
+    assert result["status"] == "witness"
+    frame = _model(result["witness"]).rel
+    assert not check_property(P.TRANSITIVE, frame)
+    assert valid_on_frame(SCHEMAS["Id"], frame, EvalRule.MAX)
 
 
 def test_converse_dstar_limitedness_none():
     # D* frame-validity pins down limitedness exactly, so no frame can
     # validate D* while failing it
     result = converse_search("Dstar", P.MAX_LIMITED, EvalRule.MAX, 4)
-    assert result.status == "none_up_to_bound"
+    assert result["status"] == "none_up_to_bound"
 
 
 def test_converse_frame_witness_is_revalidated(monkeypatch):
     # A scan that wrongly calls every frame valid must not get a witness
     # past the reference evaluator: the least frame lacking opt-limitedness
     # falsifies D* under opt.
-    monkeypatch.setattr("ddlmc.schemas.scanner", lambda *args, **kwargs: lambda rel, deadline=None: None)
-    with pytest.raises(AssertionError, match="does not validate Dstar"):
+    monkeypatch.setattr("ddlmc.finder.scanner", lambda *args, **kwargs: lambda rel, deadline=None: ())
+    target = re.escape(render(SCHEMAS["Dstar"]))
+    with pytest.raises(AssertionError, match=f"witness fails target {target}$"):
         converse_search("Dstar", P.OPT_LIMITED, EvalRule.OPT, 2)
+
+
+# (axiom, property, rule): cells whose least frame-level converse witness
+# has three worlds or is not the first frame lacking the property
+_CONVERSE_WITNESS_CELLS = [
+    ("Dstar", P.TRANSITIVE, EvalRule.OPT),
+    ("Dstar", P.INTERVAL_ORDER, EvalRule.OPT),
+    ("Sp", P.MAX_SMOOTH, EvalRule.MAX),
+    ("COK", P.MAX_SMOOTH, EvalRule.MAX),
+    ("Dstar", P.MAX_SMOOTH, EvalRule.LEWIS),
+    ("DR", P.MAX_LIMITED, EvalRule.LEWIS),
+]
+
+
+@pytest.mark.parametrize("axiom, prop, rule", _CONVERSE_WITNESS_CELLS)
+def test_converse_frame_witness_is_valid_by_the_oracle(axiom, prop, rule):
+    result = converse_search(axiom, prop, rule, 3)
+    assert result["status"] == "witness"
+    assert result["witness"]["valuation"] == {}
+    frame = _model(result["witness"]).rel
+    assert not check_property(prop, frame)
+    assert _oracle_frame_valid(SCHEMAS[axiom], frame, rule.value)
 
 
 def test_converse_cm_smoothness():
     # frame-level: no small frame validates CM while failing smoothness
     frame = converse_search("CM", P.MAX_SMOOTH, EvalRule.MAX, 3)
-    assert frame.status == "none_up_to_bound"
+    assert frame["status"] == "none_up_to_bound"
     # model-level: a fixed-instance reading does have a finite witness
     model = converse_search("CM", P.MAX_SMOOTH, EvalRule.MAX, 3, model_level=True)
-    assert model.status == "witness"
-    assert not check_property(P.MAX_SMOOTH, model.witness.rel)
-    witness = model.witness
+    assert model["status"] == "witness"
+    witness = _model(model["witness"])
+    assert not check_property(P.MAX_SMOOTH, witness.rel)
     assert truth_set(SCHEMAS["CM"], witness, EvalRule.MAX, witness.valuation) == witness.full_mask
 
 
@@ -176,7 +198,7 @@ def test_sweep_hands_every_check_the_callers_deadline(monkeypatch):
 
     def check(props, axiom, rule, max_n, **kwargs):
         seen.append(kwargs["deadline"])
-        return ForwardResult(axiom, rule, tuple(props), max_n, "confirmed", 0)
+        return {"status": "confirmed"}
 
     monkeypatch.setattr(schemas, "forward_check", check)
     table_sweep(EvalRule.LEWIS, 3, deadline=deadline)
@@ -227,8 +249,7 @@ def test_counterexample_identical_with_and_without_iso_rejection():
     for axiom, rule in (("Sp", EvalRule.MAX), ("DR", EvalRule.OPT), ("COK", EvalRule.LEWIS)):
         with_iso = forward_check([], axiom, rule, 3, iso_reject=True)
         without = forward_check([], axiom, rule, 3, iso_reject=False)
-        assert with_iso.counter_frame == without.counter_frame
-        assert with_iso.counter_assignment == without.counter_assignment
+        assert with_iso["counterexample"] == without["counterexample"]
 
 
 def test_formula_level_preference_is_transitive():
@@ -237,10 +258,10 @@ def test_formula_level_preference_is_transitive():
     from ddlmc.formula import parse
 
     schema = parse("(?f >= ?g) & (?g >= ?h) -> (?f >= ?h)")
-    assert forward_check([P.TRANSITIVE], schema, EvalRule.OPT, 3).confirmed
-    assert forward_check([P.TRANSITIVE, P.TOTAL], schema, EvalRule.MAX, 3).confirmed
-    assert forward_check([P.TRANSITIVE], schema, EvalRule.MAX, 3).status == "counterexample"
-    assert forward_check([], schema, EvalRule.OPT, 3).status == "counterexample"
+    assert forward_check([P.TRANSITIVE], schema, EvalRule.OPT, 3)["status"] == "confirmed"
+    assert forward_check([P.TRANSITIVE, P.TOTAL], schema, EvalRule.MAX, 3)["status"] == "confirmed"
+    assert forward_check([P.TRANSITIVE], schema, EvalRule.MAX, 3)["status"] == "counterexample"
+    assert forward_check([], schema, EvalRule.OPT, 3)["status"] == "counterexample"
 
 
 def test_sweep_bounds():

@@ -256,7 +256,7 @@ def test_a_search_reads_the_schema_names_once(monkeypatch):
     counts = []
     for max_n in (1, 4):
         calls.clear()
-        counts.append((forward_check((), "Abs", EvalRule.LEWIS, max_n).frames_checked, len(calls)))
+        counts.append((forward_check((), "Abs", EvalRule.LEWIS, max_n)["frames_checked"], len(calls)))
     (small, small_calls), (large, large_calls) = counts
     assert small < 4 and large > 3000
     assert small_calls == large_calls
