@@ -12,7 +12,10 @@ Each frame's valuations are scanned at once by the bit-sliced evaluator
 masks in the declared atom order, the first atom the most significant
 base-2^n digit, so the lowest valuation bit that settles the targets is the
 least valuation.  Each search compiles its formulas once and runs the
-compiled probe on every frame.  Searches count frames, not valuations.
+compiled probe on every frame; the probe settles each part of a frame the
+rule can tell apart once and answers repeats from its memo.  Searches
+count frames, not valuations or memo entries: frames_checked and the
+witness are the same as without the memo.
 
 ``scan_frames`` is the one search skeleton: it checks the world bound,
 enumerates the frames with the given properties, narrowed by an optional

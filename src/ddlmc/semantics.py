@@ -40,6 +40,17 @@ closures over a slice, and runs them on every frame: ``scanner`` builds the
 least-valuation probe (or, in "valid" mode, the every-valuation probe) and
 ``slicer`` the per-world values;
 ``frame_counterexample`` is the one-shot frame-validity form.
+
+A slice reads a frame only through its key, the part of the relation the
+formulas' conditionals can tell apart: formulas without an O, P, >= or >
+node read only the world count, lewis reads the reflexive closure (it
+never consults a world's loop), max the strict part (``strict_part``), and
+opt the relation itself.  Each probe memoises its results on the key, so a
+search settles each key once however many frames share it; under opt with
+conditionals every frame is its own key and the probe keeps no memo.  The
+memo lives as long as the probe and holds one entry per distinct key, at
+most 2**16 (an n=5 lewis scan over isomorphism classes meets 23 566 keys,
+a max scan 7 921); keys met past that are settled each time.
 ``truth_set`` stays the reference evaluator and re-validates every witness
 the scans report.
 
@@ -57,6 +68,7 @@ from operator import and_, or_
 
 from . import formula as fm
 from .model import (
+    MAX_WORLDS,
     PreferenceModel,
     Relation,
     SearchTimeout,
@@ -190,6 +202,7 @@ def valid_in_model(
 # Bit-sliced evaluation for exhaustive scans (see the module docstring)
 
 _SLICE_LOG2 = 16  # no slice holds more than 2**16 valuations
+_MEMO_KEYS = 1 << 16  # a search's probe remembers at most this many keys
 
 
 @lru_cache(maxsize=None)
@@ -210,25 +223,58 @@ def _columns(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(cols), ones
 
 
+_DIAGONAL = tuple(1 << a for a in range(MAX_WORLDS))
+
+
+def _reads_relation(g: fm.Formula) -> bool:
+    """Whether g has an O, P, >= or > node: only those read the relation."""
+    if isinstance(g, (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)):
+        return True
+    if isinstance(g, (fm.Not, fm.Box, fm.Diamond)):
+        return _reads_relation(g.child)
+    if isinstance(g, (fm.Or, fm.And, fm.Implies, fm.Iff)):
+        return _reads_relation(g.left) or _reads_relation(g.right)
+    return False
+
+
+def _key(formulas, rule: EvalRule):
+    """rel -> the part of rel the formulas read under rule, as a relation
+    whose slices give the same values as rel's; None under opt, whose
+    conditional reads all of rel.
+
+    Formulas without a conditional read only the world count (the key is
+    the empty relation on as many worlds); lewis never reads a world's
+    reflexive loop (the key is the reflexive closure); max reads only the
+    strict part.
+    """
+    if not any(map(_reads_relation, formulas)):
+        return lambda rel: (0,) * len(rel)
+    if rule is EvalRule.LEWIS:
+        return lambda rel: tuple(map(or_, rel, _DIAGONAL))
+    if rule is EvalRule.MAX:
+        return strict_part
+    return None
+
+
 class _Slice:
-    """One frame under one rule, evaluated over a slice of valuations.
+    """One frame's key under one rule, evaluated over a slice of valuations.
 
     near[a] lists the worlds the conditional consults for world a: under
-    max the worlds strictly better than a, under opt the worlds a is not at
-    least as good as, under lewis the worlds at least as good as a.
+    opt the worlds a is not at least as good as; under max (the key is the
+    strict part) the worlds strictly better than a, and under lewis (the
+    key is reflexive) the worlds at least as good as a: both are the worlds
+    whose key row holds a.
     """
 
     __slots__ = ("n", "near", "lewis", "cols", "ones")
 
-    def __init__(self, rel: Relation, rule: EvalRule, cols: dict, ones: int):
-        r = range(len(rel))
-        if rule is EvalRule.MAX:
-            self.near = [[b for b in r if rel[b] >> a & 1 and not rel[a] >> b & 1] for a in r]
-        elif rule is EvalRule.OPT:
-            self.near = [[b for b in r if not rel[a] >> b & 1] for a in r]
+    def __init__(self, seen: Relation, rule: EvalRule, cols: dict, ones: int):
+        r = range(len(seen))
+        if rule is EvalRule.OPT:
+            self.near = [[b for b in r if not seen[a] >> b & 1] for a in r]
         else:
-            self.near = [[c for c in r if rel[c] >> a & 1] for a in r]
-        self.n = len(rel)
+            self.near = [[c for c in r if seen[c] >> a & 1] for a in r]
+        self.n = len(seen)
         self.lewis = rule is EvalRule.LEWIS
         self.cols = cols
         self.ones = ones
@@ -308,13 +354,14 @@ def slicer(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
     """f compiled once: values(rel) is, per world of rel, the valuations of
     names where f holds, in one slice."""
     program = _compile(f)
+    key = _key((f,), rule) or (lambda rel: rel)
 
     def values(rel: Relation) -> list[int]:
         n = len(rel)
         if n * len(names) > _SLICE_LOG2:
             raise ValueError(f"{len(names)} names over {n} worlds exceed one slice")
         cols, ones = _columns(n, len(names))
-        return program(_Slice(rel, rule, dict(zip(names, cols)), ones))
+        return program(_Slice(key(rel), rule, dict(zip(names, cols)), ones))
 
     return values
 
@@ -337,18 +384,23 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
     are read from the valuation.  When 2**(n * len(names)) exceeds one
     slice, the leading names are bound to constant columns one mask tuple
     at a time, in ascending order, with the deadline checked between slices.
+
+    The probe remembers its result per key (see the module docstring):
+    formulas without a conditional are keyed on the world count, lewis on
+    the reflexive closure, max on the strict part; opt with conditionals
+    keeps no memo.  A timeout stores nothing.
     """
     programs = [_compile(f) for f in formulas]
     satisfy, valid = mode == "satisfy", mode == "valid"
 
-    def probe(rel: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
-        n = len(rel)
+    def settle(seen: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
+        n = len(seen)
         size = 1 << n
         tail = min(len(names), _SLICE_LOG2 // n)
         lead = len(names) - tail
         tail_cols, ones = _columns(n, tail)
         cols = dict(zip(names[lead:], tail_cols))
-        s = _Slice(rel, rule, cols, ones)
+        s = _Slice(seen, rule, cols, ones)
         for head in product(range(size), repeat=lead):
             if deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout()
@@ -363,6 +415,21 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
             if hits:
                 return None if valid else head + least_valuation(hits, n, tail)
         return () if valid else None
+
+    key = _key(formulas, rule)
+    if key is None:  # every frame is its own key
+        return settle
+    memo = {}
+
+    def probe(rel: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
+        seen = key(rel)
+        try:
+            return memo[seen]
+        except KeyError:
+            result = settle(seen, deadline)  # a timeout stores nothing
+            if len(memo) < _MEMO_KEYS:
+                memo[seen] = result
+            return result
 
     return probe
 

@@ -8,7 +8,9 @@ and model-level converse witnesses, a find-model witness) before the scan
 loops and witness serializers were merged into one each, and the n=4 opt
 table and the lattice report before the limit assumptions were checked by
 their order equivalents and the lattice walked isomorphism classes instead
-of every relation.  Any change in a
+of every relation, and the two labelled-frame tables (``--no-iso-reject``,
+where many frames share what a rule's conditional reads) before each
+search memoised its probe on that part of the frame.  Any change in a
 status, witness, frames_checked or exit code shows up as a mismatch.
 """
 
@@ -41,6 +43,10 @@ GOLDEN = [
      "correspond --axiom CM --converse max_smooth --rule max --max-n 3 --model-level --json", 0),
     ("tests/golden/find_model_opt.json", "find-model O(p/T) <>~p --rule max --max-n 4 --json", 0),
     ("tests/golden/lattice.json", "lattice --max-n 4 --json", 0),
+    ("tests/golden/table_lewis_labelled.json",
+     "correspond --table --rule lewis --max-n 3 --no-iso-reject --json", 0),
+    ("tests/golden/table_max_labelled.json",
+     "correspond --table --rule max --max-n 3 --no-iso-reject --json", 0),
 ]
 
 

@@ -10,22 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlmc import formula as fm
+from ddlmc import semantics
 from ddlmc.finder import rule_collapse
 from ddlmc.formula import expand, parse
 from ddlmc.model import PreferenceModel, all_relations, mask_from_worlds
-from ddlmc.schemas import forward_check
+from ddlmc.schemas import SCHEMAS, forward_check
 from ddlmc.semantics import (
     EvalRule,
     best_set,
     cond_holds,
     frame_counterexample,
     scanner,
+    schema_names,
     slicer,
     truth_set,
     valid_in_model,
     valid_on_frame,
 )
 
+import oracle
 from oracle import random_formula, random_model_data, truth_worlds
 
 RULES = (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
@@ -243,6 +246,98 @@ def test_one_probe_serves_every_size_and_slice(rule, mode):
         if rel == _FULL:
             assert expected[0] != 0
         assert probe(rel) == expected, rel
+
+
+def _visible(rel, rule):
+    """The relation as rule's conditional sees it: under lewis its
+    reflexive closure, under max the total relation with the same strict
+    part (a >= b unless b > a), under opt the relation itself."""
+    r = range(len(rel))
+    if rule is EvalRule.LEWIS:
+        return tuple(row | 1 << a for a, row in zip(r, rel))
+    if rule is EvalRule.MAX:
+        return tuple(
+            sum(1 << b for b in r if not (rel[b] >> a & 1 and not rel[a] >> b & 1)) for a in r
+        )
+    return rel
+
+
+def test_a_conditional_reads_only_what_its_rule_sees():
+    # The quotient behind each search's memo: O(?g / ?f) has the same
+    # values on every relation up to n=4 as on the relation its rule sees,
+    # and up to n=3 those values are the oracle's, read off the whole
+    # relation.  Formulas without a conditional read only the world count.
+    cond = parse("O(?g / ?f)")
+    for rule in RULES:
+        values = slicer(cond, rule, ("f", "g"))
+        on_visible = {}
+        for n in range(1, 5):
+            sets = [frozenset(w for w in range(n) if m >> w & 1) for m in range(1 << n)]
+            for rel in all_relations(n):
+                seen = values(rel)
+                visible = _visible(rel, rule)
+                if visible not in on_visible:
+                    on_visible[visible] = values(visible)
+                assert seen == on_visible[visible], (rule, rel)
+                if n == 4:
+                    continue
+                pairs = {(a, b) for a in range(n) for b in range(n) if rel[a] >> b & 1}
+                expected = sum(
+                    1 << (f << n | g)
+                    for f, xs in enumerate(sets) for g, ys in enumerate(sets)
+                    if oracle.cond(rule.value, ys, xs, range(n), pairs)
+                )
+                assert seen == [expected] * n, (rule, rel)
+    for name in ("K", "T", "Five"):
+        schema = SCHEMAS[name]
+        for rule in RULES:
+            values = slicer(schema, rule, schema_names(schema))
+            for n in range(1, 4):
+                first = values((0,) * n)
+                assert all(values(rel) == first for rel in all_relations(n)), (name, rule, n)
+
+
+# Valid mode asks for targets true under every valuation: these hold on a
+# frame exactly when its rule leaves no world outside the best.
+_MEMO_TARGETS = {
+    **_SCAN_TARGETS,
+    "valid": ("(<>?c & O(~?c / T)) -> <>?a", "O(?b / ?d) -> O(?b | ?e / ?d)"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MEMO_TARGETS))
+@pytest.mark.parametrize("rule", RULES)
+def test_a_memoised_probe_answers_as_a_fresh_one(rule, mode, monkeypatch):
+    # One probe serves a whole search and remembers each key it settled;
+    # on every frame it answers what a probe built for that frame alone
+    # does, across world counts and past one slice (five names at n=4, 5),
+    # also once its memo is full.
+    targets = [parse(t) for t in _MEMO_TARGETS[mode]]
+    frames = [rel for n in (1, 2, 3) for rel in all_relations(n)]
+    frames += [(0, 1, 2, 15), _FULL, (0, 1, 18, 4, 8), (0, 1, 0, 0, 0)]
+    fresh = [scanner(targets, rule, _SCAN_NAMES, mode)(rel) for rel in frames]
+    for keys in (semantics._MEMO_KEYS, 3):
+        monkeypatch.setattr(semantics, "_MEMO_KEYS", keys)
+        probe = scanner(targets, rule, _SCAN_NAMES, mode)
+        assert [probe(rel) for rel in frames] == fresh, keys
+
+
+def test_a_search_builds_one_slice_per_key(monkeypatch):
+    # Among the 3 044 four-world classes lewis sees 428 reflexive closures,
+    # and K reads no relation: a search builds one slice per key it meets,
+    # while it still counts every frame it scans.
+    built = []
+    original = semantics._Slice
+
+    def counted(seen, *args):
+        built.append(len(seen))
+        return original(seen, *args)
+
+    monkeypatch.setattr(semantics, "_Slice", counted)
+    for axiom, per_n in (("Abs", [1, 3, 22, 428]), ("K", [1, 1, 1, 1])):
+        built.clear()
+        assert forward_check((), axiom, EvalRule.LEWIS, 4)["frames_checked"] == 3160
+        assert [built.count(n) for n in range(1, 5)] == per_n, axiom
 
 
 def test_a_search_reads_the_schema_names_once(monkeypatch):
