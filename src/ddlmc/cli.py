@@ -23,6 +23,14 @@ correspond runs one mode: --table alone, --axiom with --props (a
 forward check), or --axiom with --converse and optionally --model-level
 (a converse search); options of another mode are usage errors.
 
+Each command is a function from the parsed args to (report, text, ok):
+the JSON report, its text form (None: print the JSON) and whether the
+requested confirmation or witness was obtained.  None of them prints.
+main alone adds "command" and "elapsed_ms" to the report, prints the JSON
+under --json (or when text is None) and the text otherwise, and turns ok
+into the exit code.  A search timeout becomes the report {"status":
+"timeout", "max_n": ...} with no text, and goes out the same way.
+
 Exit codes: 0 the requested confirmation/witness was obtained, 1 it was
 refuted or nothing was found up to the bound, 2 usage error.  A --max-n
 outside the supported range and a negative --timeout are usage errors,
@@ -67,10 +75,7 @@ class UsageError(ValueError):
 def _parse_props(text: str | None) -> tuple[RelationProperty, ...]:
     if not text:
         return ()
-    try:
-        return tuple(property_from_name(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return tuple(property_from_name(p) for p in text.split(",") if p.strip())
 
 
 def _read_model(path: str):
@@ -99,15 +104,6 @@ def _parse_ground(texts: list[str], what: str) -> list:
     return formulas
 
 
-def _print_report(report: dict, args, started: float) -> None:
-    report["elapsed_ms"] = int((time.monotonic() - started) * 1000) if args.timing else None
-    text = report.pop("_text", None)
-    if args.json or text is None:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
 def _seconds(text: str) -> float:
     try:
         value = float(text)
@@ -119,31 +115,31 @@ def _seconds(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns the exit code)
+# Command implementations: each maps the parsed args to (report, text, ok).
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     model = _read_model(args.model)
     rule = rule_from_name(args.rule)
     f = _parse_formula(args.formula)
     mask = truth_set(f, model, rule, strict_atoms=args.strict_atoms)
     valid = mask == model.full_mask
     report = {
-        "command": "eval",
         "formula": render(f),
         "rule": rule.value,
         "true_at": list(worlds_from_mask(mask)),
         "n": model.n,
         "valid": valid,
-        "_text": f"{render(f)}  [{rule}]\n"
-        f"true at worlds: {sorted(worlds_from_mask(mask))} of 0..{model.n - 1}\n"
-        f"valid in model: {'yes' if valid else 'no'}",
     }
-    _print_report(report, args, args._started)
-    return 0 if valid else 1
+    text = (
+        f"{render(f)}  [{rule}]\n"
+        f"true at worlds: {sorted(worlds_from_mask(mask))} of 0..{model.n - 1}\n"
+        f"valid in model: {'yes' if valid else 'no'}"
+    )
+    return report, text, valid
 
 
-def _cmd_check_model(args) -> int:
+def _cmd_check_model(args):
     model = _read_model(args.model)
     rule = rule_from_name(args.rule)
     props = _parse_props(args.props)
@@ -154,57 +150,45 @@ def _cmd_check_model(args) -> int:
         formula_results[render(f)] = valid_in_model(f, model, rule, strict_atoms=args.strict_atoms)
     ok = all(prop_results.values()) and all(formula_results.values())
     report = {
-        "command": "check-model",
         "rule": rule.value,
         "n": model.n,
         "properties": prop_results,
         "formulas": formula_results,
         "longest_strict_chain": longest_strict_chain(model),
         "ok": ok,
-        "_text": "\n".join(
-            [f"model: {args.model} (n={model.n}, rule={rule})"]
-            + [f"  property {name}: {'ok' if v else 'FAIL'}" for name, v in prop_results.items()]
-            + [f"  formula {name}: {'valid' if v else 'NOT VALID'}" for name, v in formula_results.items()]
-            + [f"  => {'ok' if ok else 'FAIL'}"]
-        ),
     }
-    _print_report(report, args, args._started)
-    return 0 if ok else 1
+    text = "\n".join(
+        [f"model: {args.model} (n={model.n}, rule={rule})"]
+        + [f"  property {name}: {'ok' if v else 'FAIL'}" for name, v in prop_results.items()]
+        + [f"  formula {name}: {'valid' if v else 'NOT VALID'}" for name, v in formula_results.items()]
+        + [f"  => {'ok' if ok else 'FAIL'}"]
+    )
+    return report, text, ok
 
 
-def _cmd_find_model(args) -> int:
+def _cmd_find_model(args):
     rule = rule_from_name(args.rule)
     props = _parse_props(args.props)
     targets = _parse_ground(args.targets, "target")
     atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip()) if args.atoms else None
-    try:
-        spec = SearchSpec(
-            max_n=args.max_n,
-            rule=rule,
-            targets=targets,
-            properties=props,
-            atoms=atoms,
-            mode=args.mode,
-            iso_reject=args.iso_reject,
-            deadline=args.deadline,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = SearchSpec(
+        max_n=args.max_n,
+        rule=rule,
+        targets=targets,
+        properties=props,
+        atoms=atoms,
+        mode=args.mode,
+        iso_reject=args.iso_reject,
+        deadline=args.deadline,
+    )
     result = find_satisfying_model(spec)
-    report = {"command": "find-model", **result.to_json()}
+    text = f"{result.status} (checked {result.frames_checked} frames)"
     if result.model is not None:
-        report["_text"] = (
-            f"{result.status} (checked {result.frames_checked} frames)\n"
-            + serialize_model(result.model).rstrip()
-        )
-    else:
-        report["_text"] = f"{result.status} (checked {result.frames_checked} frames)"
-    _print_report(report, args, args._started)
-    requested_found = result.model is not None
-    return 0 if requested_found else 1
+        text += "\n" + serialize_model(result.model).rstrip()
+    return result.to_json(), text, result.model is not None
 
 
-def _cmd_correspond(args) -> int:
+def _cmd_correspond(args):
     rule = rule_from_name(args.rule)
     forward_or_converse = [
         flag for flag, value in (("--axiom", args.axiom), ("--props", args.props),
@@ -219,7 +203,6 @@ def _cmd_correspond(args) -> int:
         raise UsageError("correspond --model-level needs --converse")
     if args.table:
         report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, deadline=args.deadline)
-        report = {"command": "correspond", **report}
         lines = [f"correspondence table [{rule}] up to n={args.max_n}"]
         for row in report["rows"]:
             if row["kind"] == "no_correspondence":
@@ -229,9 +212,7 @@ def _cmd_correspond(args) -> int:
             axioms = ",".join(row["axioms"])
             props = "+".join(row["properties"]) or "(none)"
             lines.append(f"  {row['label']:<24} {props:<40} {axioms:<20} {outcome}")
-        report["_text"] = "\n".join(lines)
-        _print_report(report, args, args._started)
-        return 0 if report["all_match"] else 1
+        return report, "\n".join(lines), report["all_match"]
 
     if not args.axiom:
         raise UsageError("correspond needs --table or --axiom")
@@ -257,38 +238,31 @@ def _cmd_correspond(args) -> int:
         witness = report.get("counterexample")
         heading = f"forward {'+'.join(p.value for p in props) or '(none)'} => {args.axiom} [{rule}]"
         ok = witness is None
-    report = {"command": "correspond", **report}
-    report["_text"] = f"{heading}: {report['status']} (checked {report['frames_checked']} frames)"
+    text = f"{heading}: {report['status']} (checked {report['frames_checked']} frames)"
     if witness is not None:
-        report["_text"] += "\n" + witness["model_text"].rstrip()
-    _print_report(report, args, args._started)
-    return 0 if ok else 1
+        text += "\n" + witness["model_text"].rstrip()
+    return report, text, ok
 
 
-def _cmd_collapse(args) -> int:
+def _cmd_collapse(args):
     report = rule_collapse(args.max_n, iso_reject=args.iso_reject, deadline=args.deadline)
-    report = {"command": "collapse", **report}
-    report["_text"] = (
+    text = (
         f"rule collapse on reflexive+total+transitive frames up to n={args.max_n}: "
         f"{report['status']} ({report['frames_checked']} frames)"
     )
-    _print_report(report, args, args._started)
-    return 0 if report["status"] == "confirmed" else 1
+    return report, text, report["status"] == "confirmed"
 
 
-def _cmd_paradox(args) -> int:
+def _cmd_paradox(args):
     rules = tuple(rule_from_name(r) for r in args.rules.split(",")) if args.rules else casestudy.GRID_RULES
     report = casestudy.run_grid(
         args.max_n, rules=rules, iso_reject=args.iso_reject, deadline=args.deadline
     )
-    report = {"command": "paradox", **report}
-    report["_text"] = casestudy.grid_text(report)
-    _print_report(report, args, args._started)
-    return 0 if report["all_match"] else 1
+    return report, casestudy.grid_text(report), report["all_match"]
 
 
-def _cmd_lattice(args) -> int:
-    report = {"command": "lattice", **lattice_report(args.max_n, deadline=args.deadline)}
+def _cmd_lattice(args):
+    report = lattice_report(args.max_n, deadline=args.deadline)
     ok = all(a["status"] == "confirmed" for a in report["arrows"]) and all(
         i["status"] == "witness" for i in report["independence"]
     )
@@ -299,28 +273,20 @@ def _cmd_lattice(args) -> int:
     lines.append(
         f"  independence witnesses: {len(report['independence']) - len(misses)}/{len(report['independence'])} found"
     )
-    report["_text"] = "\n".join(lines)
-    _print_report(report, args, args._started)
-    return 0 if ok else 1
+    return report, "\n".join(lines), ok
 
 
-def _cmd_props(args) -> int:
+def _cmd_props(args):
     model = _read_model(args.model)
     results = {p.value: check_property(p, model) for p in RelationProperty}
     chain = longest_strict_chain(model)
-    report = {
-        "command": "props",
-        "n": model.n,
-        "properties": results,
-        "longest_strict_chain": chain,
-        "_text": "\n".join(
-            [f"model: {args.model} (n={model.n})"]
-            + [f"  {name}: {'yes' if v else 'no'}" for name, v in results.items()]
-            + [f"  longest strict chain: {chain}"]
-        ),
-    }
-    _print_report(report, args, args._started)
-    return 0
+    report = {"n": model.n, "properties": results, "longest_strict_chain": chain}
+    text = "\n".join(
+        [f"model: {args.model} (n={model.n})"]
+        + [f"  {name}: {'yes' if v else 'no'}" for name, v in results.items()]
+        + [f"  longest strict chain: {chain}"]
+    )
+    return report, text, True
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +368,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    args._started = time.monotonic()
+    started = time.monotonic()
     timeout = getattr(args, "timeout", 0)  # 0: no limit
-    args.deadline = args._started + timeout if timeout else None
+    args.deadline = started + timeout if timeout else None
     try:
-        return args.fn(args)
+        report, text, ok = args.fn(args)
     except SearchTimeout:
-        report = {"command": args.command, "status": "timeout", "max_n": args.max_n}
-        _print_report(report, args, args._started)
-        return 1
+        report, text, ok = {"status": "timeout", "max_n": args.max_n}, None, False
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    elapsed_ms = int((time.monotonic() - started) * 1000) if args.timing else None
+    report = {"command": args.command, **report, "elapsed_ms": elapsed_ms}
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json or text is None else text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

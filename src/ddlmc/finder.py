@@ -49,7 +49,7 @@ from .model import (
     model_json,
     worlds_from_mask,
 )
-from .relprops import RelationProperty, check_all, check_property, has_all
+from .relprops import RelationProperty, check_property, has_all
 from .semantics import EvalRule, cond_holds, least_valuation, scanner, slicer, truth_set
 
 
@@ -68,14 +68,14 @@ def enumerate_frames(
     with the deadline checked every 4096 relations: few may pass the filter.
     """
     check_world_bound(n)
+    keep = has_all(frozenset(properties))
     if iso_reject:
-        yield from canonical_relations(n, has_all(frozenset(properties)), deadline)
+        yield from canonical_relations(n, keep, deadline)
         return
-    props = tuple(properties)
     for idx, rel in enumerate(all_relations(n)):
         if deadline is not None and idx % 4096 == 0 and time.monotonic() > deadline:
             raise SearchTimeout()
-        if check_all(props, rel):
+        if keep is None or keep(rel):
             yield rel
 
 
@@ -144,10 +144,6 @@ class SearchResult:
     model: PreferenceModel | None = None
     frames_checked: int = 0
     per_n_frames: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def found(self) -> bool:
-        return self.model is not None
 
     def to_json(self) -> dict:
         return {

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class Formula:
@@ -392,25 +393,30 @@ def _pref_geq_core(left: Formula, right: Formula) -> Formula:
     return Not(Oblig(Not(left), Or(left, right)))
 
 
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """f and every node below it, each node before its operands (left
+    before right, consequent before antecedent).  The one place that knows
+    which fields of which node hold subformulas; a non-formula anywhere in
+    f raises TypeError."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Not, Box, Diamond)):
+            stack.append(g.child)
+        elif isinstance(g, (Or, And, Implies, Iff, PrefGeq, PrefGt)):
+            stack += (g.right, g.left)
+        elif isinstance(g, (Oblig, Perm)):
+            stack += (g.antecedent, g.consequent)
+        elif not isinstance(g, (Atom, MetaVar, Top, Bot)):
+            raise TypeError(f"not a formula: {g!r}")
+        yield g
+
+
 def metavars(f: Formula) -> frozenset[str]:
     """Names of the metavariables occurring in f."""
-    return _names(f, MetaVar)
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, MetaVar))
 
 
 def atoms(f: Formula) -> frozenset[str]:
     """Names of the atoms occurring in f."""
-    return _names(f, Atom)
-
-
-def _names(f: Formula, node_type: type) -> frozenset[str]:
-    if isinstance(f, node_type):
-        return frozenset((f.name,))
-    if isinstance(f, (Atom, MetaVar, Top, Bot)):
-        return frozenset()
-    if isinstance(f, (Not, Box, Diamond)):
-        return _names(f.child, node_type)
-    if isinstance(f, (Or, And, Implies, Iff, PrefGeq, PrefGt)):
-        return _names(f.left, node_type) | _names(f.right, node_type)
-    if isinstance(f, (Oblig, Perm)):
-        return _names(f.consequent, node_type) | _names(f.antecedent, node_type)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))

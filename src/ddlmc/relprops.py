@@ -38,7 +38,7 @@ import enum
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .model import (
     PreferenceModel,
@@ -217,10 +217,6 @@ def check_property(prop: RelationProperty, target: PreferenceModel | Relation) -
     return _CHECKS[prop](rel)
 
 
-def check_all(props: Iterable[RelationProperty], rel: Relation) -> bool:
-    return all(_CHECKS[p](rel) for p in props)
-
-
 @lru_cache(maxsize=None)
 def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
     """The predicate "has every property in props", one flat function: the
@@ -277,11 +273,11 @@ def property_implication(p1, p2, n: int) -> Confirmed | Witness:
     """
     check_world_bound(n)
     props1, props2 = _as_props(p1), _as_props(p2)
-    keep = has_all(frozenset(props1))
+    keep, conclusion = has_all(frozenset(props1)), has_all(frozenset(props2))
     checked = 0
     for size in range(1, n + 1):
         for rep in canonical_relations(size, keep):
-            if not check_all(props2, rep):
+            if conclusion is not None and not conclusion(rep):
                 return Witness(size, rep)
             checked += orbit_size(rep)
     return Confirmed(n, checked)

@@ -226,17 +226,6 @@ def _columns(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 _DIAGONAL = tuple(1 << a for a in range(MAX_WORLDS))
 
 
-def _reads_relation(g: fm.Formula) -> bool:
-    """Whether g has an O, P, >= or > node: only those read the relation."""
-    if isinstance(g, (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)):
-        return True
-    if isinstance(g, (fm.Not, fm.Box, fm.Diamond)):
-        return _reads_relation(g.child)
-    if isinstance(g, (fm.Or, fm.And, fm.Implies, fm.Iff)):
-        return _reads_relation(g.left) or _reads_relation(g.right)
-    return False
-
-
 def _key(formulas, rule: EvalRule):
     """rel -> the part of rel the formulas read under rule, as a relation
     whose slices give the same values as rel's; None under opt, whose
@@ -245,9 +234,10 @@ def _key(formulas, rule: EvalRule):
     Formulas without a conditional read only the world count (the key is
     the empty relation on as many worlds); lewis never reads a world's
     reflexive loop (the key is the reflexive closure); max reads only the
-    strict part.
+    strict part.  Only O, P, >= and > nodes read the relation.
     """
-    if not any(map(_reads_relation, formulas)):
+    conditionals = (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)
+    if not any(isinstance(g, conditionals) for f in formulas for g in fm.subformulas(f)):
         return lambda rel: (0,) * len(rel)
     if rule is EvalRule.LEWIS:
         return lambda rel: tuple(map(or_, rel, _DIAGONAL))

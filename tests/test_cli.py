@@ -361,3 +361,14 @@ def test_paradox_rule_is_an_abbreviation_of_rules(capsys):
     by_prefix = run(capsys, "paradox", "--max-n", "3", "--rule", "lewis", "--json")
     assert by_prefix == run(capsys, "paradox", "--max-n", "3", "--rules", "lewis", "--json")
     assert json.loads(by_prefix[1])["rules"] == ["lewis"]
+
+
+@pytest.mark.parametrize("argv, code, status", [
+    ("collapse --max-n 2 --timing --json", 0, "confirmed"),
+    ("lattice --max-n 5 --timeout 0.2 --timing --json", 1, "timeout"),
+])
+def test_timing_fills_in_elapsed_ms(argv, code, status, capsys):
+    got, out = run(capsys, *argv.split())
+    report = json.loads(out)
+    assert (got, report["status"]) == (code, status)
+    assert type(report["elapsed_ms"]) is int and report["elapsed_ms"] >= 0

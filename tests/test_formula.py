@@ -132,3 +132,13 @@ def test_atoms():
     f = parse("O(p / q) & ?x | r")
     assert atoms(f) == {"p", "q", "r"}
     assert metavars(f) == {"x"}
+
+
+def test_subformulas_lists_each_node_before_its_operands():
+    f = parse("O(p / ?x) & ~[]T")
+    assert list(fm.subformulas(f)) == [
+        f, f.left, fm.Atom("p"), fm.MetaVar("x"), f.right, f.right.child, fm.TOP,
+    ]
+    for bad in (3, fm.Not("p"), fm.Oblig(fm.Atom("p"), None)):
+        with pytest.raises(TypeError, match="not a formula"):
+            atoms(bad)

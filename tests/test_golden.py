@@ -10,8 +10,12 @@ table and the lattice report before the limit assumptions were checked by
 their order equivalents and the lattice walked isomorphism classes instead
 of every relation, and the two labelled-frame tables (``--no-iso-reject``,
 where many frames share what a rule's conditional reads) before each
-search memoised its probe on that part of the frame.  Any change in a
-status, witness, frames_checked or exit code shows up as a mismatch.
+search memoised its probe on that part of the frame.  The ``*_text.txt``
+goldens pin each command's text form (no ``--json``); they were captured
+before the commands stopped printing for themselves and returned their
+reports to ``main``.  Any change in a status, witness, frames_checked or
+exit code shows up as a mismatch.  check-model and props print the model
+path they were given, so every argv runs from the repository root.
 """
 
 from __future__ import annotations
@@ -47,10 +51,25 @@ GOLDEN = [
      "correspond --table --rule lewis --max-n 3 --no-iso-reject --json", 0),
     ("tests/golden/table_max_labelled.json",
      "correspond --table --rule max --max-n 3 --no-iso-reject --json", 0),
+    ("tests/golden/eval_text.txt", "eval --model tests/fixtures/two_chain.pm --rule max O(p/T)", 0),
+    ("tests/golden/check_model_text.txt",
+     "check-model --model tests/fixtures/two_chain.pm --props acyclic,transitive", 0),
+    ("tests/golden/props_text.txt", "props --model tests/fixtures/two_chain.pm", 0),
+    ("tests/golden/find_model_text.txt", "find-model O(p/T) <>~p --max-n 3", 0),
+    ("tests/golden/find_model_unsat_text.txt", "find-model p&~p --max-n 2", 1),
+    ("tests/golden/forward_dstar_text.txt",
+     "correspond --axiom Dstar --props reflexive --rule max --max-n 3", 1),
+    ("tests/golden/converse_id_text.txt", "correspond --axiom Id --converse transitive --max-n 3", 0),
+    ("tests/golden/table_lewis_text.txt", "correspond --table --rule lewis --max-n 3", 0),
+    ("tests/golden/collapse_text.txt", "collapse --max-n 3", 0),
+    # quasi-transitivity is still UNSAT at n <= 3 under opt and lewis (cells marked !)
+    ("tests/golden/paradox_text.txt", "paradox --max-n 3", 1),
+    ("tests/golden/lattice_text.txt", "lattice --max-n 3", 0),
 ]
 
 
 @pytest.mark.parametrize("path, argv, code", GOLDEN, ids=[Path(p).stem for p, _, _ in GOLDEN])
-def test_report_matches_golden(path, argv, code, capsys):
+def test_report_matches_golden(path, argv, code, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     assert main(argv.split()) == code
     assert capsys.readouterr().out == (ROOT / path).read_text(encoding="utf-8")

@@ -29,7 +29,7 @@ from ddlmc.model import (
 
 from ddlmc.casestudy import GRID_ROWS
 from ddlmc.finder import enumerate_frames
-from ddlmc.relprops import RelationProperty, check_all
+from ddlmc.relprops import RelationProperty, check_property
 
 from oracle import orbit, reachable_pairs
 
@@ -230,7 +230,7 @@ def test_property_classes_equal_the_filtered_walk():
     for n in (1, 2, 3, 4):
         everything = canonical_relations(n)
         for props in cases:
-            expected = tuple(r for r in everything if check_all(props, r))
+            expected = tuple(r for r in everything if all(check_property(p, r) for p in props))
             classes = tuple(enumerate_frames(n, props, iso_reject=True))
             assert classes == expected, (n, props)
 

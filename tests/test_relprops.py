@@ -22,7 +22,6 @@ from ddlmc.relprops import (
     RelationProperty,
     Witness,
     _lattice_flags,
-    check_all,
     check_property,
     has_all,
     implied_pairs,
@@ -82,8 +81,8 @@ def _classes_up_to_4():
 
 
 def test_has_all_is_check_all():
-    # the class builder calls has_all's predicate; check_all is the
-    # reference conjunction
+    # the class builder and the labelled walk call has_all's predicate; the
+    # reference is the conjunction of check_property
     sets = {frozenset(props) for _, props in GRID_ROWS if props}
     sets |= {frozenset((p, q)) for p in RelationProperty for q in RelationProperty}
     rels = _classes_up_to_4()
@@ -91,7 +90,7 @@ def test_has_all_is_check_all():
         keep = has_all(props)
         assert keep is has_all(frozenset(props))  # one object per set
         for rel in rels:
-            assert keep(rel) == check_all(props, rel), (props, rel)
+            assert keep(rel) == all(check_property(p, rel) for p in props), (props, rel)
     assert has_all(frozenset()) is None
 
 
