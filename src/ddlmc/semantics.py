@@ -45,12 +45,12 @@ A slice reads a frame only through its key, the part of the relation the
 formulas' conditionals can tell apart: formulas without an O, P, >= or >
 node read only the world count, lewis reads the reflexive closure (it
 never consults a world's loop), max the strict part (``strict_part``), and
-opt the relation itself.  Each probe memoises its results on the key, so a
-search settles each key once however many frames share it; under opt with
-conditionals every frame is its own key and the probe keeps no memo.  The
-memo lives as long as the probe and holds one entry per distinct key, at
-most 2**16 (an n=5 lewis scan over isomorphism classes meets 23 566 keys,
-a max scan 7 921); keys met past that are settled each time.
+opt the rows of the worlds with a loop (a world without one is never
+optimal, so its row is emptied).  Each probe memoises its results on the
+key, so a search settles each key once however many frames share it.  The
+memo lives as long as the probe and holds at most 2**16 keys (an n=5 scan
+over isomorphism classes meets 23 566 under lewis, 7 921 under max and
+41 249 under opt); keys met past that are settled each time.
 ``truth_set`` stays the reference evaluator and re-validates every witness
 the scans report.
 
@@ -228,13 +228,14 @@ _DIAGONAL = tuple(1 << a for a in range(MAX_WORLDS))
 
 def _key(formulas, rule: EvalRule):
     """rel -> the part of rel the formulas read under rule, as a relation
-    whose slices give the same values as rel's; None under opt, whose
-    conditional reads all of rel.
+    whose slices give the same values as rel's.
 
     Formulas without a conditional read only the world count (the key is
     the empty relation on as many worlds); lewis never reads a world's
     reflexive loop (the key is the reflexive closure); max reads only the
-    strict part.  Only O, P, >= and > nodes read the relation.
+    strict part; opt never reads the row of a world without its loop,
+    which is in its own near list (the key empties that row).  Only O, P,
+    >= and > nodes read the relation.
     """
     conditionals = (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)
     if not any(isinstance(g, conditionals) for f in formulas for g in fm.subformulas(f)):
@@ -243,7 +244,7 @@ def _key(formulas, rule: EvalRule):
         return lambda rel: tuple(map(or_, rel, _DIAGONAL))
     if rule is EvalRule.MAX:
         return strict_part
-    return None
+    return lambda rel: tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))
 
 
 class _Slice:
@@ -344,7 +345,7 @@ def slicer(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
     """f compiled once: values(rel) is, per world of rel, the valuations of
     names where f holds, in one slice."""
     program = _compile(f)
-    key = _key((f,), rule) or (lambda rel: rel)
+    key = _key((f,), rule)
 
     def values(rel: Relation) -> list[int]:
         n = len(rel)
@@ -377,8 +378,8 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
 
     The probe remembers its result per key (see the module docstring):
     formulas without a conditional are keyed on the world count, lewis on
-    the reflexive closure, max on the strict part; opt with conditionals
-    keeps no memo.  A timeout stores nothing.
+    the reflexive closure, max on the strict part, opt on the rows of the
+    worlds with a loop.  A timeout stores nothing.
     """
     programs = [_compile(f) for f in formulas]
     satisfy, valid = mode == "satisfy", mode == "valid"
@@ -407,8 +408,6 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
         return () if valid else None
 
     key = _key(formulas, rule)
-    if key is None:  # every frame is its own key
-        return settle
     memo = {}
 
     def probe(rel: Relation, deadline: float | None = None) -> tuple[int, ...] | None:

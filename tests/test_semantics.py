@@ -251,7 +251,8 @@ def test_one_probe_serves_every_size_and_slice(rule, mode):
 def _visible(rel, rule):
     """The relation as rule's conditional sees it: under lewis its
     reflexive closure, under max the total relation with the same strict
-    part (a >= b unless b > a), under opt the relation itself."""
+    part (a >= b unless b > a), under opt the relation with the rows of
+    the worlds without a loop emptied (such a world is never optimal)."""
     r = range(len(rel))
     if rule is EvalRule.LEWIS:
         return tuple(row | 1 << a for a, row in zip(r, rel))
@@ -259,35 +260,54 @@ def _visible(rel, rule):
         return tuple(
             sum(1 << b for b in r if not (rel[b] >> a & 1 and not rel[a] >> b & 1)) for a in r
         )
-    return rel
+    return tuple(row if row >> a & 1 else 0 for a, row in zip(r, rel))
+
+
+def _oracle_values(rule, rel):
+    """O(?g / ?f) on rel by the oracle, as one slice over (f, g)."""
+    n = len(rel)
+    sets = [frozenset(w for w in range(n) if m >> w & 1) for m in range(1 << n)]
+    pairs = {(a, b) for a in range(n) for b in range(n) if rel[a] >> b & 1}
+    return sum(
+        1 << (f << n | g)
+        for f, xs in enumerate(sets) for g, ys in enumerate(sets)
+        if oracle.cond(rule.value, ys, xs, range(n), pairs)
+    )
 
 
 def test_a_conditional_reads_only_what_its_rule_sees():
-    # The quotient behind each search's memo: O(?g / ?f) has the same
-    # values on every relation up to n=4 as on the relation its rule sees,
-    # and up to n=3 those values are the oracle's, read off the whole
-    # relation.  Formulas without a conditional read only the world count.
+    # The quotient behind each search's memo.  Up to n=3 the oracle gives
+    # O(?g / ?f) the same values on every relation as on the relation its
+    # rule sees, and the keyed slice gives the oracle's values.  At n=4,
+    # under opt the keyed slice agrees on every relation with a slice of
+    # the raw relation (which only opt's _Slice accepts), and under max
+    # and lewis with truth_set on a stride sample of relations.  Formulas
+    # without a conditional read only the world count.
     cond = parse("O(?g / ?f)")
     for rule in RULES:
         values = slicer(cond, rule, ("f", "g"))
-        on_visible = {}
-        for n in range(1, 5):
-            sets = [frozenset(w for w in range(n) if m >> w & 1) for m in range(1 << n)]
-            for rel in all_relations(n):
-                seen = values(rel)
-                visible = _visible(rel, rule)
-                if visible not in on_visible:
-                    on_visible[visible] = values(visible)
-                assert seen == on_visible[visible], (rule, rel)
-                if n == 4:
-                    continue
-                pairs = {(a, b) for a in range(n) for b in range(n) if rel[a] >> b & 1}
-                expected = sum(
-                    1 << (f << n | g)
-                    for f, xs in enumerate(sets) for g, ys in enumerate(sets)
-                    if oracle.cond(rule.value, ys, xs, range(n), pairs)
-                )
-                assert seen == [expected] * n, (rule, rel)
+        for n in range(1, 4):
+            expected = {rel: _oracle_values(rule, rel) for rel in all_relations(n)}
+            for rel, value in expected.items():
+                assert expected[_visible(rel, rule)] == value, (rule, rel)
+                assert values(rel) == [value] * n, (rule, rel)
+    cols, ones = semantics._columns(4, 2)
+    cols = dict(zip(("f", "g"), cols))
+    program = semantics._compile(cond)
+    values = slicer(cond, EvalRule.OPT, ("f", "g"))
+    for rel in all_relations(4):
+        assert values(rel) == program(semantics._Slice(rel, EvalRule.OPT, cols, ones)), rel
+    sample = list(all_relations(4))[::257]
+    for rule in (EvalRule.MAX, EvalRule.LEWIS):
+        values = slicer(cond, rule, ("f", "g"))
+        for rel in sample:
+            m = PreferenceModel(4, rel)
+            expected = sum(
+                1 << (f << 4 | g)
+                for f in range(16) for g in range(16)
+                if truth_set(cond, m, rule, {"f": f, "g": g})
+            )
+            assert values(rel) == [expected] * 4, (rule, rel)
     for name in ("K", "T", "Five"):
         schema = SCHEMAS[name]
         for rule in RULES:
@@ -323,9 +343,10 @@ def test_a_memoised_probe_answers_as_a_fresh_one(rule, mode, monkeypatch):
 
 
 def test_a_search_builds_one_slice_per_key(monkeypatch):
-    # Among the 3 044 four-world classes lewis sees 428 reflexive closures,
-    # and K reads no relation: a search builds one slice per key it meets,
-    # while it still counts every frame it scans.
+    # Among the 3 044 four-world classes lewis sees 428 reflexive closures
+    # and opt 854 relations with the loopless rows emptied, and K reads no
+    # relation: a search builds one slice per key it meets, while it still
+    # counts every frame it scans.
     built = []
     original = semantics._Slice
 
@@ -334,10 +355,14 @@ def test_a_search_builds_one_slice_per_key(monkeypatch):
         return original(seen, *args)
 
     monkeypatch.setattr(semantics, "_Slice", counted)
-    for axiom, per_n in (("Abs", [1, 3, 22, 428]), ("K", [1, 1, 1, 1])):
+    for rule, axiom, per_n in (
+        (EvalRule.LEWIS, "Abs", [1, 3, 22, 428]),
+        (EvalRule.LEWIS, "K", [1, 1, 1, 1]),
+        (EvalRule.OPT, "Abs", [2, 7, 51, 854]),
+    ):
         built.clear()
-        assert forward_check((), axiom, EvalRule.LEWIS, 4)["frames_checked"] == 3160
-        assert [built.count(n) for n in range(1, 5)] == per_n, axiom
+        assert forward_check((), axiom, rule, 4)["frames_checked"] == 3160
+        assert [built.count(n) for n in range(1, 5)] == per_n, (rule, axiom)
 
 
 def test_a_search_reads_the_schema_names_once(monkeypatch):
