@@ -20,10 +20,12 @@ Exactly one ``rel`` line (possibly with no pairs); one ``val`` line per atom.
 
 from __future__ import annotations
 
+import mmap
 import sys
 import time
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 from typing import Callable, Iterable, Iterator
 
 Relation = tuple[int, ...]
@@ -32,7 +34,10 @@ MAX_WORLDS = 16
 
 # Exhaustive enumeration is bounded at 5 worlds: isomorph rejection marks
 # orbits in a table of 2^(n*n) bytes (32 MiB at n=5, 64 GiB at n=6), and
-# enumeration without it iterates every one of the 2^(n*n) relations.
+# enumeration without it iterates every one of the 2^(n*n) relations.  For
+# a restrictive build the table is mapped lazily, so only the pages it
+# touches become resident (about 10 MiB of the 32 for the transitive
+# classes at n=5); a dense build touches them all.
 MAX_EXHAUSTIVE_WORLDS = 5
 
 
@@ -290,21 +295,23 @@ def unpack_relation(packed: int, n: int) -> Relation:
 def _orbit_lanes(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     # lanes[i][row] holds one 64-bit lane per world permutation: the
     # contribution of row i, with value row, to the packed relabelled
-    # relation.  OR-ing one entry per row gives every image at once.
+    # relation.  OR-ing one entry per row gives every image at once.  An
+    # entry is the OR of its bits' entries: single[j] holds, in every lane,
+    # the one bit that pair (i, j) becomes, and each row value adds its
+    # lowest bit's single to the entry of the value without that bit.
     if n * n > 64:
         raise ValueError("orbit tables hold n*n bits per 64-bit lane; supported for n <= 8")
     perms = list(permutations(range(n)))
     lanes = []
     for i in range(n):
-        per_row = []
-        for rowval in range(1 << n):
-            packed = 0
-            for k, perm in enumerate(perms):
-                contrib = 0
-                for j in iter_bits(rowval):
-                    contrib |= 1 << perm[j]
-                packed |= contrib << ((n - 1 - perm[i]) * n + 64 * k)
-            per_row.append(packed)
+        single = [
+            sum(1 << ((n - 1 - p[i]) * n + p[j] + 64 * k) for k, p in enumerate(perms))
+            for j in range(n)
+        ]
+        per_row = [0] * (1 << n)
+        for rowval in range(1, 1 << n):
+            low = rowval & -rowval
+            per_row[rowval] = per_row[rowval ^ low] | single[low.bit_length() - 1]
         lanes.append(tuple(per_row))
     return tuple(lanes), 8 * len(perms)
 
@@ -343,10 +350,12 @@ def canonical_relations(
     is already marked in a 2^(n*n)-byte table is skipped; otherwise it is
     tested with keep and, if it passes, its whole orbit is marked and the
     orbit minimum kept.  Failing orbits are not marked: marking costs more
-    than testing a relabelled copy again.  This is complete because keep
-    must be invariant under relabelling worlds and hereditary: deleting a
-    world from a relation it accepts leaves a relation it accepts, so each
-    n-world class extends some (n-1)-world class.
+    than testing a relabelled copy again.  Unless the build is dense, the
+    table is an anonymous mapping that the OS zero-fills page by page, so
+    only the pages the build touches become resident.  This is complete
+    because keep must be invariant under relabelling worlds and hereditary:
+    deleting a world from a relation it accepts leaves a relation it
+    accepts, so each n-world class extends some (n-1)-world class.
     ``finder.enumerate_frames`` passes "has these relation properties",
     which is both; a new property must be hereditary too, and
     ``tests/test_relprops.py`` checks that every property is.  The result
@@ -377,7 +386,33 @@ def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
     if key in _canonical_cache:
         return _canonical_cache[key]
     parents = _classes(n - 1, keep, deadline)
-    seen = bytearray(1 << (n * n))
+    size = 1 << (n * n)
+    # A dense build marks orbits all over the table, so every page becomes
+    # resident anyway, and a bytearray zeroed up front takes each mark faster
+    # than a mapping (the unrestricted n=5 build is about 14% faster, the
+    # acyclic one 9%).  Otherwise the table is an anonymous mapping, so only
+    # the pages the build touches become resident: at n=5, 13% of them for
+    # the reflexive classes and under a third for the transitive and Ferrers
+    # ones, against all of them for the quasi-transitive, Suzumura-consistent
+    # and acyclic ones.  Dense means that the parents' relabellings would
+    # fill more than a quarter of the (n-1)-world table; at n=5 each single
+    # property fills 13% or less, or 49% or more.  Either table goes before
+    # the relations are built, to lower the peak, and on a timeout.
+    if len(parents) * factorial(n - 1) * 4 > 1 << ((n - 1) * (n - 1)):
+        minima = _extend(n, parents, keep, deadline, bytearray(size))
+    else:
+        with mmap.mmap(-1, size) as seen:
+            minima = _extend(n, parents, keep, deadline, seen)
+    minima.sort()
+    result = tuple(unpack_relation(packed, n) for packed in minima)
+    _canonical_cache[key] = result
+    return result
+
+
+def _extend(n: int, parents, keep, deadline: float | None, seen) -> list[int]:
+    """The packed orbit minima of the n-world classes keep accepts that
+    extend parents by a last world; seen is a zeroed 2^(n*n)-byte table in
+    which each kept orbit is marked."""
     shifts = [(n - 1 - i) * n for i in range(n - 1)]
     new_bit = 1 << (n - 1)
     new_rows = range(1 << n)
@@ -403,8 +438,4 @@ def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
                 for image in images:
                     seen[image] = 1
                 minima.append(min(images))
-    del seen  # released before the relations are built, to lower the peak
-    minima.sort()
-    result = tuple(unpack_relation(packed, n) for packed in minima)
-    _canonical_cache[key] = result
-    return result
+    return minima

@@ -126,6 +126,18 @@ MUTANTS = (
         ("tests/test_schemas.py::test_converse_frame_witness_is_valid_by_the_oracle",),
     ),
     Mutant(
+        "orbit lane recurrence reads the previous row value", "model.py",
+        "            per_row[rowval] = per_row[rowval ^ low] | single[low.bit_length() - 1]\n",
+        "            per_row[rowval] = per_row[rowval - 1] | single[low.bit_length() - 1]\n",
+        ("tests/test_model.py::test_orbit_lanes_equal_the_per_permutation_loop",),
+    ),
+    Mutant(
+        "seen table never marks an orbit", "model.py",
+        "                    seen[image] = 1\n",
+        "                    pass\n",
+        ("tests/test_model.py::test_canonical_counts",),
+    ),
+    Mutant(
         "strict-layer peel keeps peeled worlds", "relprops.py",
         "        bottom &= left  # worlds peeled in an earlier round drop out\n",
         "",

@@ -123,6 +123,30 @@ def orbit(n, pairs):
     }
 
 
+def orbit_lanes(n):
+    """The class builder's orbit lanes, one permutation and one bit at a time.
+
+    lanes[i][row] packs, in lane k (bits 64k upward), the relabelling by the
+    k-th permutation of row i with value row, at the position the relabelled
+    row takes in a packed relation (row 0 most significant).
+    """
+    perms = list(permutations(range(n)))
+    lanes = []
+    for i in range(n):
+        per_row = []
+        for rowval in range(1 << n):
+            packed = 0
+            for k, perm in enumerate(perms):
+                contrib = 0
+                for j in range(n):
+                    if rowval >> j & 1:
+                        contrib |= 1 << perm[j]
+                packed |= contrib << ((n - 1 - perm[i]) * n + 64 * k)
+            per_row.append(packed)
+        lanes.append(tuple(per_row))
+    return tuple(lanes)
+
+
 def nonempty_subsets(worlds):
     items = sorted(worlds)
     return chain.from_iterable(

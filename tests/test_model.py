@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from ddlmc.model import (
     ModelFormatError,
     PreferenceModel,
     _orbit_images,
+    _orbit_lanes,
     all_relations,
     canonical_relations,
     equal_goodness,
@@ -31,7 +36,7 @@ from ddlmc.casestudy import GRID_ROWS
 from ddlmc.finder import enumerate_frames
 from ddlmc.relprops import RelationProperty, check_property
 
-from oracle import orbit, reachable_pairs
+from oracle import orbit, orbit_lanes, reachable_pairs
 
 P = RelationProperty
 
@@ -211,6 +216,15 @@ def test_orbit_images_are_the_oracle_orbit():
             assert orbit_size(rel) == len(images), rel
 
 
+def test_orbit_lanes_equal_the_per_permutation_loop():
+    # the builder ORs per-world entries into each row value's entry; the
+    # oracle relabels every row value under every permutation bit by bit
+    for n in (1, 2, 3, 4, 5):
+        lanes, size = _orbit_lanes(n)
+        assert lanes == orbit_lanes(n), n
+        assert size == 8 * math.factorial(n)
+
+
 def test_canonical_form_is_the_orbit_minimum():
     for n in (1, 2, 3, 4, 5):
         for rel in _sampled_relations(n):
@@ -244,3 +258,50 @@ def test_property_class_counts_at_five_worlds():
     assert count((P.TRANSITIVE,)) == 1895
     assert count((P.INTERVAL_ORDER,)) == 53
     assert count((P.REFLEXIVE, P.TOTAL, P.TRANSITIVE)) == 16
+
+
+_TRANSITIVE_BUILD = """
+import re
+from pathlib import Path
+from ddlmc.model import canonical_relations
+from ddlmc.relprops import RelationProperty, has_all
+
+def peak_kib():
+    return int(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1])
+
+before = peak_kib()
+classes = canonical_relations(5, has_all(frozenset({RelationProperty.TRANSITIVE})))
+print(len(classes), peak_kib() - before)
+"""
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError:
+        return ""
+
+
+@pytest.mark.skipif(
+    "VmHWM" not in _read("/proc/self/status"),
+    reason="needs the peak resident set in /proc/self/status (Linux)",
+)
+@pytest.mark.skipif(
+    "[always]" in _read("/sys/kernel/mm/transparent_hugepage/enabled"),
+    reason="huge pages make whole 2 MiB runs of the table resident",
+)
+def test_transitive_five_world_build_touches_a_fraction_of_the_table():
+    # the 2^25-byte seen table is mapped lazily: the 1 895 transitive
+    # classes touch about 10 MiB of its 32 MiB, so the peak resident set
+    # grows by less than half the table (a table zeroed up front makes all
+    # 32 MiB resident).  The child reads VmHWM, not ru_maxrss: a process
+    # keeps the ru_maxrss of the process that started it across exec.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _TRANSITIVE_BUILD],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    classes, grown_kib = map(int, done.stdout.split())
+    assert classes == 1895
+    assert grown_kib < 16 * 1024, grown_kib
