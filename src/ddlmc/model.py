@@ -25,7 +25,6 @@ import sys
 import time
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
 from typing import Callable, Iterable, Iterator
 
 Relation = tuple[int, ...]
@@ -34,10 +33,10 @@ MAX_WORLDS = 16
 
 # Exhaustive enumeration is bounded at 5 worlds: isomorph rejection marks
 # orbits in a table of 2^(n*n) bytes (32 MiB at n=5, 64 GiB at n=6), and
-# enumeration without it iterates every one of the 2^(n*n) relations.  For
-# a restrictive build the table is mapped lazily, so only the pages it
-# touches become resident (about 10 MiB of the 32 for the transitive
-# classes at n=5); a dense build touches them all.
+# enumeration without it iterates every one of the 2^(n*n) relations.  The
+# table is mapped lazily, so only the pages a build touches become resident
+# (about 10 MiB of the 32 for the transitive classes at n=5); an
+# unrestricted build touches them all.
 MAX_EXHAUSTIVE_WORLDS = 5
 
 
@@ -350,12 +349,12 @@ def canonical_relations(
     is already marked in a 2^(n*n)-byte table is skipped; otherwise it is
     tested with keep and, if it passes, its whole orbit is marked and the
     orbit minimum kept.  Failing orbits are not marked: marking costs more
-    than testing a relabelled copy again.  Unless the build is dense, the
-    table is an anonymous mapping that the OS zero-fills page by page, so
-    only the pages the build touches become resident.  This is complete
-    because keep must be invariant under relabelling worlds and hereditary:
-    deleting a world from a relation it accepts leaves a relation it
-    accepts, so each n-world class extends some (n-1)-world class.
+    than testing a relabelled copy again.  The table is an anonymous
+    mapping that the OS zero-fills page by page, so only the pages the
+    build touches become resident.  This is complete because keep must be
+    invariant under relabelling worlds and hereditary: deleting a world
+    from a relation it accepts leaves a relation it accepts, so each
+    n-world class extends some (n-1)-world class.
     ``finder.enumerate_frames`` passes "has these relation properties",
     which is both; a new property must be hereditary too, and
     ``tests/test_relprops.py`` checks that every property is.  The result
@@ -386,56 +385,36 @@ def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
     if key in _canonical_cache:
         return _canonical_cache[key]
     parents = _classes(n - 1, keep, deadline)
-    size = 1 << (n * n)
-    # A dense build marks orbits all over the table, so every page becomes
-    # resident anyway, and a bytearray zeroed up front takes each mark faster
-    # than a mapping (the unrestricted n=5 build is about 14% faster, the
-    # acyclic one 9%).  Otherwise the table is an anonymous mapping, so only
-    # the pages the build touches become resident: at n=5, 13% of them for
-    # the reflexive classes and under a third for the transitive and Ferrers
-    # ones, against all of them for the quasi-transitive, Suzumura-consistent
-    # and acyclic ones.  Dense means that the parents' relabellings would
-    # fill more than a quarter of the (n-1)-world table; at n=5 each single
-    # property fills 13% or less, or 49% or more.  Either table goes before
-    # the relations are built, to lower the peak, and on a timeout.
-    if len(parents) * factorial(n - 1) * 4 > 1 << ((n - 1) * (n - 1)):
-        minima = _extend(n, parents, keep, deadline, bytearray(size))
-    else:
-        with mmap.mmap(-1, size) as seen:
-            minima = _extend(n, parents, keep, deadline, seen)
-    minima.sort()
-    result = tuple(unpack_relation(packed, n) for packed in minima)
-    _canonical_cache[key] = result
-    return result
-
-
-def _extend(n: int, parents, keep, deadline: float | None, seen) -> list[int]:
-    """The packed orbit minima of the n-world classes keep accepts that
-    extend parents by a last world; seen is a zeroed 2^(n*n)-byte table in
-    which each kept orbit is marked."""
     shifts = [(n - 1 - i) * n for i in range(n - 1)]
     new_bit = 1 << (n - 1)
     new_rows = range(1 << n)
     minima = []
-    for parent in parents:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout()
-        for column in range(1 << (n - 1)):
-            old = tuple(
-                row | new_bit if column >> i & 1 else row
-                for i, row in enumerate(parent)
-            )
-            base = 0
-            for row, shift in zip(old, shifts):
-                base |= row << shift
-            for new_row in new_rows:
-                if seen[base | new_row]:
-                    continue
-                rows = old + (new_row,)
-                if keep is not None and not keep(rows):
-                    continue
-                images = _orbit_images(rows)
-                for image in images:
-                    seen[image] = 1
-                minima.append(min(images))
-    return minima
+    # The table is an anonymous mapping: the OS zero-fills it page by page,
+    # so only the pages the build touches become resident.  It is unmapped
+    # before the relations are built, to lower the peak, and on a timeout.
+    with mmap.mmap(-1, 1 << (n * n)) as seen:
+        for parent in parents:
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout()
+            for column in range(1 << (n - 1)):
+                old = tuple(
+                    row | new_bit if column >> i & 1 else row
+                    for i, row in enumerate(parent)
+                )
+                base = 0
+                for row, shift in zip(old, shifts):
+                    base |= row << shift
+                for new_row in new_rows:
+                    if seen[base | new_row]:
+                        continue
+                    rows = old + (new_row,)
+                    if keep is not None and not keep(rows):
+                        continue
+                    images = _orbit_images(rows)
+                    for image in images:
+                        seen[image] = 1
+                    minima.append(min(images))
+    minima.sort()
+    result = tuple(unpack_relation(packed, n) for packed in minima)
+    _canonical_cache[key] = result
+    return result

@@ -133,8 +133,8 @@ MUTANTS = (
     ),
     Mutant(
         "seen table never marks an orbit", "model.py",
-        "                    seen[image] = 1\n",
-        "                    pass\n",
+        "                        seen[image] = 1\n",
+        "                        pass\n",
         ("tests/test_model.py::test_canonical_counts",),
     ),
     Mutant(
