@@ -24,12 +24,12 @@ check itself for a single property, else one loop over the checks.
 
 ``property_implication`` decides "every relation with P1 also has P2" up to
 a universe size, returning a Confirmed marker or the least witness
-relation; ``lattice_report`` does this for the whole implication diagram of
-the transitivity weakenings.  Both range over isomorphism classes
+relation.  It walks the isomorphism classes with P1
 (``model.canonical_relations``), weighting each by its orbit size: the
-properties are invariant under relabelling worlds, so a class's flags are
-its relations' flags, and the least relation with a flag pattern is the
-least representative that has it.
+properties are invariant under relabelling worlds, so a class has them iff
+its relations do, and the least relation with P1 and not P2 is the least
+such representative.  ``lattice_report`` asks it once per ordered pair of
+the implication diagram of the transitivity weakenings.
 """
 
 from __future__ import annotations
@@ -125,20 +125,6 @@ def _strict_layers(strict: Relation) -> int | None:
     return layers
 
 
-def _suzumura(rel: Relation, strict: Relation) -> bool:
-    # no strict step b > a whose a reaches b by weak steps
-    reach = transitive_closure(rel)
-    for b, row in enumerate(strict):
-        bit = 1 << b
-        m = row
-        while m:
-            low = m & -m
-            if reach[low.bit_length() - 1] & bit:
-                return False
-            m ^= low
-    return True
-
-
 def is_quasi_transitive(rel: Relation) -> bool:
     """The strict part is transitive."""
     return is_transitive(strict_part(rel))
@@ -161,7 +147,17 @@ def longest_strict_chain(m: PreferenceModel | Relation) -> int | str:
 
 def is_suzumura_consistent(rel: Relation) -> bool:
     """No weak-preference cycle containing a strict step."""
-    return _suzumura(rel, strict_part(rel))
+    # no strict step b > a whose a reaches b by weak steps
+    reach = transitive_closure(rel)
+    for b, row in enumerate(strict_part(rel)):
+        bit = 1 << b
+        m = row
+        while m:
+            low = m & -m
+            if reach[low.bit_length() - 1] & bit:
+                return False
+            m ^= low
+    return True
 
 
 def is_ferrers(rel: Relation) -> bool:
@@ -222,7 +218,11 @@ def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | 
     """The predicate "has every property in props", one flat function: the
     check itself for one property, else one loop over the checks in
     declaration order.  One object per set, so that it keys the class cache
-    of ``canonical_relations``; None when props is empty."""
+    of ``canonical_relations``; None when props is empty.  A member that is
+    not a RelationProperty raises ValueError."""
+    bad = sorted(repr(p) for p in props if not isinstance(p, RelationProperty))
+    if bad:
+        raise ValueError(f"{', '.join(bad)}: not a relation property")
     checks = tuple(dict.fromkeys(_CHECKS[p] for p in RelationProperty if p in props))
     if not checks:
         return None
@@ -259,24 +259,26 @@ class Witness:
 
 
 def _as_props(p) -> tuple[RelationProperty, ...]:
-    if isinstance(p, RelationProperty):
+    if isinstance(p, (RelationProperty, str)):  # a str is one (bad) member
         return (p,)
     return tuple(p)
 
 
-def property_implication(p1, p2, n: int) -> Confirmed | Witness:
+def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confirmed | Witness:
     """Check p1 => p2 over all relations on 1..n worlds, n <= 5.
 
     p1 and p2 may be single properties or iterables (read conjunctively).
     Only the classes with p1 are built; relations_checked counts the
-    relations in them.
+    relations in them.  Raises SearchTimeout at the deadline, a
+    ``time.monotonic()`` value (None: no limit).
     """
     check_world_bound(n)
-    props1, props2 = _as_props(p1), _as_props(p2)
-    keep, conclusion = has_all(frozenset(props1)), has_all(frozenset(props2))
+    keep, conclusion = has_all(frozenset(_as_props(p1))), has_all(frozenset(_as_props(p2)))
     checked = 0
     for size in range(1, n + 1):
-        for rep in canonical_relations(size, keep):
+        for idx, rep in enumerate(canonical_relations(size, keep, deadline)):
+            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
+                raise SearchTimeout()
             if conclusion is not None and not conclusion(rep):
                 return Witness(size, rep)
             checked += orbit_size(rep)
@@ -316,76 +318,31 @@ _DEFINITIONAL_ARROWS = (
 
 def implied_pairs() -> frozenset[tuple[RelationProperty, RelationProperty]]:
     """Transitive closure of the arrow diagram (with definitional arrows)."""
-    arrows = set(LATTICE_ARROWS) | set(_DEFINITIONAL_ARROWS)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(arrows):
-            for c, d in list(arrows):
-                if b == c and (a, d) not in arrows and a != d:
-                    arrows.add((a, d))
-                    changed = True
-    return frozenset(arrows)
-
-
-def _lattice_flags(rel: Relation) -> int:
-    """Bitmask of LATTICE_NODES flags, computing the strict rows once."""
-    strict = strict_part(rel)
-    total = is_total(rel)
-    values = (
-        is_transitive(rel),
-        is_transitive(strict),
-        _suzumura(rel, strict),
-        _strict_layers(strict) is not None,
-        total and is_ferrers(rel),
-        total,
-        is_reflexive(rel),
+    index = {p: i for i, p in enumerate(LATTICE_NODES)}
+    rows = [0] * len(LATTICE_NODES)
+    for a, b in LATTICE_ARROWS + _DEFINITIONAL_ARROWS:
+        rows[index[a]] |= 1 << index[b]
+    reach = transitive_closure(tuple(rows))
+    return frozenset(
+        (p, q) for p in LATTICE_NODES for q in LATTICE_NODES
+        if p is not q and reach[index[p]] >> index[q] & 1
     )
-    return sum(1 << idx for idx, value in enumerate(values) if value)
 
 
 def lattice_report(max_n: int, deadline: float | None = None) -> dict:
-    """Exhaustively confirm every implied pair and witness every other pair.
-
-    One pass per universe size computes all property flags per isomorphism
-    class and a histogram of flag patterns weighted by orbit size, so the
-    report covers every ordered pair of LATTICE_NODES at once.  Raises
-    SearchTimeout at the deadline, a ``time.monotonic()`` value (None: no
-    limit).
-    """
+    """Exhaustively confirm every implied pair and witness every other pair:
+    one ``property_implication`` per ordered pair of LATTICE_NODES.  Raises
+    AssertionError if an implied pair fails, and SearchTimeout at the
+    deadline, a ``time.monotonic()`` value (None: no limit)."""
     check_world_bound(max_n)
     implied = implied_pairs()
-    bit = {p: 1 << i for i, p in enumerate(LATTICE_NODES)}
-    open_pairs = [
-        (p, q) for p in LATTICE_NODES for q in LATTICE_NODES
-        if p is not q and (p, q) not in implied
-    ]
-    # relations per flag pattern, over all sizes so far
-    hist: dict[int, int] = {}
-    witnesses: dict[tuple, tuple[int, Relation]] = {}
-
-    def separating(flags, p, q) -> bool:
-        return flags & bit[p] and not flags & bit[q]
-
-    for size in range(1, max_n + 1):
-        least: dict[int, Relation] = {}  # least class of each flag pattern
-        for idx, rep in enumerate(canonical_relations(size, None, deadline)):
-            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
-                raise SearchTimeout()
-            flags = _lattice_flags(rep)
-            least.setdefault(flags, rep)
-            hist[flags] = hist.get(flags, 0) + orbit_size(rep)
-        for pair in open_pairs:
-            found = [rep for flags, rep in least.items() if separating(flags, *pair)]
-            if found and pair not in witnesses:
-                witnesses[pair] = (size, min(found))
-        for p, q in implied:
-            if any(separating(flags, p, q) for flags in least):
-                raise AssertionError(f"implication {p} => {q} fails at size {size}")
-
-    def checked(source: RelationProperty) -> int:
-        return sum(count for flags, count in hist.items() if flags & bit[source])
-
+    results = {
+        (p, q): property_implication(p, q, max_n, deadline)
+        for p in LATTICE_NODES for q in LATTICE_NODES if p is not q
+    }
+    for p, q in implied:
+        if isinstance(results[p, q], Witness):
+            raise AssertionError(f"implication {p} => {q} fails at size {results[p, q].n}")
     return {
         "max_n": max_n,
         "arrows": [
@@ -393,7 +350,7 @@ def lattice_report(max_n: int, deadline: float | None = None) -> dict:
                 "from": a.value,
                 "to": b.value,
                 "status": "confirmed",
-                "relations_checked": checked(a),
+                "relations_checked": results[a, b].relations_checked,
             }
             for a, b in LATTICE_ARROWS
         ],
@@ -406,10 +363,11 @@ def lattice_report(max_n: int, deadline: float | None = None) -> dict:
             {
                 "from": p.value,
                 "to": q.value,
-                "witness_n": witnesses[(p, q)][0] if (p, q) in witnesses else None,
-                "witness_rel": list(witnesses[(p, q)][1]) if (p, q) in witnesses else None,
-                "status": "witness" if (p, q) in witnesses else "no_witness_up_to_bound",
+                "witness_n": result.n if isinstance(result, Witness) else None,
+                "witness_rel": list(result.rel) if isinstance(result, Witness) else None,
+                "status": "witness" if isinstance(result, Witness) else "no_witness_up_to_bound",
             }
-            for p, q in open_pairs
+            for (p, q), result in results.items()
+            if (p, q) not in implied
         ],
     }

@@ -224,7 +224,8 @@ def test_correspond_honours_timeout(argv, capsys):
 
 @pytest.mark.parametrize("argv, code, limit_s", [
     ("collapse --max-n 5 --timeout 0.000001 --json", 1, 15),
-    # Unbounded, this builds and flags all 292k five-world classes.
+    # Unbounded, this builds the five-world classes of all seven lattice
+    # properties (about 8 s).
     ("lattice --max-n 5 --timeout 1 --json", 1, 15),
     # The bound is checked before any work: a usage error, no report.
     ("lattice --max-n 6 --json", 2, 1),

@@ -33,6 +33,18 @@ def test_enumerate_counts():
     assert len(list(enumerate_frames(3, [P.TOTAL]))) == 27
 
 
+@pytest.mark.parametrize("iso_reject", [True, False])
+def test_search_rejects_a_property_that_is_not_a_relation_property(iso_reject, monkeypatch):
+    def no_frames(*args):
+        raise AssertionError("built a frame for a bad property set")
+
+    monkeypatch.setattr(model, "_classes", no_frames)
+    monkeypatch.setattr("ddlmc.finder.all_relations", no_frames)
+    spec = SearchSpec(3, EvalRule.MAX, [parse("p")], properties="total", iso_reject=iso_reject)
+    with pytest.raises(ValueError, match="'t'.*not a relation property"):
+        find_satisfying_model(spec)
+
+
 def test_enumerate_is_sorted_and_filters():
     frames = list(enumerate_frames(2, [P.TRANSITIVE]))
     assert frames == sorted(frames)

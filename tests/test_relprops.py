@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
 from itertools import chain, permutations
 
 import pytest
 
+from ddlmc import model
 from ddlmc.model import (
+    SearchTimeout,
     all_relations,
     canonical_relations,
     relation_from_pairs,
@@ -21,7 +24,6 @@ from ddlmc.relprops import (
     Confirmed,
     RelationProperty,
     Witness,
-    _lattice_flags,
     check_property,
     has_all,
     implied_pairs,
@@ -92,14 +94,6 @@ def test_has_all_is_check_all():
         for rel in rels:
             assert keep(rel) == all(check_property(p, rel) for p in props), (props, rel)
     assert has_all(frozenset()) is None
-
-
-def test_lattice_flags_agree_with_the_property_checks():
-    for rel in _classes_up_to_4():
-        expected = sum(
-            1 << idx for idx, prop in enumerate(LATTICE_NODES) if check_property(prop, rel)
-        )
-        assert _lattice_flags(rel) == expected, rel
 
 
 def test_limit_assumptions_match_subset_definitions():
@@ -184,12 +178,32 @@ def test_implication_counts_every_relation_of_its_classes():
     assert property_implication(P.TRANSITIVE, P.QUASI_TRANSITIVE, 5) == Confirmed(5, 158483)
 
 
-@pytest.mark.parametrize("n", [0, 6])
-def test_implication_and_lattice_reject_bounds_outside_1_to_5(n):
-    with pytest.raises(ValueError):
-        property_implication(P.TRANSITIVE, P.ACYCLIC, n)
-    with pytest.raises(ValueError):
-        lattice_report(n)
+@pytest.mark.parametrize("n, error", [
+    pytest.param(0, ValueError, id="0"),
+    pytest.param(6, ValueError, id="6"),
+    # within the bound, the passed deadline stops the search
+    pytest.param(5, SearchTimeout, id="5"),
+])
+def test_implication_and_lattice_reject_bounds_outside_1_to_5(n, error):
+    deadline = time.monotonic() - 1  # the bound is checked first
+    with pytest.raises(error):
+        property_implication(P.ACYCLIC, P.TOTAL, n, deadline)
+    with pytest.raises(error):
+        lattice_report(n, deadline)
+
+
+@pytest.mark.parametrize("p1, p2", [
+    ("transitive", P.ACYCLIC),
+    (P.TRANSITIVE, ["acyclic"]),
+    ((P.TRANSITIVE, "total"), P.ACYCLIC),
+])
+def test_implication_rejects_a_member_that_is_not_a_property(p1, p2, monkeypatch):
+    def no_classes(*args):
+        raise AssertionError("built classes for a bad property set")
+
+    monkeypatch.setattr(model, "_classes", no_classes)
+    with pytest.raises(ValueError, match="not a relation property"):
+        property_implication(p1, p2, 3)
 
 
 def test_ferrers_plus_reflexive_implies_total():
