@@ -42,13 +42,9 @@ from .model import (
 )
 from .relprops import (
     CYCLIC,
-    Confirmed,
     RelationProperty,
-    Witness,
     check_property,
-    lattice_report,
     longest_strict_chain,
-    property_implication,
 )
 from .semantics import (
     EvalRule,
@@ -60,11 +56,15 @@ from .semantics import (
     valid_on_frame,
 )
 from .finder import (
+    Confirmed,
     SearchSpec,
     SearchResult,
     SearchTimeout,
+    Witness,
     enumerate_frames,
     find_satisfying_model,
+    lattice_report,
+    property_implication,
     rule_collapse,
 )
 from .schemas import (

@@ -52,16 +52,10 @@ import sys
 import time
 
 from . import casestudy
-from .finder import SearchSpec, SearchTimeout, find_satisfying_model, rule_collapse
+from .finder import SearchSpec, SearchTimeout, find_satisfying_model, lattice_report, rule_collapse
 from .formula import ParseError, metavars, parse, render
 from .model import ModelFormatError, parse_model, serialize_model, worlds_from_mask
-from .relprops import (
-    RelationProperty,
-    check_property,
-    lattice_report,
-    longest_strict_chain,
-    property_from_name,
-)
+from .relprops import RelationProperty, check_property, longest_strict_chain, property_from_name
 from .schemas import SCHEMAS, converse_search, forward_check, table_sweep
 from .semantics import rule_from_name, truth_set, valid_in_model
 
@@ -75,7 +69,11 @@ class UsageError(ValueError):
 def _parse_props(text: str | None) -> tuple[RelationProperty, ...]:
     if not text:
         return ()
-    return tuple(property_from_name(p) for p in text.split(",") if p.strip())
+    props = tuple(property_from_name(p) for p in text.split(",") if p.strip())
+    repeated = sorted({p.value for p in props if props.count(p) > 1})
+    if repeated:
+        raise UsageError(f"properties {repeated} are listed more than once")
+    return props
 
 
 def _read_model(path: str):

@@ -24,8 +24,12 @@ A search for a least witness is a ``SearchSpec`` run by
 ``find_satisfying_model``: a (frame, valuation) in satisfy and refute mode
 (the model search, forward checks, model-level converses), a frame in
 valid mode (frame-level converses).  Every such witness is re-validated in
-one place, ``_revalidate``; only the rule collapse hands ``scan_frames`` a
-probe of its own.
+one place, ``_revalidate``.  The rule collapse and ``property_implication``
+hand ``scan_frames`` probes of their own: the latter checks "every relation
+with P1 has P2" on the classes with P1, weighting each by its orbit size.
+The properties are invariant under relabelling worlds, so the least witness
+is the least such representative.  ``lattice_report`` asks it once per
+ordered pair of the implication diagram of the transitivity weakenings.
 Every search stops at a deadline, a ``time.monotonic()`` value (None: no
 limit), raising ``SearchTimeout``.  Scans are serial; the work is pure
 Python, so threads would not run it faster.
@@ -47,6 +51,8 @@ from .model import (
     canonical_relations,
     check_world_bound,
     model_json,
+    orbit_size,
+    transitive_closure,
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_property, has_all
@@ -295,4 +301,142 @@ def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None
         "antecedent": list(worlds_from_mask(antecedent)),
         "consequent": list(worlds_from_mask(consequent)),
         **verdicts,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Implications between properties
+
+
+@dataclass(frozen=True)
+class Confirmed:
+    """p1 implies p2 on every relation of each checked size."""
+
+    n: int
+    relations_checked: int
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Least relation (by size, then row-lexicographic order) with p1 but not p2."""
+
+    n: int
+    rel: Relation
+
+
+def _as_props(p) -> tuple[RelationProperty, ...]:
+    if isinstance(p, (RelationProperty, str)):  # a str is one (bad) member
+        return (p,)
+    return tuple(p)
+
+
+def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confirmed | Witness:
+    """Check p1 => p2 over all relations on 1..n worlds, n <= 5.
+
+    p1 and p2 may be single properties or iterables (read conjunctively).
+    A scan of the classes with p1 whose probe hits a class without p2;
+    relations_checked counts the relations in the classes it passes.
+    Raises SearchTimeout at the deadline, a ``time.monotonic()`` value
+    (None: no limit).
+    """
+    conclusion = has_all(frozenset(_as_props(p2)))
+    checked = 0
+
+    def probe(rel):
+        nonlocal checked
+        if conclusion is not None and not conclusion(rel):
+            return rel
+        checked += orbit_size(rel)
+        return None
+
+    hit, _ = scan_frames(n, _as_props(p1), probe, deadline=deadline)
+    if hit is None:
+        return Confirmed(n, checked)
+    return Witness(hit[0], hit[1])
+
+
+# The implication diagram over the order-theoretic properties: the five
+# weakenings of transitivity, plus totality and reflexivity.  Base arrows are
+# the known one-step implications; interval order is total + Ferrers by
+# definition, which contributes two more.  Everything else is independent and
+# the report must produce a witness for each non-implied ordered pair.
+
+LATTICE_NODES = (
+    RelationProperty.TRANSITIVE,
+    RelationProperty.QUASI_TRANSITIVE,
+    RelationProperty.SUZUMURA_CONSISTENT,
+    RelationProperty.ACYCLIC,
+    RelationProperty.INTERVAL_ORDER,
+    RelationProperty.TOTAL,
+    RelationProperty.REFLEXIVE,
+)
+
+LATTICE_ARROWS = (
+    (RelationProperty.TRANSITIVE, RelationProperty.SUZUMURA_CONSISTENT),
+    (RelationProperty.SUZUMURA_CONSISTENT, RelationProperty.ACYCLIC),
+    (RelationProperty.TRANSITIVE, RelationProperty.QUASI_TRANSITIVE),
+    (RelationProperty.QUASI_TRANSITIVE, RelationProperty.ACYCLIC),
+    (RelationProperty.INTERVAL_ORDER, RelationProperty.QUASI_TRANSITIVE),
+    (RelationProperty.TOTAL, RelationProperty.REFLEXIVE),
+)
+
+_DEFINITIONAL_ARROWS = (
+    (RelationProperty.INTERVAL_ORDER, RelationProperty.TOTAL),
+    (RelationProperty.INTERVAL_ORDER, RelationProperty.REFLEXIVE),
+)
+
+
+def implied_pairs() -> frozenset[tuple[RelationProperty, RelationProperty]]:
+    """Transitive closure of the arrow diagram (with definitional arrows)."""
+    index = {p: i for i, p in enumerate(LATTICE_NODES)}
+    rows = [0] * len(LATTICE_NODES)
+    for a, b in LATTICE_ARROWS + _DEFINITIONAL_ARROWS:
+        rows[index[a]] |= 1 << index[b]
+    reach = transitive_closure(tuple(rows))
+    return frozenset(
+        (p, q) for p in LATTICE_NODES for q in LATTICE_NODES
+        if p is not q and reach[index[p]] >> index[q] & 1
+    )
+
+
+def lattice_report(max_n: int, deadline: float | None = None) -> dict:
+    """Exhaustively confirm every implied pair and witness every other pair:
+    one ``property_implication`` per ordered pair of LATTICE_NODES.  Raises
+    AssertionError if an implied pair fails, and SearchTimeout at the
+    deadline, a ``time.monotonic()`` value (None: no limit)."""
+    implied = implied_pairs()
+    results = {
+        (p, q): property_implication(p, q, max_n, deadline)
+        for p in LATTICE_NODES for q in LATTICE_NODES if p is not q
+    }
+    for p, q in implied:
+        if isinstance(results[p, q], Witness):
+            raise AssertionError(f"implication {p} => {q} fails at size {results[p, q].n}")
+    return {
+        "max_n": max_n,
+        "arrows": [
+            {
+                "from": a.value,
+                "to": b.value,
+                "status": "confirmed",
+                "relations_checked": results[a, b].relations_checked,
+            }
+            for a, b in LATTICE_ARROWS
+        ],
+        "derived_arrows": sorted(
+            f"{a.value} => {b.value}"
+            for a, b in implied
+            if (a, b) not in LATTICE_ARROWS
+        ),
+        "independence": [
+            {
+                "from": p.value,
+                "to": q.value,
+                "witness_n": result.n if isinstance(result, Witness) else None,
+                "witness_rel": list(result.rel) if isinstance(result, Witness) else None,
+                "status": "witness" if isinstance(result, Witness) else "no_witness_up_to_bound",
+            }
+            for (p, q), result in results.items()
+            if (p, q) not in implied
+        ],
     }

@@ -189,6 +189,11 @@ class ModelFormatError(ValueError):
     """Malformed model file."""
 
 
+def _is_index(text: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts '²' and '٣'."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_model(text: str) -> PreferenceModel:
     """Parse the model file format."""
     lines = []
@@ -201,7 +206,7 @@ def parse_model(text: str) -> PreferenceModel:
 
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "worlds" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "worlds" or not _is_index(parts[1]):
         raise ModelFormatError(f"line {lineno}: expected 'worlds <n>', got {header!r}")
     n = int(parts[1])
     if not (1 <= n <= MAX_WORLDS):
@@ -214,7 +219,7 @@ def parse_model(text: str) -> PreferenceModel:
     pairs = []
     for item in rel_line.split()[1:]:
         left, sep, right = item.partition(">=")
-        if not sep or not left.isdigit() or not right.isdigit():
+        if not sep or not _is_index(left) or not _is_index(right):
             raise ModelFormatError(f"line {lineno}: bad relation pair {item!r}")
         i, j = int(left), int(right)
         if i >= n or j >= n:
@@ -240,7 +245,7 @@ def parse_model(text: str) -> PreferenceModel:
         if body:
             for item in body.split(","):
                 item = item.strip()
-                if not item.isdigit():
+                if not _is_index(item):
                     raise ModelFormatError(f"line {lineno}: bad world index {item!r}")
                 w = int(item)
                 if w >= n:

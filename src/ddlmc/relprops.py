@@ -1,4 +1,4 @@
-"""Properties of betterness relations and implications between them.
+"""Properties of betterness relations.
 
 Covers the standard rational-choice conditions (reflexivity, totality,
 transitivity and its weakenings, the Ferrers condition and interval orders)
@@ -21,35 +21,16 @@ strict-transitivity checks first compute the strict rows once
 gives the longest strict chain (``longest_strict_chain``).
 ``has_all(props)`` returns one flat predicate for the class builder: the
 check itself for a single property, else one loop over the checks.
-
-``property_implication`` decides "every relation with P1 also has P2" up to
-a universe size, returning a Confirmed marker or the least witness
-relation.  It walks the isomorphism classes with P1
-(``model.canonical_relations``), weighting each by its orbit size: the
-properties are invariant under relabelling worlds, so a class has them iff
-its relations do, and the least relation with P1 and not P2 is the least
-such representative.  ``lattice_report`` asks it once per ordered pair of
-the implication diagram of the transitivity weakenings.
+Implications between properties are searches, so they live in ``finder``.
 """
 
 from __future__ import annotations
 
 import enum
-import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .model import (
-    PreferenceModel,
-    Relation,
-    SearchTimeout,
-    canonical_relations,
-    check_world_bound,
-    orbit_size,
-    strict_part,
-    transitive_closure,
-)
+from .model import PreferenceModel, Relation, strict_part, transitive_closure
 
 
 class RelationProperty(enum.Enum):
@@ -236,138 +217,3 @@ def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | 
         return True
 
     return keep
-
-
-# ---------------------------------------------------------------------------
-# Implications between properties
-
-
-@dataclass(frozen=True)
-class Confirmed:
-    """p1 implies p2 on every relation of each checked size."""
-
-    n: int
-    relations_checked: int
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Least relation (by size, then row-lexicographic order) with p1 but not p2."""
-
-    n: int
-    rel: Relation
-
-
-def _as_props(p) -> tuple[RelationProperty, ...]:
-    if isinstance(p, (RelationProperty, str)):  # a str is one (bad) member
-        return (p,)
-    return tuple(p)
-
-
-def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confirmed | Witness:
-    """Check p1 => p2 over all relations on 1..n worlds, n <= 5.
-
-    p1 and p2 may be single properties or iterables (read conjunctively).
-    Only the classes with p1 are built; relations_checked counts the
-    relations in them.  Raises SearchTimeout at the deadline, a
-    ``time.monotonic()`` value (None: no limit).
-    """
-    check_world_bound(n)
-    keep, conclusion = has_all(frozenset(_as_props(p1))), has_all(frozenset(_as_props(p2)))
-    checked = 0
-    for size in range(1, n + 1):
-        for idx, rep in enumerate(canonical_relations(size, keep, deadline)):
-            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
-                raise SearchTimeout()
-            if conclusion is not None and not conclusion(rep):
-                return Witness(size, rep)
-            checked += orbit_size(rep)
-    return Confirmed(n, checked)
-
-
-# The implication diagram over the order-theoretic properties: the five
-# weakenings of transitivity, plus totality and reflexivity.  Base arrows are
-# the known one-step implications; interval order is total + Ferrers by
-# definition, which contributes two more.  Everything else is independent and
-# the report must produce a witness for each non-implied ordered pair.
-
-LATTICE_NODES = (
-    RelationProperty.TRANSITIVE,
-    RelationProperty.QUASI_TRANSITIVE,
-    RelationProperty.SUZUMURA_CONSISTENT,
-    RelationProperty.ACYCLIC,
-    RelationProperty.INTERVAL_ORDER,
-    RelationProperty.TOTAL,
-    RelationProperty.REFLEXIVE,
-)
-
-LATTICE_ARROWS = (
-    (RelationProperty.TRANSITIVE, RelationProperty.SUZUMURA_CONSISTENT),
-    (RelationProperty.SUZUMURA_CONSISTENT, RelationProperty.ACYCLIC),
-    (RelationProperty.TRANSITIVE, RelationProperty.QUASI_TRANSITIVE),
-    (RelationProperty.QUASI_TRANSITIVE, RelationProperty.ACYCLIC),
-    (RelationProperty.INTERVAL_ORDER, RelationProperty.QUASI_TRANSITIVE),
-    (RelationProperty.TOTAL, RelationProperty.REFLEXIVE),
-)
-
-_DEFINITIONAL_ARROWS = (
-    (RelationProperty.INTERVAL_ORDER, RelationProperty.TOTAL),
-    (RelationProperty.INTERVAL_ORDER, RelationProperty.REFLEXIVE),
-)
-
-
-def implied_pairs() -> frozenset[tuple[RelationProperty, RelationProperty]]:
-    """Transitive closure of the arrow diagram (with definitional arrows)."""
-    index = {p: i for i, p in enumerate(LATTICE_NODES)}
-    rows = [0] * len(LATTICE_NODES)
-    for a, b in LATTICE_ARROWS + _DEFINITIONAL_ARROWS:
-        rows[index[a]] |= 1 << index[b]
-    reach = transitive_closure(tuple(rows))
-    return frozenset(
-        (p, q) for p in LATTICE_NODES for q in LATTICE_NODES
-        if p is not q and reach[index[p]] >> index[q] & 1
-    )
-
-
-def lattice_report(max_n: int, deadline: float | None = None) -> dict:
-    """Exhaustively confirm every implied pair and witness every other pair:
-    one ``property_implication`` per ordered pair of LATTICE_NODES.  Raises
-    AssertionError if an implied pair fails, and SearchTimeout at the
-    deadline, a ``time.monotonic()`` value (None: no limit)."""
-    check_world_bound(max_n)
-    implied = implied_pairs()
-    results = {
-        (p, q): property_implication(p, q, max_n, deadline)
-        for p in LATTICE_NODES for q in LATTICE_NODES if p is not q
-    }
-    for p, q in implied:
-        if isinstance(results[p, q], Witness):
-            raise AssertionError(f"implication {p} => {q} fails at size {results[p, q].n}")
-    return {
-        "max_n": max_n,
-        "arrows": [
-            {
-                "from": a.value,
-                "to": b.value,
-                "status": "confirmed",
-                "relations_checked": results[a, b].relations_checked,
-            }
-            for a, b in LATTICE_ARROWS
-        ],
-        "derived_arrows": sorted(
-            f"{a.value} => {b.value}"
-            for a, b in implied
-            if (a, b) not in LATTICE_ARROWS
-        ),
-        "independence": [
-            {
-                "from": p.value,
-                "to": q.value,
-                "witness_n": result.n if isinstance(result, Witness) else None,
-                "witness_rel": list(result.rel) if isinstance(result, Witness) else None,
-                "status": "witness" if isinstance(result, Witness) else "no_witness_up_to_bound",
-            }
-            for (p, q), result in results.items()
-            if (p, q) not in implied
-        ],
-    }

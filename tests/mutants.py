@@ -126,6 +126,18 @@ MUTANTS = (
         ("tests/test_schemas.py::test_converse_frame_witness_is_valid_by_the_oracle",),
     ),
     Mutant(
+        "implication probe counts each class once", "finder.py",
+        "        checked += orbit_size(rel)\n",
+        "        checked += 1\n",
+        ("tests/test_relprops.py::test_implication_counts_every_relation_of_its_classes",),
+    ),
+    Mutant(
+        "implication probe never reports a witness", "finder.py",
+        "        if conclusion is not None and not conclusion(rel):\n            return rel\n",
+        "        if conclusion is not None and not conclusion(rel):\n            return None\n",
+        ("tests/test_relprops.py::test_implication_confirmed_and_witness",),
+    ),
+    Mutant(
         "orbit lane recurrence reads the previous row value", "model.py",
         "            per_row[rowval] = per_row[rowval ^ low] | single[low.bit_length() - 1]\n",
         "            per_row[rowval] = per_row[rowval - 1] | single[low.bit_length() - 1]\n",

@@ -28,16 +28,13 @@ from ddlmc.casestudy import (
     ascending_chain_evidence,
     run_grid,
 )
-from ddlmc.finder import rule_collapse
+from ddlmc.finder import Confirmed, lattice_report, property_implication, rule_collapse
 from ddlmc.model import PreferenceModel, parse_model
 from ddlmc.relprops import (
     CYCLIC,
-    Confirmed,
     RelationProperty as P,
     check_property,
-    lattice_report,
     longest_strict_chain,
-    property_implication,
 )
 from ddlmc.schemas import forward_check, table_sweep
 from ddlmc.semantics import EvalRule, truth_set

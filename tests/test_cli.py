@@ -152,6 +152,10 @@ def test_usage_errors(model_file, capsys):
                 "--atoms p,q,r,s,t,p --max-n 3".split()) == 2
     # a repeated rule used to run each of its cells twice
     assert main("paradox --max-n 2 --rules max,max --json".split()) == 2
+    # a repeated property used to be echoed twice, after normalising too
+    assert main("find-model p --props transitive,transitive --json".split()) == 2
+    assert main("correspond --axiom CM --props max_smooth,max_smooth".split()) == 2
+    assert main(["check-model", "--model", model_file, "--props", "max-smooth,max_smooth"]) == 2
     assert main(["nonsense-command"]) == 2
     assert capsys.readouterr().out == ""
 

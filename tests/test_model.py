@@ -158,6 +158,11 @@ def test_parse_model_comments_and_empty_set():
         ("worlds 2\nrel\nval p = {0}\nval p = {1}\n", "duplicate"),
         ("worlds 2\nrel\nval p = 0\n", "braces"),
         ("worlds 2\nrel\nval p = {9}\n", "out of range"),
+        # str.isdigit accepts these, and int() then failed or read '٣' as 3
+        ("worlds \u00b2\nrel\n", "line 1"),
+        ("worlds \u0663\nrel\n", "line 1"),
+        ("worlds 2\nrel 0>=\u00b9\n", "line 2"),
+        ("worlds 2\nrel\nval p = {\u00b9}\n", "line 3"),
     ],
 )
 def test_parse_model_errors(text, fragment):
