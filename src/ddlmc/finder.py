@@ -38,7 +38,6 @@ Python, so threads would not run it faster.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -94,47 +93,64 @@ _STATUS = {
 }
 
 
-@dataclass
+def _as_props(p) -> tuple[RelationProperty, ...]:
+    if isinstance(p, (RelationProperty, str)):  # a str is one (bad) member
+        return (p,)
+    return tuple(p)
+
+
 class SearchSpec:
     """What to search for: targets plus the model class to range over.
 
-    atoms orders the valuation's names (default: the targets' names,
-    sorted); metavariables are read from it like atoms, and one name may
-    not be both.  mode is "satisfy" (every target true at every world),
-    "refute" (some target false at some world) or "valid" (every target
-    true at every world under every valuation of atoms: a frame witness,
-    reported with an empty valuation).  frame_filter, a pure predicate on
-    the relation rows,
-    narrows the frames scanned and is re-checked on the witness.  The
-    search stops at deadline, a ``time.monotonic()`` value (None: no limit).
+    targets is a sequence of formulas; properties one property or a
+    sequence of them.  atoms orders the valuation's names (default: the
+    targets' names, sorted); metavariables are read from it like atoms, and
+    one name may not be both.  mode is "satisfy" (every target true at
+    every world), "refute" (some target false at some world) or "valid"
+    (every target true at every world under every valuation of atoms: a
+    frame witness, reported with an empty valuation).  frame_filter, a pure
+    predicate on the relation rows, narrows the frames scanned and is
+    re-checked on the witness.  The search stops at deadline, a
+    ``time.monotonic()`` value (None: no limit).
     """
 
-    max_n: int
-    rule: EvalRule
-    targets: Sequence[fm.Formula]
-    properties: Sequence[RelationProperty] = ()
-    atoms: Sequence[str] | None = None
-    mode: str = "satisfy"  # or "refute" or "valid"
-    iso_reject: bool = True
-    deadline: float | None = None
-    frame_filter: Callable[[Relation], bool] | None = None
-
-    def __post_init__(self):
-        self.targets = tuple(self.targets)
-        self.properties = tuple(self.properties)
+    def __init__(
+        self,
+        max_n: int,
+        rule: EvalRule,
+        targets: Sequence[fm.Formula],
+        properties: Sequence[RelationProperty] | RelationProperty = (),
+        atoms: Sequence[str] | None = None,
+        mode: str = "satisfy",  # or "refute" or "valid"
+        iso_reject: bool = True,
+        deadline: float | None = None,
+        frame_filter: Callable[[Relation], bool] | None = None,
+    ):
+        if isinstance(targets, (fm.Formula, str)):
+            raise ValueError(f"targets must be a sequence of formulas, not one {type(targets).__name__}")
+        if isinstance(atoms, str):
+            raise ValueError(f"atoms must be a sequence of names, not the one string {atoms!r}")
+        self.max_n = max_n
+        self.rule = rule
+        self.targets = tuple(targets)
+        self.properties = _as_props(properties)
+        self.mode = mode
+        self.iso_reject = iso_reject
+        self.deadline = deadline
+        self.frame_filter = frame_filter
         if not self.targets:
             raise ValueError("search needs at least one target formula")
-        if self.mode not in _STATUS:
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        atoms = set().union(*(fm.atoms(t) for t in self.targets))
+        if mode not in _STATUS:
+            raise ValueError(f"unknown search mode {mode!r}")
+        names = set().union(*(fm.atoms(t) for t in self.targets))
         metavars = set().union(*(fm.metavars(t) for t in self.targets))
-        if atoms & metavars:
-            raise ValueError(f"names {sorted(atoms & metavars)} are used as atoms and as metavariables")
-        mentioned = sorted(atoms | metavars)
-        if self.atoms is None:
+        if names & metavars:
+            raise ValueError(f"names {sorted(names & metavars)} are used as atoms and as metavariables")
+        mentioned = sorted(names | metavars)
+        if atoms is None:
             self.atoms = tuple(mentioned)
         else:
-            self.atoms = tuple(self.atoms)
+            self.atoms = tuple(atoms)
             repeated = sorted({a for a in self.atoms if self.atoms.count(a) > 1})
             if repeated:
                 raise ValueError(f"atoms {repeated} are listed more than once")
@@ -143,13 +159,23 @@ class SearchSpec:
                 raise ValueError(f"atoms {sorted(missing)} appear in targets but not in spec.atoms")
 
 
-@dataclass
 class SearchResult:
-    status: str  # one of the spec mode's two _STATUS entries
-    spec: SearchSpec
-    model: PreferenceModel | None = None
-    frames_checked: int = 0
-    per_n_frames: dict[int, int] = field(default_factory=dict)
+    """A search's outcome: status is one of the spec mode's two _STATUS
+    entries, model the witness (None when the bound is exhausted)."""
+
+    def __init__(
+        self,
+        status: str,
+        spec: SearchSpec,
+        model: PreferenceModel | None = None,
+        frames_checked: int = 0,
+        per_n_frames: dict[int, int] | None = None,
+    ):
+        self.status = status
+        self.spec = spec
+        self.model = model
+        self.frames_checked = frames_checked
+        self.per_n_frames = {} if per_n_frames is None else per_n_frames
 
     def to_json(self) -> dict:
         return {
@@ -308,26 +334,16 @@ def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None
 # Implications between properties
 
 
-@dataclass(frozen=True)
-class Confirmed:
+class Confirmed(fm.Record):
     """p1 implies p2 on every relation of each checked size."""
 
-    n: int
-    relations_checked: int
+    __slots__ = _fields = ("n", "relations_checked")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(fm.Record):
     """Least relation (by size, then row-lexicographic order) with p1 but not p2."""
 
-    n: int
-    rel: Relation
-
-
-def _as_props(p) -> tuple[RelationProperty, ...]:
-    if isinstance(p, (RelationProperty, str)):  # a str is one (bad) member
-        return (p,)
-    return tuple(p)
+    __slots__ = _fields = ("n", "rel")
 
 
 def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confirmed | Witness:

@@ -29,11 +29,64 @@ names.  ``O`` and ``P`` act as operators only when followed by ``(``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 
-class Formula:
+class Record:
+    """Immutable value with named fields: the base of the formula nodes and
+    of finder's implication results.
+
+    A subclass declares only its field names, ``__slots__ = _fields =
+    (...)``; it is built from the field values, by position or by name.  Two
+    records are equal when they are of the same class and their fields are
+    equal; a record hashes as the tuple of its fields, and its repr names
+    the fields, as in ``Not(child=Atom(name='q'))``.  The methods are
+    written out once here rather than generated for each class at import
+    time, which cost every CLI call about 30 ms.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            try:
+                args += tuple(kwargs.pop(name) for name in fields[len(args):])
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__name__}() is missing field {missing}") from None
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes exactly the fields {fields}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(Record):
     """Base class for formula AST nodes.  Instances are immutable."""
 
     __slots__ = ()
@@ -42,95 +95,72 @@ class Formula:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class MetaVar(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = _fields = ()
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = _fields = ()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    child: Formula
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
-    child: Formula
+    __slots__ = _fields = ("child",)
 
 
-@dataclass(frozen=True)
 class Oblig(Formula):
     """O(consequent / antecedent): consequent obligatory given antecedent."""
 
-    consequent: Formula
-    antecedent: Formula
+    __slots__ = _fields = ("consequent", "antecedent")
 
 
-@dataclass(frozen=True)
 class Perm(Formula):
     """P(consequent / antecedent), short for ~O(~consequent / antecedent)."""
 
-    consequent: Formula
-    antecedent: Formula
+    __slots__ = _fields = ("consequent", "antecedent")
 
 
-@dataclass(frozen=True)
 class PrefGeq(Formula):
     """left >= right: left is at least as good as right, P(l / l|r)."""
 
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class PrefGt(Formula):
     """left > right: P(l / l|r) & O(~r / l|r)."""
 
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
 TOP = Top()

@@ -138,6 +138,12 @@ MUTANTS = (
         ("tests/test_relprops.py::test_implication_confirmed_and_witness",),
     ),
     Mutant(
+        "node equality ignores the class", "formula.py",
+        "        if other.__class__ is self.__class__:\n",
+        "        if isinstance(other, Record):\n",
+        ("tests/test_formula.py::test_nodes_are_equal_only_within_their_class",),
+    ),
+    Mutant(
         "orbit lane recurrence reads the previous row value", "model.py",
         "            per_row[rowval] = per_row[rowval ^ low] | single[low.bit_length() - 1]\n",
         "            per_row[rowval] = per_row[rowval - 1] | single[low.bit_length() - 1]\n",

@@ -41,7 +41,8 @@ def test_search_rejects_a_property_that_is_not_a_relation_property(iso_reject, m
     monkeypatch.setattr(model, "_classes", no_frames)
     monkeypatch.setattr("ddlmc.finder.all_relations", no_frames)
     spec = SearchSpec(3, EvalRule.MAX, [parse("p")], properties="total", iso_reject=iso_reject)
-    with pytest.raises(ValueError, match="'t'.*not a relation property"):
+    # a bare str is one property name, not a sequence of letters
+    with pytest.raises(ValueError, match="^'total': not a relation property$"):
         find_satisfying_model(spec)
 
 
@@ -80,6 +81,17 @@ def test_spec_validation():
         )
     spec = SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("O(p/q)"),))
     assert spec.atoms == ("p", "q")
+
+
+def test_spec_rejects_a_string_as_its_atoms():
+    # a str is a sequence of letters, but "pq" does not name the atoms p, q
+    with pytest.raises(ValueError, match="atoms must be a sequence of names, not the one string 'pq'"):
+        SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("p & q"),), atoms="pq")
+
+
+def test_spec_rejects_one_formula_as_its_targets():
+    with pytest.raises(ValueError, match="targets must be a sequence of formulas, not one Atom"):
+        SearchSpec(max_n=3, rule=EvalRule.MAX, targets=parse("p"))
 
 
 def test_search_finds_least_model():

@@ -2,14 +2,75 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from ddlmc import formula as fm
 from ddlmc.formula import ParseError, atoms, expand, metavars, parse, render
+from ddlmc.schemas import SCHEMAS
 
 from oracle import random_formula
+
+
+def test_nodes_are_equal_only_within_their_class():
+    a, b = fm.Atom("a"), fm.Atom("b")
+    assert fm.Or(a, b) != fm.And(a, b)
+    assert fm.Oblig(a, b) != fm.Perm(a, b)
+    assert fm.Atom("p") != fm.MetaVar("p")
+    assert fm.Atom("p") != "p"
+
+
+def test_equal_nodes_hash_as_their_fields():
+    f, g = parse("O(p/T) & ~q"), parse("O(p / T) & ~q")
+    assert f == g and f is not g
+    assert hash(f) == hash(g) == hash((f.left, f.right))
+    assert hash(fm.Atom("p")) == hash(("p",))
+    assert hash(fm.Top()) == hash(())
+
+
+def test_nodes_are_built_from_their_fields():
+    a, b = fm.Atom("a"), fm.Atom("b")
+    assert fm.Oblig(consequent=a, antecedent=b) == fm.Oblig(a, antecedent=b) == fm.Oblig(a, b)
+    for build in (
+        lambda: fm.Oblig(a),
+        lambda: fm.Oblig(a, b, a),
+        lambda: fm.Oblig(a, consequent=b),
+        lambda: fm.Oblig(a, condition=b),
+        lambda: fm.Top(a),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_nodes_are_immutable():
+    f = parse("p | q")
+    with pytest.raises(AttributeError):
+        f.left = fm.Atom("r")
+    with pytest.raises(AttributeError):
+        del f.left
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    assert f == parse("p | q")
+
+
+def test_node_repr_names_the_fields():
+    f = parse("O(p/T) & ~q")
+    text = (
+        "And(left=Oblig(consequent=Atom(name='p'), antecedent=Top()), "
+        "right=Not(child=Atom(name='q')))"
+    )
+    assert repr(f) == text
+    assert eval(text, vars(fm)) == f
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_nodes_survive_pickle_and_deepcopy(name):
+    f = SCHEMAS[name]
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert copied == f and repr(copied) == repr(f)
 
 
 def test_parse_obligation():

@@ -1,4 +1,5 @@
-"""Package layout: no definition only tests reach, no third-party import."""
+"""Package layout: no definition only tests reach, no third-party import,
+no ``dataclasses``."""
 
 from __future__ import annotations
 
@@ -53,16 +54,32 @@ def test_every_top_level_definition_is_reached_from_the_package():
     assert unreached == []
 
 
+def _imported_roots(tree: ast.Module) -> set[str]:
+    """Top-level package of every absolute import in tree."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.partition(".")[0])
+    return roots
+
+
 def test_the_package_imports_only_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"ddlmc"}
-    foreign = set()
-    for module, tree in _modules().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                roots = [alias.name.partition(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots = [node.module.partition(".")[0]]
-            else:
-                continue
-            foreign.update(f"{module}: {root}" for root in roots if root not in allowed)
+    foreign = {
+        f"{module}: {root}"
+        for module, tree in _modules().items()
+        for root in _imported_roots(tree) - allowed
+    }
     assert foreign == set()
+
+
+def test_the_package_does_not_import_dataclasses():
+    """Every CLI call imports the package in a fresh interpreter, and
+    ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``) plus the
+    methods it generates per class cost each call about 30 ms; the records
+    share ``formula.Record`` instead.  The check reads the source, not
+    ``sys.modules``: on Python 3.13 ``argparse`` itself loads ``inspect``."""
+    importers = {module for module, tree in _modules().items() if "dataclasses" in _imported_roots(tree)}
+    assert importers == set()

@@ -180,6 +180,14 @@ def test_implication_counts_every_relation_of_its_classes():
     assert property_implication(P.TRANSITIVE, P.QUASI_TRANSITIVE, 5) == Confirmed(5, 158483)
 
 
+def test_implication_results_are_records_of_their_class():
+    assert Confirmed(4, 7) != Witness(4, 7)
+    assert Confirmed(4, 7) == Confirmed(n=4, relations_checked=7)
+    assert hash(Confirmed(4, 7)) == hash(Witness(4, 7)) == hash((4, 7))
+    assert repr(Confirmed(4, 7)) == "Confirmed(n=4, relations_checked=7)"
+    assert repr(Witness(2, (1, 3))) == "Witness(n=2, rel=(1, 3))"
+
+
 @pytest.mark.parametrize("n, error", [
     pytest.param(0, ValueError, id="0"),
     pytest.param(6, ValueError, id="6"),
