@@ -61,6 +61,7 @@ from .finder import (
     SearchResult,
     SearchTimeout,
     Witness,
+    cores,
     enumerate_frames,
     find_satisfying_model,
     lattice_report,
@@ -73,11 +74,6 @@ from .schemas import (
     forward_check,
     table_sweep,
 )
-from .casestudy import (
-    ascending_chain_evidence,
-    fmp_evidence,
-    interval_order_analysis,
-    run_grid,
-)
+from .casestudy import run_grid
 
 __version__ = "0.1.0"

@@ -24,9 +24,12 @@ A search for a least witness is a ``SearchSpec`` run by
 ``find_satisfying_model``: a (frame, valuation) in satisfy and refute mode
 (the model search, forward checks, model-level converses), a frame in
 valid mode (frame-level converses).  Every such witness is re-validated in
-one place, ``_revalidate``.  The rule collapse and ``property_implication``
-hand ``scan_frames`` probes of their own: the latter checks "every relation
-with P1 has P2" on the classes with P1, weighting each by its orbit size.
+one place, ``_revalidate``.  ``cores`` runs one satisfy search per subset
+of a spec's targets, skipping the supersets of unsatisfiable ones, and
+reports the minimal unsatisfiable and maximal satisfiable subsets.  The
+rule collapse and ``property_implication`` hand ``scan_frames`` probes of
+their own: the latter checks "every relation with P1 has P2" on the
+classes with P1, weighting each by its orbit size.
 The properties are invariant under relabelling worlds, so the least witness
 is the least such representative.  ``lattice_report`` asks it once per
 ordered pair of the implication diagram of the transitivity weakenings.
@@ -38,7 +41,7 @@ Python, so threads would not run it faster.
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import formula as fm
@@ -169,13 +172,11 @@ class SearchResult:
         spec: SearchSpec,
         model: PreferenceModel | None = None,
         frames_checked: int = 0,
-        per_n_frames: dict[int, int] | None = None,
     ):
         self.status = status
         self.spec = spec
         self.model = model
         self.frames_checked = frames_checked
-        self.per_n_frames = {} if per_n_frames is None else per_n_frames
 
     def to_json(self) -> dict:
         return {
@@ -211,11 +212,11 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     checked = sum(per_n.values())
     found, exhausted = _STATUS[spec.mode]
     if hit is None:
-        return SearchResult(exhausted, spec, frames_checked=checked, per_n_frames=per_n)
+        return SearchResult(exhausted, spec, frames_checked=checked)
     n, rel, env = hit
     model = PreferenceModel(n, rel, dict(zip(spec.atoms, env)))
     _revalidate(model, spec)
-    return SearchResult(found, spec, model, frames_checked=checked, per_n_frames=per_n)
+    return SearchResult(found, spec, model, frames_checked=checked)
 
 
 def scan_frames(
@@ -276,6 +277,51 @@ def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:
             raise AssertionError(f"witness fails target {fm.render(failed[0])}")
     if spec.mode == "refute" and not failed:
         raise AssertionError("refutation witness validates all targets")
+
+
+def cores(spec: SearchSpec) -> dict:
+    """Minimal unsatisfiable and maximal satisfiable subsets of spec.targets.
+
+    Every nonempty subset is searched like spec itself (same atoms,
+    properties, rule, bound, frame filter and deadline), by size, then in
+    ``itertools.combinations`` order, except the supersets of a set already
+    found unsatisfiable: those are unsatisfiable too.  So each set found
+    unsatisfiable is minimal.  Sets are sorted lists of indices into
+    spec.targets.  The report lists each minimal unsatisfiable set with its
+    frames_checked, each maximal satisfiable set with its least witness
+    (re-validated by the search) and the number of searches.  A spec whose
+    mode is not satisfy raises ValueError.
+    """
+    if spec.mode != "satisfy":
+        raise ValueError(f"cores needs a satisfy-mode search, not {spec.mode!r}")
+    everything = range(len(spec.targets))
+    unsat: dict[frozenset, int] = {}
+    sat: dict[frozenset, PreferenceModel] = {}
+    for size in range(1, len(spec.targets) + 1):
+        for chosen in combinations(everything, size):
+            subset = frozenset(chosen)
+            if any(core <= subset for core in unsat):
+                continue
+            result = find_satisfying_model(SearchSpec(
+                spec.max_n, spec.rule, [spec.targets[i] for i in chosen], spec.properties,
+                spec.atoms, iso_reject=spec.iso_reject, deadline=spec.deadline,
+                frame_filter=spec.frame_filter,
+            ))
+            if result.model is None:
+                unsat[subset] = result.frames_checked
+            else:
+                sat[subset] = result.model
+    return {
+        "minimal_unsatisfiable": [
+            {"targets": sorted(core), "frames_checked": checked} for core, checked in unsat.items()
+        ],
+        "maximal_satisfiable": [
+            {"targets": sorted(s), "witness": model_json(model)}
+            for s, model in sat.items()
+            if sat.keys().isdisjoint(s | {i} for i in everything if i not in s)
+        ],
+        "searches": len(unsat) + len(sat),
+    }
 
 
 # ---------------------------------------------------------------------------

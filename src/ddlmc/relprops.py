@@ -189,7 +189,10 @@ _CHECKS = {
 
 
 def check_property(prop: RelationProperty, target: PreferenceModel | Relation) -> bool:
-    """True iff the property holds of the betterness relation."""
+    """True iff the property holds of the betterness relation; a prop that
+    is not a RelationProperty raises ValueError."""
+    if not isinstance(prop, RelationProperty):
+        raise ValueError(f"{prop!r}: not a relation property")
     rel = target.rel if isinstance(target, PreferenceModel) else tuple(target)
     return _CHECKS[prop](rel)
 

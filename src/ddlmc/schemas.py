@@ -80,15 +80,15 @@ def forward_check(
     re-validates before it is reported.
     """
     name, body = _resolve(axiom)
-    props = tuple(properties)
-    found = find_satisfying_model(SearchSpec(
-        max_n=max_n, rule=rule, targets=(body,), properties=props, atoms=schema_names(body),
+    spec = SearchSpec(
+        max_n=max_n, rule=rule, targets=(body,), properties=properties, atoms=schema_names(body),
         mode="refute", iso_reject=iso_reject, deadline=deadline,
-    ))
+    )
+    found = find_satisfying_model(spec)
     report = {
         "axiom": name,
         "rule": rule.value,
-        "properties": [p.value for p in props],
+        "properties": [p.value for p in spec.properties],
         "max_n": max_n,
         "status": "confirmed" if found.model is None else "counterexample",
         "frames_checked": found.frames_checked,

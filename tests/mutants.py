@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 _QUOTIENT = ("tests/test_semantics.py::test_a_conditional_reads_only_what_its_rule_sees",)
 _OPT_KEY = "    return lambda rel: tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))\n"
 _LEWIS_KEY = "        return lambda rel: tuple(map(or_, rel, _DIAGONAL))\n"
+_CORES = ("tests/test_casestudy.py::test_cores_of_every_grid_cell",)
 
 MUTANTS = (
     Mutant(
@@ -108,7 +109,7 @@ MUTANTS = (
         "    checked = sum(per_n.values())\n"
         "    found, exhausted = _STATUS[spec.mode]\n"
         "    if hit is None:\n"
-        "        return SearchResult(exhausted, spec, frames_checked=checked, per_n_frames=per_n)\n"
+        "        return SearchResult(exhausted, spec, frames_checked=checked)\n"
         "    n, rel, env = hit\n"
         "    model = PreferenceModel(n, rel, dict(zip(spec.atoms, env)))\n"
         "    _revalidate(model, spec)\n",
@@ -119,11 +120,23 @@ MUTANTS = (
         "    checked = sum(per_n.values())\n"
         "    found, exhausted = _STATUS[spec.mode]\n"
         "    if hit is None:\n"
-        "        return SearchResult(exhausted, spec, frames_checked=checked, per_n_frames=per_n)\n"
+        "        return SearchResult(exhausted, spec, frames_checked=checked)\n"
         "    n, rel, env = hit\n"
         "    model = PreferenceModel(n, rel, dict(zip(spec.atoms, env)))\n"
         "    spec.mode == \"valid\" or _revalidate(model, spec)\n",
         ("tests/test_schemas.py::test_converse_frame_witness_is_valid_by_the_oracle",),
+    ),
+    Mutant(
+        "cores searches supersets of an unsatisfiable set", "finder.py",
+        "            if any(core <= subset for core in unsat):\n",
+        "            if False:\n",
+        _CORES,
+    ),
+    Mutant(
+        "every satisfiable set counts as maximal", "finder.py",
+        "            if sat.keys().isdisjoint(s | {i} for i in everything if i not in s)\n",
+        "            if True\n",
+        _CORES,
     ),
     Mutant(
         "implication probe counts each class once", "finder.py",

@@ -12,7 +12,9 @@ triple: max{A,Ap}={1,2} holds an Ap-world (EQ1), max{A,B}={2} is ~B (EQ3),
 max{Ap,B}={0,1} holds a B-world (EQ4).  The clash needs EQ2 as well, which
 that model violates (1 is a maximal Ap-world of {Ap,B}).  So 10a pins the
 refutation, re-validated against the naive oracle, and the exhaustion of
-{EQ1..EQ4}; 10b checks that {EQ1, EQ3} alone is satisfiable.
+{EQ1..EQ4}; 10b checks that {EQ1, EQ3} alone is satisfiable.  Criteria 09
+to 11 read the minimal unsatisfiable and maximal satisfiable subsets of
+EQ0..EQ4 that ``finder.cores`` reports.
 """
 
 from __future__ import annotations
@@ -21,19 +23,22 @@ import json
 import random
 import time
 
-from ddlmc.casestudy import (
-    EQ,
-    fmp_evidence,
-    interval_order_analysis,
-    ascending_chain_evidence,
-    run_grid,
+from ddlmc.casestudy import ATOMS, EQ, run_grid
+from ddlmc.finder import (
+    Confirmed,
+    SearchSpec,
+    cores,
+    find_satisfying_model,
+    lattice_report,
+    property_implication,
+    rule_collapse,
 )
-from ddlmc.finder import Confirmed, lattice_report, property_implication, rule_collapse
-from ddlmc.model import PreferenceModel, parse_model
+from ddlmc.model import PreferenceModel, model_json, parse_model
 from ddlmc.relprops import (
     CYCLIC,
     RelationProperty as P,
     check_property,
+    is_acyclic,
     longest_strict_chain,
 )
 from ddlmc.schemas import forward_check, table_sweep
@@ -183,42 +188,56 @@ def test_criterion_08_mere_addition_grid():
     assert ok
 
 
+def _max_cores(prop) -> dict:
+    return cores(SearchSpec(4, EvalRule.MAX, EQ, prop, ATOMS))
+
+
+def _holds(f, w, rule="max") -> bool:
+    """f true at every world of the witness w, by the naive oracle."""
+    pairs = {tuple(p) for p in w["rel"]}
+    valuation = {a: frozenset(ws) for a, ws in w["valuation"].items()}
+    return truth_worlds(f, range(w["n"]), pairs, valuation, rule) == frozenset(range(w["n"]))
+
+
 def test_criterion_09_ascending_chain_evidence():
     t0 = time.monotonic()
-    report = ascending_chain_evidence(4)
-    ok = report["with_property"][0]["status"] == "unsat_up_to_bound"
-    ok = ok and report["with_property"][1]["status"] == "unsat_up_to_bound"
-    ok = ok and report["without_property"]["status"] == "sat"
-    cyc = report["cyclic_witness"]
-    ok = ok and cyc["status"] == "sat"
+    ok = all(
+        [c["targets"] for c in _max_cores(prop)["minimal_unsatisfiable"]] == [[1, 2, 3]]
+        for prop in (P.QUASI_TRANSITIVE, P.TRANSITIVE)
+    )
+    cyclic = find_satisfying_model(SearchSpec(
+        4, EvalRule.MAX, (EQ[1], EQ[2], EQ[3]), atoms=ATOMS,
+        frame_filter=lambda rel: not is_acyclic(rel),
+    ))
+    ok = ok and cyclic.status == "sat"
     if ok:
-        m = parse_model(cyc["witness"]["model_text"])
-        ok = longest_strict_chain(m) is CYCLIC
-        for f in (EQ[1], EQ[2], EQ[3]):
-            ok = ok and truth_set(f, m, EvalRule.MAX) == m.full_mask
-    _line("09", ok, "EQ1-EQ3 unsat under max + (quasi-)transitivity at every n<=4; "
-          "sat without the property, incl. a verified strict-cycle witness", t0)
+        w = model_json(cyclic.model)
+        ok = longest_strict_chain(cyclic.model) is CYCLIC
+        ok = ok and not naive_properties(w["n"], {tuple(p) for p in w["rel"]})["acyclic"]
+        ok = ok and all(_holds(f, w) for f in (EQ[1], EQ[2], EQ[3]))
+    _line("09", ok, "{EQ1,EQ2,EQ3} is the one core under max + (quasi-)transitivity "
+          "at n<=4; sat without the property, incl. a verified strict-cycle witness", t0)
     assert ok
 
 
 def test_criterion_10a_interval_order_analysis_unsat_claim():
     t0 = time.monotonic()
-    report = interval_order_analysis(4)
-    triple = report["triple"]
-    ok = triple["status"] == "sat" and triple["witness"]["n"] == 3
+    report = _max_cores(P.INTERVAL_ORDER)
+    # {EQ1..EQ4} holds the one core; the triple {EQ1, EQ3, EQ4} lies in the
+    # maximal satisfiable {EQ0, EQ1, EQ3, EQ4}, whose least witness is the
+    # three-world interval order of the module docstring
+    ok = [c["targets"] for c in report["minimal_unsatisfiable"]] == [[1, 2, 3]]
+    (w,) = [s["witness"] for s in report["maximal_satisfiable"] if {1, 3, 4} <= set(s["targets"])]
+    ok = ok and w["model_text"] == (
+        "worlds 3\nrel 0>=0 0>=1 1>=0 1>=1 1>=2 2>=0 2>=1 2>=2\n"
+        "val A = {2}\nval Ap = {1}\nval B = {0}\n"
+    )
     if ok:
-        w = triple["witness"]
-        n = w["n"]
         pairs = {tuple(p) for p in w["rel"]}
         valuation = {a: frozenset(ws) for a, ws in w["valuation"].items()}
-
-        def true_at(f):
-            return truth_worlds(f, range(n), pairs, valuation, "max")
-
-        ok = naive_properties(n, pairs)["interval_order"]
-        ok = ok and all(true_at(f) == frozenset(range(n)) for f in (EQ[1], EQ[3], EQ[4]))
-        ok = ok and true_at(EQ[2]) == frozenset()
-    ok = ok and report["with_eq2"]["status"] == "unsat_up_to_bound"
+        ok = naive_properties(3, pairs)["interval_order"]
+        ok = ok and all(_holds(f, w) for f in (EQ[1], EQ[3], EQ[4]))
+        ok = ok and truth_worlds(EQ[2], range(3), pairs, valuation, "max") == frozenset()
     _line("10a", ok, "{EQ1,EQ3,EQ4} unsat claim refuted: 3-world interval-order "
           "witness under max (oracle-checked, EQ2 false on it); {EQ1..EQ4} unsat "
           "at n<=4", t0)
@@ -227,22 +246,25 @@ def test_criterion_10a_interval_order_analysis_unsat_claim():
 
 def test_criterion_10b_interval_order_analysis_sat_without_eq4():
     t0 = time.monotonic()
-    report = interval_order_analysis(4)
-    ok = report["without_eq4"]["status"] == "sat"
+    # {EQ1, EQ3} holds no core, so a maximal satisfiable set contains it
+    report = _max_cores(P.INTERVAL_ORDER)
+    ok = [c["targets"] for c in report["minimal_unsatisfiable"]] == [[1, 2, 3]]
+    ok = ok and any(
+        {1, 3} <= set(s["targets"]) and _holds(EQ[1], s["witness"]) and _holds(EQ[3], s["witness"])
+        for s in report["maximal_satisfiable"]
+    )
     _line("10b", ok, "{EQ1,EQ3} sat under max + interval order (EQ4 dropped)", t0)
     assert ok
 
 
 def test_criterion_11_fmp_evidence():
     t0 = time.monotonic()
-    report = fmp_evidence(4)
-    ok = [c["status"] for c in report["classes"]] == ["unsat_up_to_bound"] * 3
-    ok = ok and {c["class"] for c in report["classes"]} == {
-        "quasi_transitive", "transitive", "interval_order",
-    }
-    ok = ok and "out of scope" in report["note"]
-    _line("11", ok, "EQ1&EQ2&EQ3 unsat under max for quasi-transitive, transitive "
-          "and interval-order classes at every n<=4; infinite models noted out of scope", t0)
+    ok = all(
+        [c["targets"] for c in _max_cores(prop)["minimal_unsatisfiable"]] == [[1, 2, 3]]
+        for prop in (P.QUASI_TRANSITIVE, P.TRANSITIVE, P.INTERVAL_ORDER)
+    )
+    _line("11", ok, "EQ1&EQ2&EQ3 is the one core under max for quasi-transitive, "
+          "transitive and interval-order classes at every n<=4", t0)
     assert ok
 
 

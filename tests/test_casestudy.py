@@ -1,19 +1,22 @@
-"""Scenario encoding and the evidence reports (fast bounds; the acceptance
-suite runs the full n <= 4 versions)."""
+"""Scenario encoding, the grid and the cores of EQ0..EQ4 (fast bounds; the
+acceptance suite reads the n <= 4 cores)."""
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
-from ddlmc import casestudy
+from ddlmc import casestudy, finder
 from ddlmc import formula as fm
 from ddlmc.casestudy import (
     ATOMS,
     EQ,
     GRID_EXPECTED,
+    GRID_ROWS,
+    GRID_RULES,
     PP0,
     PP0_SUGAR,
     PP1,
@@ -21,17 +24,15 @@ from ddlmc.casestudy import (
     PP2,
     PP2_SUGAR,
     SCENARIO,
-    fmp_evidence,
     grid_text,
-    interval_order_analysis,
-    ascending_chain_evidence,
     run_grid,
 )
-from ddlmc.finder import SearchResult
+from ddlmc.finder import SearchResult, SearchSpec, cores
 from ddlmc.model import PreferenceModel
+from ddlmc.relprops import RelationProperty as P, is_acyclic
 from ddlmc.semantics import EvalRule, truth_set
 
-from oracle import random_model_data
+from oracle import naive_properties, random_model_data, truth_worlds
 
 RULES = (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
 
@@ -99,41 +100,130 @@ def test_grid_witnesses_revalidate():
             assert truth_set(f, m, EvalRule.MAX) == m.full_mask
 
 
+def _musets(report):
+    return [c["targets"] for c in report["minimal_unsatisfiable"]]
+
+
+def _maximal(report):
+    return {tuple(s["targets"]): s["witness"] for s in report["maximal_satisfiable"]}
+
+
 def test_ascending_chain_small():
-    report = ascending_chain_evidence(3)
-    assert report["with_property"][0]["status"] == "unsat_up_to_bound"
-    assert report["with_property"][1]["status"] == "unsat_up_to_bound"
-    assert report["without_property"]["status"] == "sat"
-    # the least unrestricted witness happens to be acyclic; the cyclic
-    # search must still produce a strict-cycle witness at some bound
-    assert report["without_property"]["witness_acyclic"] is True
+    # EQ1..EQ3 under max: the one core of the transitive and the
+    # quasi-transitive cells at n <= 3 as well; without a property the
+    # three are satisfiable, and their least witness is acyclic
+    for props in ((P.QUASI_TRANSITIVE,), (P.TRANSITIVE,)):
+        assert _musets(cores(SearchSpec(3, EvalRule.MAX, EQ, props, ATOMS))) == [[1, 2, 3]]
+    free = cores(SearchSpec(3, EvalRule.MAX, EQ[1:4], (), ATOMS))
+    assert free["minimal_unsatisfiable"] == []
+    (witness,) = _maximal(free).values()
+    assert naive_properties(witness["n"], {tuple(p) for p in witness["rel"]})["acyclic"]
 
 
 def test_interval_order_analysis_small():
-    report = interval_order_analysis(3)
-    # the triple {EQ1, EQ3, EQ4} is satisfiable on an interval order: the
-    # pairwise-comparison clash needs EQ2 as well
-    assert report["triple"]["status"] == "sat"
-    assert report["without_eq4"]["status"] == "sat"
-    assert report["triple_no_properties"]["status"] == "sat"
-    assert report["with_eq2"]["status"] == "unsat_up_to_bound"
+    # on interval orders under max the pairwise-comparison clash needs EQ2:
+    # the triple {EQ1, EQ3, EQ4} and {EQ1, EQ3} are satisfiable, and
+    # {EQ1..EQ4} holds the one core
+    report = cores(SearchSpec(3, EvalRule.MAX, EQ, P.INTERVAL_ORDER, ATOMS))
+    assert _musets(report) == [[1, 2, 3]]
+    assert (0, 1, 3, 4) in _maximal(report)
 
 
 def test_fmp_small():
-    report = fmp_evidence(3)
-    assert [c["status"] for c in report["classes"]] == ["unsat_up_to_bound"] * 3
-    assert "out of scope" in report["note"]
+    # EQ1 & EQ2 & EQ3 is the one max core of all three frame classes
+    for prop in (P.QUASI_TRANSITIVE, P.TRANSITIVE, P.INTERVAL_ORDER):
+        assert _musets(cores(SearchSpec(3, EvalRule.MAX, EQ, prop, ATOMS))) == [[1, 2, 3]]
+
+
+# The minimal unsatisfiable subsets of EQ0..EQ4 per grid cell at n <= 4;
+# every other cell is satisfiable.
+_CORES = {
+    **{("transitivity+totality", rule): [[0, 1, 2], [1, 2, 3], [1, 3, 4]] for rule in GRID_RULES},
+    ("transitivity", EvalRule.OPT): [[0, 1, 2], [1, 3, 4]],
+    ("transitivity", EvalRule.LEWIS): [[0, 1, 2], [1, 3, 4]],
+    ("transitivity", EvalRule.MAX): [[1, 2, 3]],
+    **{("interval order", rule): [[1, 2, 3]] for rule in GRID_RULES},
+    ("quasi-transitivity", EvalRule.MAX): [[1, 2, 3]],
+}
+
+
+def _free_of(musets):
+    """Maximal subsets of 0..4 holding no set of musets, in size then
+    combinations order, by brute force over all 32 subsets."""
+    subsets = [set(c) for k in range(6) for c in combinations(range(5), k)]
+    free = [s for s in subsets if not any(set(m) <= s for m in musets)]
+    return [sorted(s) for s in free if not any(s < t for t in free)]
+
+
+def test_cores_of_every_grid_cell():
+    searches = {}
+    for label, props in GRID_ROWS:
+        for rule in GRID_RULES:
+            report = cores(SearchSpec(4, rule, EQ, props, ATOMS))
+            musets = _CORES.get((label, rule), [])
+            assert (GRID_EXPECTED[label, rule] == "sat") == (musets == [])
+            assert _musets(report) == musets
+            assert [s["targets"] for s in report["maximal_satisfiable"]] == _free_of(musets)
+            searches[label, rule] = report["searches"]
+            for chosen, w in _maximal(report).items():
+                pairs = {tuple(p) for p in w["rel"]}
+                valuation = {a: frozenset(ws) for a, ws in w["valuation"].items()}
+                assert all(naive_properties(w["n"], pairs)[p.value] for p in props)
+                for i in chosen:
+                    assert truth_worlds(EQ[i], range(w["n"]), pairs, valuation, rule.value) == frozenset(range(w["n"]))
+    # supersets of a core are skipped: 31 - 3 searches for the one core
+    # {EQ1, EQ2, EQ3}, all 31 nonempty subsets in a satisfiable cell
+    assert searches["transitivity", EvalRule.MAX] == 28
+    assert searches["none", EvalRule.MAX] == 31
+    assert sum(searches.values()) == 518
+
+
+def test_cores_needs_a_satisfy_search():
+    with pytest.raises(ValueError, match="satisfy-mode"):
+        cores(SearchSpec(2, EvalRule.MAX, EQ, atoms=ATOMS, mode="refute"))
+
+
+def paradox_cores(max_n, deadline):
+    return cores(SearchSpec(max_n, EvalRule.MAX, EQ, atoms=ATOMS, deadline=deadline))
+
+
+# The searches that carry the facts of the three former case-study
+# analyses, each under the one deadline.
+
+def ascending_chain_evidence(max_n, deadline):
+    """The cores of EQ1..EQ3 under max on transitive frames, and their
+    least model on a frame with a strict cycle."""
+    chain = EQ[1:4]
+    return (
+        cores(SearchSpec(max_n, EvalRule.MAX, chain, P.TRANSITIVE, ATOMS, deadline=deadline)),
+        finder.find_satisfying_model(SearchSpec(
+            max_n, EvalRule.MAX, chain, (), ATOMS, deadline=deadline,
+            frame_filter=lambda rel: not is_acyclic(rel),
+        )),
+    )
+
+
+def interval_order_analysis(max_n, deadline):
+    """The cores of EQ1..EQ4 under max on interval orders."""
+    return cores(SearchSpec(max_n, EvalRule.MAX, EQ[1:5], P.INTERVAL_ORDER, ATOMS, deadline=deadline))
+
+
+def fmp_evidence(max_n, deadline):
+    """The cores of EQ1..EQ3 under max on quasi-transitive frames."""
+    return cores(SearchSpec(max_n, EvalRule.MAX, EQ[1:4], P.QUASI_TRANSITIVE, ATOMS, deadline=deadline))
 
 
 @pytest.mark.parametrize("analysis, searches", [
     (ascending_chain_evidence, 4),
     (interval_order_analysis, 4),
     (fmp_evidence, 3),
+    (paradox_cores, 5),
     (run_grid, 18),
 ])
 def test_case_study_searches_share_one_budget(analysis, searches, monkeypatch):
     # Every search gets the caller's deadline itself, so one deadline
-    # covers the whole call.
+    # covers the whole call.  Every set is unsatisfiable here, so the
+    # cores stop at the singletons, one search per target.
     deadline = time.monotonic() + 100
     seen = []
 
@@ -142,6 +232,7 @@ def test_case_study_searches_share_one_budget(analysis, searches, monkeypatch):
         return SearchResult("unsat_up_to_bound", spec)
 
     monkeypatch.setattr(casestudy, "find_satisfying_model", search)
+    monkeypatch.setattr(finder, "find_satisfying_model", search)
     analysis(3, deadline=deadline)
     assert seen == [deadline] * searches
 

@@ -216,6 +216,12 @@ def test_implication_rejects_a_member_that_is_not_a_property(p1, p2, monkeypatch
         property_implication(p1, p2, 3)
 
 
+def test_check_property_rejects_a_name():
+    # a bare name used to raise KeyError from the check table
+    with pytest.raises(ValueError, match="'total': not a relation property"):
+        check_property("total", (1,))
+
+
 def test_ferrers_plus_reflexive_implies_total():
     assert isinstance(
         property_implication((P.FERRERS, P.REFLEXIVE), P.TOTAL, 3), Confirmed

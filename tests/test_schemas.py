@@ -47,6 +47,14 @@ def test_forward_examples():
     assert not valid_on_frame(SCHEMAS["Sp"], frame, EvalRule.MAX)
 
 
+def test_forward_takes_one_property_like_a_search():
+    # SearchSpec reads one property as a one-element sequence; the report
+    # used to iterate over the property itself
+    one = forward_check(P.TOTAL, "Dstar", EvalRule.MAX, 2)
+    assert one == forward_check([P.TOTAL], "Dstar", EvalRule.MAX, 2)
+    assert one["properties"] == ["total"]
+
+
 def test_forward_counterexample_assignment_refutes():
     result = forward_check([], "Dstar", EvalRule.OPT, 2)
     assert result["status"] == "counterexample"
