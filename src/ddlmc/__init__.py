@@ -62,7 +62,6 @@ from .finder import (
     SearchTimeout,
     Witness,
     cores,
-    enumerate_frames,
     find_satisfying_model,
     lattice_report,
     property_implication,

@@ -33,8 +33,8 @@ into the exit code.  A search timeout becomes the report {"status":
 
 Exit codes: 0 the requested confirmation/witness was obtained, 1 it was
 refuted or nothing was found up to the bound, 2 usage error.  A --max-n
-outside the supported range and a negative --timeout are usage errors,
-reported before any work.
+outside 1..5, a negative --timeout and a formula nested too deeply
+(formula.MAX_DEPTH) are usage errors, reported before any work.
 
 Reports are deterministic: identical argv produces byte-identical JSON.
 Timing is therefore reported only with --timing (the elapsed_ms field is

@@ -17,9 +17,10 @@ rule can tell apart once and answers repeats from its memo.  Searches
 count frames, not valuations or memo entries: frames_checked and the
 witness are the same as without the memo.
 
-``scan_frames`` is the one search skeleton: it checks the world bound,
-enumerates the frames with the given properties, narrowed by an optional
-frame filter, and returns the first probe hit, smallest universe first.
+``scan_frames`` is the one search skeleton and frame loop: it checks the
+world bound, enumerates the frames with the given properties, narrowed by
+an optional frame filter, and returns the first probe hit, smallest
+universe first.
 A search for a least witness is a ``SearchSpec`` run by
 ``find_satisfying_model``: a (frame, valuation) in satisfy and refute mode
 (the model search, forward checks, model-level converses), a frame in
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import formula as fm
 from .model import (
@@ -59,32 +60,6 @@ from .model import (
 )
 from .relprops import RelationProperty, check_property, has_all
 from .semantics import EvalRule, cond_holds, least_valuation, scanner, slicer, truth_set
-
-
-def enumerate_frames(
-    n: int,
-    properties: Iterable[RelationProperty] = (),
-    iso_reject: bool = False,
-    deadline: float | None = None,
-) -> Iterator[Relation]:
-    """All n-world relations with the given properties, ascending.
-
-    With iso_reject, one representative (the orbit minimum) per
-    world-permutation orbit: the cached ``canonical_relations`` for these
-    properties, built by one-world extension with the deadline checked as
-    it goes.  Without it, every one of the 2^(n*n) relations is filtered,
-    with the deadline checked every 4096 relations: few may pass the filter.
-    """
-    check_world_bound(n)
-    keep = has_all(frozenset(properties))
-    if iso_reject:
-        yield from canonical_relations(n, keep, deadline)
-        return
-    for idx, rel in enumerate(all_relations(n)):
-        if deadline is not None and idx % 4096 == 0 and time.monotonic() > deadline:
-            raise SearchTimeout()
-        if keep is None or keep(rel):
-            yield rel
 
 
 # Per mode, the status of a search that found a witness and of one that
@@ -105,16 +80,16 @@ def _as_props(p) -> tuple[RelationProperty, ...]:
 class SearchSpec:
     """What to search for: targets plus the model class to range over.
 
-    targets is a sequence of formulas; properties one property or a
-    sequence of them.  atoms orders the valuation's names (default: the
-    targets' names, sorted); metavariables are read from it like atoms, and
-    one name may not be both.  mode is "satisfy" (every target true at
-    every world), "refute" (some target false at some world) or "valid"
-    (every target true at every world under every valuation of atoms: a
-    frame witness, reported with an empty valuation).  frame_filter, a pure
-    predicate on the relation rows, narrows the frames scanned and is
-    re-checked on the witness.  The search stops at deadline, a
-    ``time.monotonic()`` value (None: no limit).
+    rule is an EvalRule; targets a sequence of formulas; properties one
+    property or a sequence of them.  atoms orders the valuation's names
+    (default: the targets' names, sorted); metavariables are read from it
+    like atoms, and one name may not be both.  mode is "satisfy" (every
+    target true at every world), "refute" (some target false at some world)
+    or "valid" (every target true at every world under every valuation of
+    atoms: a frame witness, reported with an empty valuation).
+    frame_filter, a pure predicate on the relation rows, narrows the frames
+    scanned and is re-checked on the witness.  The search stops at
+    deadline, a ``time.monotonic()`` value (None: no limit).
     """
 
     def __init__(
@@ -143,6 +118,8 @@ class SearchSpec:
         self.frame_filter = frame_filter
         if not self.targets:
             raise ValueError("search needs at least one target formula")
+        if not isinstance(rule, EvalRule):
+            raise ValueError(f"{rule!r}: not an evaluation rule")
         if mode not in _STATUS:
             raise ValueError(f"unknown search mode {mode!r}")
         names = set().union(*(fm.atoms(t) for t in self.targets))
@@ -231,27 +208,30 @@ def scan_frames(
     """First (n, rel, probe(rel)) whose probe result is not None, plus the
     frames scanned per world count.
 
-    The frames of n worlds are ``enumerate_frames(n, properties,
-    iso_reject)`` that pass frame_filter, in ascending order; universes are
-    scanned smallest first, so the hit is the least one.  per_n[n] counts
-    the frames scanned up to and including the hit; the deadline is checked
-    every 256 frames.  A max_n outside the world bound is rejected first.
+    The frames of n worlds are the relations with the given properties that
+    pass frame_filter, ascending: with iso_reject the cached orbit minima
+    (``canonical_relations``), else all 2^(n*n) relations, tested here.
+    Universes are scanned smallest first, so the hit is the least one.
+    per_n[n] counts the frames scanned up to and including the hit.  The
+    deadline is checked every 256 relations examined, passing or not.  A
+    max_n outside the world bound is rejected first.
     """
     check_world_bound(max_n)
+    keep = has_all(frozenset(properties))
     per_n: dict[int, int] = {}
     for n in range(1, max_n + 1):
-        frames = enumerate_frames(n, properties, iso_reject, deadline)
-        if frame_filter is not None:
-            frames = filter(frame_filter, frames)
-        idx = -1
-        for idx, rel in enumerate(frames):
+        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)
+        test = None if iso_reject else keep
+        per_n[n] = 0
+        for idx, rel in enumerate(relations):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
+            if test is not None and not test(rel) or frame_filter is not None and not frame_filter(rel):
+                continue
+            per_n[n] += 1
             result = probe(rel)
             if result is not None:
-                per_n[n] = idx + 1
                 return (n, rel, result), per_n
-        per_n[n] = idx + 1
     return None, per_n
 
 

@@ -24,6 +24,8 @@ Concrete syntax (whitespace-insensitive)::
 
 ``T`` and ``F`` are the constant true and false and cannot be used as atom
 names.  ``O`` and ``P`` act as operators only when followed by ``(``.
+Nesting deeper than MAX_DEPTH, in parentheses and operators or in levels of
+the syntax tree, is a ParseError: the code that walks a formula recurses.
 """
 
 from __future__ import annotations
@@ -170,6 +172,9 @@ BOT = Bot()
 # ---------------------------------------------------------------------------
 # Parsing
 
+MAX_DEPTH = 100  # see the module docstring
+_PREFIX = {"neg": Not, "box": Box, "dia": Diamond}  # prefix operator per token kind
+
 
 class ParseError(ValueError):
     """Syntax error in the concrete formula syntax, with source position."""
@@ -214,6 +219,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -231,6 +237,14 @@ class _Parser:
             found = self.tokens[self.i][1] if self.i < len(self.tokens) else "end of input"
             raise ParseError(f"expected {what}, found {found!r}", pos)
         return self.next()
+
+    def nested(self, parse_next) -> Formula:  # every recursion of the parser goes through here
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} levels deep", self.tokens[self.i - 1][2])
+        self.depth += 1
+        f = parse_next()
+        self.depth -= 1
+        return f
 
     def parse(self) -> Formula:
         f = self.pref()
@@ -255,14 +269,14 @@ class _Parser:
         left = self.impl()
         if self.peek() == "iff":
             self.next()
-            return Iff(left, self.iff())
+            return Iff(left, self.nested(self.iff))
         return left
 
     def impl(self) -> Formula:
         left = self.disj()
         if self.peek() == "impl":
             self.next()
-            return Implies(left, self.impl())
+            return Implies(left, self.nested(self.impl))
         return left
 
     def disj(self) -> Formula:
@@ -280,22 +294,16 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        kind = self.peek()
-        if kind == "neg":
-            self.next()
-            return Not(self.unary())
-        if kind == "box":
-            self.next()
-            return Box(self.unary())
-        if kind == "dia":
-            self.next()
-            return Diamond(self.unary())
-        return self.atomlike()
+        prefix = _PREFIX.get(self.peek())
+        if prefix is None:
+            return self.atomlike()
+        self.next()
+        return prefix(self.nested(self.unary))
 
     def atomlike(self) -> Formula:
         kind, value, pos = self.next()
         if kind == "lpar":
-            f = self.pref()
+            f = self.nested(self.pref)
             self.expect("rpar", "')'")
             return f
         if kind == "meta":
@@ -307,9 +315,9 @@ class _Parser:
                 return BOT
             if value in ("O", "P") and self.peek() == "lpar":
                 self.next()
-                consequent = self.pref()
+                consequent = self.nested(self.pref)
                 self.expect("slash", "'/'")
-                antecedent = self.pref()
+                antecedent = self.nested(self.pref)
                 self.expect("rpar", "')'")
                 ctor = Oblig if value == "O" else Perm
                 return ctor(consequent, antecedent)
@@ -318,8 +326,14 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula AST."""
-    return _Parser(text).parse()
+    """Parse concrete syntax into a Formula AST (ParseError past MAX_DEPTH)."""
+    f = _Parser(text).parse()
+    level, depth = [f], 0
+    while level:  # the tree's depth, level by level: no recursion
+        level, depth = [c for g in level for c in g._values() if isinstance(c, Formula)], depth + 1
+    if depth > MAX_DEPTH:
+        raise ParseError(f"formula nested more than {MAX_DEPTH} levels deep", 0)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ class SearchTimeout(Exception):
     """Wall-clock budget exhausted before the search finished."""
 
 
-def check_world_bound(max_n: int, upper: int = MAX_EXHAUSTIVE_WORLDS) -> None:
-    """Reject a world-count bound outside 1..upper before any work."""
-    if not (1 <= max_n <= upper):
-        raise ValueError(f"world-count bound must be in 1..{upper}, got {max_n}")
+def check_world_bound(max_n: int) -> None:
+    """Reject a world-count bound outside 1..MAX_EXHAUSTIVE_WORLDS before any work."""
+    if not (1 <= max_n <= MAX_EXHAUSTIVE_WORLDS):
+        raise ValueError(f"world-count bound must be in 1..{MAX_EXHAUSTIVE_WORLDS}, got {max_n}")
 
 
 def full_mask(n: int) -> int:
@@ -360,7 +360,7 @@ def canonical_relations(
     invariant under relabelling worlds and hereditary: deleting a world
     from a relation it accepts leaves a relation it accepts, so each
     n-world class extends some (n-1)-world class.
-    ``finder.enumerate_frames`` passes "has these relation properties",
+    ``finder.scan_frames`` passes "has these relation properties",
     which is both; a new property must be hereditary too, and
     ``tests/test_relprops.py`` checks that every property is.  The result
     equals the unrestricted classes filtered by keep, in the same order.

@@ -15,7 +15,7 @@ refute mode, a frame-level converse in valid mode and a model-level one in
 satisfy mode; the search re-validates the witness.  Both return their JSON
 report dict.  ``table_sweep`` runs the whole correspondence table for one
 evaluation rule, including the documented background assumptions and, for
-each correspondence row, a dropped-property counterexample search.
+each correspondence row, a dropped-property counterexample search, n <= 5.
 
 Rows whose property is known not to correspond to any axiom are reported
 as bounded evidence only: at finite sizes some axioms can become valid as
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from . import formula as fm
 from .finder import SearchSpec, find_satisfying_model
-from .model import PreferenceModel, check_world_bound, model_json, worlds_from_mask
+from .model import PreferenceModel, model_json, worlds_from_mask
 from .relprops import RelationProperty, check_property
 from .semantics import EvalRule, schema_names
 
@@ -239,9 +239,10 @@ def table_sweep(
     dropped-property counterexample search over unconstrained frames; rows
     with no corresponding axiom are probed and reported as bounded evidence
     only (finiteness can validate axioms spuriously), so they carry no
-    expectation.  Every check runs to the one deadline.
+    expectation.  Every check runs to the one deadline; rule is an EvalRule.
     """
-    check_world_bound(max_n, 4)
+    if not isinstance(rule, EvalRule):
+        raise ValueError(f"{rule!r}: not an evaluation rule")
 
     def check(props, axiom):
         return forward_check(props, axiom, rule, max_n, iso_reject=iso_reject, deadline=deadline)

@@ -85,9 +85,27 @@ MUTANTS = (
     ),
     Mutant(
         "scan_frames without its world-bound check", "finder.py",
-        "    check_world_bound(max_n)\n    per_n: dict[int, int] = {}\n",
-        "    per_n: dict[int, int] = {}\n",
+        "    check_world_bound(max_n)\n    keep = has_all(frozenset(properties))\n",
+        "    keep = has_all(frozenset(properties))\n",
         ("tests/test_finder.py::test_library_searches_check_bound_and_deadline",),
+    ),
+    Mutant(
+        "labelled scan checks the deadline only on frames that pass the filter", "finder.py",
+        "            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:\n"
+        "                raise SearchTimeout()\n"
+        "            if test is not None and not test(rel) or frame_filter is not None and not frame_filter(rel):\n"
+        "                continue\n",
+        "            if test is not None and not test(rel) or frame_filter is not None and not frame_filter(rel):\n"
+        "                continue\n"
+        "            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:\n"
+        "                raise SearchTimeout()\n",
+        ("tests/test_finder.py::test_timeout_holds_while_the_frame_filter_rejects_every_relation",),
+    ),
+    Mutant(
+        "SearchSpec accepts any rule", "finder.py",
+        "        if not isinstance(rule, EvalRule):\n",
+        "        if False:\n",
+        ("tests/test_finder.py::test_search_rejects_a_rule_that_is_not_an_eval_rule",),
     ),
     Mutant(
         "_revalidate without the frame-filter re-check", "finder.py",

@@ -240,15 +240,14 @@ def test_case_study_searches_share_one_budget(analysis, searches, monkeypatch):
 def test_near_miss_models_already_start_a_strict_chain():
     # every quasi-transitive model of {EQ1, EQ2} alone contains a strict
     # step: EQ1 pins a best Ap-world that EQ2 forces to be bettered
-    from ddlmc.finder import enumerate_frames
     from ddlmc.relprops import RelationProperty as P
-    from ddlmc.relprops import longest_strict_chain
-    from ddlmc.model import iter_bits
+    from ddlmc.relprops import has_all, longest_strict_chain
+    from ddlmc.model import canonical_relations, iter_bits
     from ddlmc.semantics import slicer
 
     names = ("A", "Ap", "B")
     found = 0
-    for rel in enumerate_frames(3, [P.QUASI_TRANSITIVE], iso_reject=True):
+    for rel in canonical_relations(3, has_all(frozenset({P.QUASI_TRANSITIVE}))):
         models = -1  # valuations where EQ1 and EQ2 hold at every world
         for f in (EQ[1], EQ[2]):
             for x in slicer(f, EvalRule.MAX, names)(rel):

@@ -178,6 +178,23 @@ def test_check_model_rejects_metavariables(formula, model_file, capsys):
     assert captured.err == f"error: formula contains metavariables: {formula}\n"
 
 
+@pytest.mark.parametrize("target", [
+    "(" * 140 + "p" + ")" * 140,
+    "O(" * 300 + "p" + "/T)" * 300,
+    "~" * 900 + "p",
+    "~" * 100 + "p",
+], ids=["140 parentheses", "300 obligations", "900 negations", "100 negations"])
+def test_deep_formula_is_a_usage_error(target, capsys):
+    # these used to end in a RecursionError traceback (exit 1)
+    assert main(["find-model", target, "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad formula ")
+    assert "formula nested more than 100 levels deep" in captured.err
+    assert captured.err.count("\n") == 1
+    assert main(["find-model", "~" * 99 + "p", "--max-n", "2"]) == 0  # at the limit
+
+
 def test_find_model_offers_only_satisfy_and_refute(capsys):
     # valid mode is a library search (frame-level converses), not an option
     assert main(["find-model", "p | ~p", "--mode", "valid"]) == 2
@@ -215,6 +232,8 @@ def test_json_reports_are_deterministic(capsys):
     # Unbounded, this converse search runs for close to a minute.
     "correspond --axiom CM --converse max_smooth --rule max --max-n 5 --timeout 1 --json",
     "correspond --table --rule max --max-n 4 --timeout 0.05 --json",
+    # Stops inside the unrestricted five-world class build (about 7 s).
+    "correspond --table --rule opt --max-n 5 --timeout 1 --json",
 ])
 def test_correspond_honours_timeout(argv, capsys):
     started = time.monotonic()
@@ -251,7 +270,7 @@ def test_collapse_and_lattice_honour_timeout_and_bound(argv, code, limit_s, caps
     "correspond --axiom Id --max-n 0",
     "correspond --axiom Id --converse transitive --max-n 0",
     "correspond --table --max-n 0",
-    "correspond --table --max-n 5",
+    "correspond --table --max-n 6",
     "find-model p --max-n 0",
     # unsat at every n, so without the check every n <= 5 frame is scanned
     "find-model p&~p --max-n 6",

@@ -11,26 +11,40 @@ from ddlmc import model
 from ddlmc.finder import (
     SearchSpec,
     SearchTimeout,
-    enumerate_frames,
     find_satisfying_model,
     rule_collapse,
+    scan_frames,
 )
 from ddlmc.formula import parse
-from ddlmc.model import PreferenceModel, relation_from_pairs, relation_pairs
-from ddlmc.relprops import CYCLIC, check_property, is_acyclic, longest_strict_chain
-from ddlmc.schemas import converse_search, forward_check
+from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs, relation_pairs
+from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, longest_strict_chain
+from ddlmc.schemas import converse_search, forward_check, table_sweep
+from ddlmc.casestudy import run_grid
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.semantics import EvalRule, scanner, truth_set
 
 from oracle import orbit
 
 
+def _labelled_frames(n, props=()):
+    # every frame a labelled scan passes to its probe, by world count; the
+    # probe returns None, so the scan runs to its bound
+    frames = {}
+
+    def probe(rel):
+        frames.setdefault(len(rel), []).append(rel)
+
+    _, per_n = scan_frames(n, props, probe, iso_reject=False)
+    assert per_n == {k: len(frames.get(k, ())) for k in range(1, n + 1)}
+    return frames.get(n, [])
+
+
 def test_enumerate_counts():
-    assert len(list(enumerate_frames(1))) == 2
-    assert len(list(enumerate_frames(2, [P.REFLEXIVE]))) == 4
+    assert len(_labelled_frames(1)) == 2
+    assert len(_labelled_frames(2, [P.REFLEXIVE])) == 4
     # total relations on 3 worlds: forced diagonal, 3 free unordered pairs
     # with 3 states each
-    assert len(list(enumerate_frames(3, [P.TOTAL]))) == 27
+    assert len(_labelled_frames(3, [P.TOTAL])) == 27
 
 
 @pytest.mark.parametrize("iso_reject", [True, False])
@@ -46,14 +60,36 @@ def test_search_rejects_a_property_that_is_not_a_relation_property(iso_reject, m
         find_satisfying_model(spec)
 
 
+_BAD_RULE_SEARCHES = {
+    "SearchSpec": lambda: find_satisfying_model(SearchSpec(3, "max", [parse("O(p/T)"), parse("<>~p")])),
+    "forward_check": lambda: forward_check((), "Id", "lewis", 3),
+    "converse_search": lambda: converse_search("Id", P.REFLEXIVE, "opt", 3),
+    "table_sweep": lambda: table_sweep("max", 2),
+    "run_grid": lambda: run_grid(3, rules=("lewis",)),
+}
+
+
+@pytest.mark.parametrize("search", sorted(_BAD_RULE_SEARCHES))
+def test_search_rejects_a_rule_that_is_not_an_eval_rule(search, monkeypatch):
+    # a rule name in place of an EvalRule used to scan under a mix of two
+    # rules, or to fail after its search with an unrelated error
+    def no_frames(*args):
+        raise AssertionError("built a frame for a bad rule")
+
+    monkeypatch.setattr(model, "_classes", no_frames)
+    monkeypatch.setattr("ddlmc.finder.all_relations", no_frames)
+    with pytest.raises(ValueError, match="^'(max|lewis|opt)': not an evaluation rule$"):
+        _BAD_RULE_SEARCHES[search]()
+
+
 def test_enumerate_is_sorted_and_filters():
-    frames = list(enumerate_frames(2, [P.TRANSITIVE]))
+    frames = _labelled_frames(2, [P.TRANSITIVE])
     assert frames == sorted(frames)
     assert all(check_property(P.TRANSITIVE, rel) for rel in frames)
 
 
 def test_enumerate_iso_yields_canonical_representatives():
-    frames = list(enumerate_frames(3, [P.TOTAL], iso_reject=True))
+    frames = canonical_relations(3, has_all(frozenset({P.TOTAL})))
     # every total relation must be isomorphic to exactly one representative
     seen = set()
     for rep in frames:
@@ -159,7 +195,7 @@ def test_valid_mode_quantifies_the_atoms_too():
     result = find_satisfying_model(spec)
     assert result.status == "no_valid_frame_up_to_bound"
     assert result.model is None
-    assert result.frames_checked == sum(len(list(enumerate_frames(n, iso_reject=True))) for n in (1, 2, 3))
+    assert result.frames_checked == sum(len(canonical_relations(n)) for n in (1, 2, 3))
 
 
 def test_frame_filter():
@@ -217,7 +253,8 @@ def test_library_searches_check_bound_and_deadline(search, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("scanned a frame outside the bound")
 
-    monkeypatch.setattr("ddlmc.finder.enumerate_frames", no_work)
+    monkeypatch.setattr("ddlmc.finder.canonical_relations", no_work)
+    monkeypatch.setattr("ddlmc.finder.all_relations", no_work)
     for max_n in (0, 6):
         with pytest.raises(ValueError, match="1..5"):
             run(max_n, None)
@@ -280,17 +317,29 @@ def test_timeout_holds_while_unrestricted_classes_are_built():
 def test_timeout_holds_while_every_relation_is_filtered():
     # without isomorph rejection the walk over all 2^25 five-world
     # relations yields few frames, so the walk itself checks the deadline
-    frames = enumerate_frames(5, (P.TRANSITIVE,), iso_reject=False, deadline=time.monotonic() - 1)
     with pytest.raises(SearchTimeout):
-        next(frames)
+        scan_frames(5, (P.TRANSITIVE,), lambda rel: None, iso_reject=False, deadline=time.monotonic() - 1)
+
+
+def test_timeout_holds_while_the_frame_filter_rejects_every_relation():
+    # no relation reaches the probe, so the deadline is checked on the
+    # relations examined, not on the frames that pass: otherwise the scan
+    # would walk all 2^25 five-world relations
+    started = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        scan_frames(
+            5, (), lambda rel: rel, iso_reject=False, deadline=started + 0.2,
+            frame_filter=lambda rel: False,
+        )
+    assert time.monotonic() - started < 2
 
 
 def test_timed_out_class_build_is_not_cached():
     # transitivity implies quasi-transitivity, so the pair has exactly the
     # transitive classes; no other test builds this key
-    props = (P.TRANSITIVE, P.QUASI_TRANSITIVE)
+    keep = has_all(frozenset({P.TRANSITIVE, P.QUASI_TRANSITIVE}))
     with pytest.raises(SearchTimeout):
-        next(enumerate_frames(5, props, iso_reject=True, deadline=time.monotonic() - 1))
-    classes = list(enumerate_frames(5, props, iso_reject=True))
+        canonical_relations(5, keep, time.monotonic() - 1)
+    classes = canonical_relations(5, keep)
     assert len(classes) == 1895
-    assert classes == list(enumerate_frames(5, (P.TRANSITIVE,), iso_reject=True))
+    assert classes == canonical_relations(5, has_all(frozenset({P.TRANSITIVE})))

@@ -10,7 +10,9 @@ import pytest
 
 from ddlmc import formula as fm
 from ddlmc.formula import ParseError, atoms, expand, metavars, parse, render
+from ddlmc.model import PreferenceModel
 from ddlmc.schemas import SCHEMAS
+from ddlmc.semantics import EvalRule, truth_set
 
 from oracle import random_formula
 
@@ -124,6 +126,28 @@ def test_parse_errors_carry_position():
         parse("p q")
     with pytest.raises(ParseError):
         parse("A >= B >= C")  # non-associative
+
+
+# Formulas nested k levels deep: in parentheses, in the syntax tree, or
+# both.  The conjunction chain is parsed by a loop but is a tree k deep.
+_NESTINGS = {
+    "parentheses": lambda k: "(" * k + "p" + ")" * k,
+    "negations": lambda k: "~" * (k - 1) + "p",
+    "obligations": lambda k: "O(" * (k - 1) + "p" + " / T)" * (k - 1),
+    "conjunction chain": lambda k: "p" + " & p" * (k - 1),
+    "implication chain": lambda k: "p -> " * (k - 1) + "p",
+}
+
+
+@pytest.mark.parametrize("nesting", sorted(_NESTINGS))
+def test_parse_nesting_limit(nesting):
+    deepest = parse(_NESTINGS[nesting](fm.MAX_DEPTH))
+    assert parse(render(deepest)) == deepest
+    m = PreferenceModel(2, (3, 2), {"p": 1})
+    for rule in EvalRule:
+        assert truth_set(deepest, m, rule) == truth_set(expand(deepest), m, rule)
+    with pytest.raises(ParseError, match=f"nested more than {fm.MAX_DEPTH} levels deep"):
+        parse(_NESTINGS[nesting](fm.MAX_DEPTH + 1))
 
 
 def test_render_examples():

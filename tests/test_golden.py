@@ -14,7 +14,10 @@ search memoised its probe on that part of the frame.  ``lattice5.json``
 (``lattice --max-n 5 --timeout 0 --json``) was captured before
 ``lattice_report`` asked ``property_implication`` once per pair in place
 of its own pass over every class; it is too slow for this file, so CI
-compares it.  The ``*_text.txt`` goldens pin each command's text form
+compares it.  So does CI with ``table_lewis5.json`` (``correspond --table
+--rule lewis --max-n 5 --timeout 0 --json``), captured when the table's
+bound was lifted to 5; this file checks its figures against facts found
+without running it.  The ``*_text.txt`` goldens pin each command's text form
 (no ``--json``); they were captured before the commands stopped printing
 for themselves and returned their reports to ``main``.  Any change in a status, witness, frames_checked or
 exit code shows up as a mismatch.  check-model and props print the model
@@ -23,11 +26,17 @@ path they were given, so every argv runs from the repository root.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from ddlmc.cli import main
+from ddlmc.model import canonical_relations
+from ddlmc.relprops import RelationProperty, has_all
+from ddlmc.schemas import SCHEMAS
+
+from oracle import truth_worlds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,3 +85,39 @@ def test_report_matches_golden(path, argv, code, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(argv.split()) == code
     assert capsys.readouterr().out == (ROOT / path).read_text(encoding="utf-8")
+
+
+def test_lewis_table_at_five_worlds_agrees_with_what_is_known():
+    # Each dropped check finds its least counterexample at n <= 4, so it
+    # must equal the n=4 table's entry but for max_n.  Each confirmed check
+    # scans every class with its properties at n <= 5: the unrestricted
+    # counts are OEIS A000595, the transitive ones 291 at n <= 4 plus 1 895
+    # at n=5, and the total preorders of n worlds are the 2^(n-1)
+    # compositions of n.
+    five = json.loads((ROOT / "tests/golden/table_lewis5.json").read_text(encoding="utf-8"))
+    four = json.loads((ROOT / "bench/golden/table_lewis_w2.json").read_text(encoding="utf-8"))
+    assert (five["max_n"], five["all_match"]) == (5, True)
+    total = has_all(frozenset({RelationProperty.TOTAL}))
+    classes = {
+        (): 2 + 10 + 104 + 3044 + 291_968,
+        ("total",): sum(len(canonical_relations(n, total)) for n in range(1, 6)),
+        ("transitive",): 291 + 1895,
+        ("transitive", "total"): 1 + 2 + 4 + 8 + 16,
+    }
+    counterexamples = 0
+    for row, row4 in zip(five["rows"], four["rows"], strict=True):
+        assert row["label"] == row4["label"]
+        for axiom, entry in row["axioms"].items():
+            for kind in ("forward", "dropped"):
+                check = entry.get(kind)
+                if check is None or check["status"] == "confirmed":
+                    assert check is None or check["frames_checked"] == classes[tuple(check["properties"])]
+                    continue
+                assert {**check, "max_n": 4} == row4["axioms"][axiom][kind]
+                frame = check["counterexample"]
+                assignment = {v: frozenset(ws) for v, ws in frame["assignment"].items()}
+                pairs = {tuple(p) for p in frame["rel"]}
+                worlds = truth_worlds(SCHEMAS[axiom], range(frame["n"]), pairs, {}, "lewis", assignment)
+                assert worlds != frozenset(range(frame["n"]))
+                counterexamples += 1
+    assert counterexamples == 4

@@ -274,6 +274,6 @@ def test_formula_level_preference_is_transitive():
 
 def test_sweep_bounds():
     with pytest.raises(ValueError):
-        table_sweep(EvalRule.MAX, 5)
+        table_sweep(EvalRule.MAX, 6)
     with pytest.raises(ValueError):
         forward_check([], "Id", EvalRule.MAX, 6)
