@@ -112,14 +112,20 @@ def run_grid(
 ) -> dict:
     """Satisfiability of EQ0..EQ4 per property row and evaluation rule.
 
-    One deadline covers the whole grid; a repeated rule is rejected.
+    One deadline covers the whole grid; a repeated rule is rejected.  The
+    rows are independent: ``forks.fork_map`` runs them in parallel, a row's
+    searches in one process so that they share its class builds.
     """
+    from .forks import fork_map  # compiled only when a table runs
+
     rules = tuple(rules)
     repeated = sorted({r.value for r in rules if rules.count(r) > 1})
     if repeated:
         raise ValueError(f"rules {repeated} are listed more than once")
-    cells = []
-    for label, props in GRID_ROWS:
+
+    def row_cells(row):
+        label, props = row
+        cells = []
         for rule in rules:
             result = find_satisfying_model(SearchSpec(
                 max_n, rule, SCENARIO, props, ATOMS, iso_reject=iso_reject, deadline=deadline,
@@ -140,6 +146,9 @@ def run_grid(
             if (label, rule) in _FINITE_CAVEAT:
                 cell["note"] = "unsatisfiable at finite sizes only; infinite models are out of scope"
             cells.append(cell)
+        return cells
+
+    cells = [cell for row in fork_map(row_cells, GRID_ROWS) for cell in row]
     return {
         "formulas": [fm.render(f) for f in SCENARIO],
         "max_n": max_n,

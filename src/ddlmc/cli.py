@@ -32,16 +32,22 @@ into the exit code.  A search timeout becomes the report {"status":
 "timeout", "max_n": ...} with no text, and goes out the same way.
 
 Exit codes: 0 the requested confirmation/witness was obtained, 1 it was
-refuted or nothing was found up to the bound, 2 usage error.  A --max-n
-outside 1..5, a negative --timeout and a formula nested too deeply
-(formula.MAX_DEPTH) are usage errors, reported before any work.
+refuted or nothing was found up to the bound, 2 usage error, 3 a forked
+search process died.  A --max-n outside 1..5, a negative --timeout and a
+formula nested too deeply (formula.MAX_DEPTH) are usage errors, reported
+before any work.
 
 Reports are deterministic: identical argv produces byte-identical JSON.
 Timing is therefore reported only with --timing (the elapsed_ms field is
 null otherwise).  --timeout (0: no limit) is turned into one deadline when
 the command starts, and every search of the command stops at it and
-reports "status": "timeout" (exit 1).  --workers is accepted and ignored:
-scans are serial.
+reports "status": "timeout" (exit 1).  correspond --table, paradox and
+lattice run their independent searches in one process per CPU this
+process may run on (forks.fork_map), with the same report on any number
+of CPUs; find-model, a forward or converse correspondence check and
+collapse run one search each, so they have nothing to split.  --workers is
+accepted and ignored.  A forked process that dies (say, killed for
+memory) is reported as one "error:" line with exit 3.
 """
 
 from __future__ import annotations
@@ -304,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
                         help="wall-clock budget in seconds; 0 disables (default 60)")
-    search.add_argument("--workers", type=int, default=1, help="accepted and ignored; scans are serial")
+    search.add_argument("--workers", type=int, default=1,
+                        help="accepted and ignored: correspond --table, paradox and lattice run their "
+                             "independent searches on every CPU, and the other commands run one search")
     iso_reject.add_argument("--iso-reject", action=argparse.BooleanOptionalAction, default=True,
                             help="enumerate one frame per isomorphism class (default)")
 
@@ -376,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ChildProcessError as exc:  # from forks.fork_map
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     elapsed_ms = int((time.monotonic() - started) * 1000) if args.timing else None
     report = {"command": args.command, **report, "elapsed_ms": elapsed_ms}
     print(json.dumps(report, indent=2, sort_keys=True) if args.json or text is None else text)

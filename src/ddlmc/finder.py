@@ -35,7 +35,9 @@ The properties are invariant under relabelling worlds, so the least witness
 is the least such representative.  ``lattice_report`` asks it once per
 ordered pair of the implication diagram of the transitivity weakenings.
 Every search stops at a deadline, a ``time.monotonic()`` value (None: no
-limit), raising ``SearchTimeout``.  Scans are serial; the work is pure
+limit), raising ``SearchTimeout``.  Each scan is serial.  ``forks.fork_map``
+runs the independent searches of a table (``table_sweep``, ``run_grid``,
+``lattice_report``) in one forked process per CPU; the work is pure
 Python, so threads would not run it faster.
 """
 
@@ -89,7 +91,9 @@ class SearchSpec:
     atoms: a frame witness, reported with an empty valuation).
     frame_filter, a pure predicate on the relation rows, narrows the frames
     scanned and is re-checked on the witness.  The search stops at
-    deadline, a ``time.monotonic()`` value (None: no limit).
+    deadline, a ``time.monotonic()`` value (None: no limit).  A target
+    nested deeper than ``formula.MAX_DEPTH`` is a ValueError, as it is for
+    ``formula.parse``.
     """
 
     def __init__(
@@ -122,6 +126,8 @@ class SearchSpec:
             raise ValueError(f"{rule!r}: not an evaluation rule")
         if mode not in _STATUS:
             raise ValueError(f"unknown search mode {mode!r}")
+        if any(map(fm.too_deep, self.targets)):  # the evaluators recurse
+            raise ValueError(f"a target is nested more than MAX_DEPTH = {fm.MAX_DEPTH} levels deep")
         names = set().union(*(fm.atoms(t) for t in self.targets))
         metavars = set().union(*(fm.metavars(t) for t in self.targets))
         if names & metavars:
@@ -445,12 +451,17 @@ def lattice_report(max_n: int, deadline: float | None = None) -> dict:
     """Exhaustively confirm every implied pair and witness every other pair:
     one ``property_implication`` per ordered pair of LATTICE_NODES.  Raises
     AssertionError if an implied pair fails, and SearchTimeout at the
-    deadline, a ``time.monotonic()`` value (None: no limit)."""
+    deadline, a ``time.monotonic()`` value (None: no limit).  ``forks.fork_map``
+    runs the premises in parallel, each premise's six implications in one
+    process so that they share its class build."""
+    from .forks import fork_map  # compiled only when a table runs
+
     implied = implied_pairs()
-    results = {
-        (p, q): property_implication(p, q, max_n, deadline)
-        for p in LATTICE_NODES for q in LATTICE_NODES if p is not q
-    }
+    found = fork_map(
+        lambda p: {(p, q): property_implication(p, q, max_n, deadline) for q in LATTICE_NODES if q is not p},
+        LATTICE_NODES,
+    )
+    results = {pair: result for premise in found for pair, result in premise.items()}
     for p, q in implied:
         if isinstance(results[p, q], Witness):
             raise AssertionError(f"implication {p} => {q} fails at size {results[p, q].n}")

@@ -26,6 +26,8 @@ Concrete syntax (whitespace-insensitive)::
 names.  ``O`` and ``P`` act as operators only when followed by ``(``.
 Nesting deeper than MAX_DEPTH, in parentheses and operators or in levels of
 the syntax tree, is a ParseError: the code that walks a formula recurses.
+``too_deep`` measures a tree built from the constructors the same way, and
+``finder.SearchSpec`` rejects such a target.
 """
 
 from __future__ import annotations
@@ -328,12 +330,20 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula AST (ParseError past MAX_DEPTH)."""
     f = _Parser(text).parse()
-    level, depth = [f], 0
-    while level:  # the tree's depth, level by level: no recursion
-        level, depth = [c for g in level for c in g._values() if isinstance(c, Formula)], depth + 1
-    if depth > MAX_DEPTH:
+    if too_deep(f):
         raise ParseError(f"formula nested more than {MAX_DEPTH} levels deep", 0)
     return f
+
+
+def too_deep(f: Formula) -> bool:
+    """Whether the syntax tree of f has more than MAX_DEPTH levels.  The walk
+    goes level by level, with no recursion, stops past MAX_DEPTH and visits
+    a node shared by several parents once per level."""
+    level, depth = [f], 0
+    while level and depth <= MAX_DEPTH:
+        level = list({id(c): c for g in level for c in g._values() if isinstance(c, Formula)}.values())
+        depth += 1
+    return depth > MAX_DEPTH
 
 
 # ---------------------------------------------------------------------------

@@ -240,23 +240,33 @@ def table_sweep(
     with no corresponding axiom are probed and reported as bounded evidence
     only (finiteness can validate axioms spuriously), so they carry no
     expectation.  Every check runs to the one deadline; rule is an EvalRule.
+    The checks are independent: ``forks.fork_map`` runs them in parallel.
     """
+    from .forks import fork_map  # compiled only when a table runs
+
     if not isinstance(rule, EvalRule):
         raise ValueError(f"{rule!r}: not an evaluation rule")
-
-    def check(props, axiom):
-        return forward_check(props, axiom, rule, max_n, iso_reject=iso_reject, deadline=deadline)
+    rows = _sweep_rows(rule)
+    checks = []  # (properties, axiom) per forward check, then its dropped-property check
+    for row in rows:
+        for axiom in row["axioms"]:
+            checks.append((row["properties"] + row["background"], axiom))
+            if row["kind"] == "correspondence":
+                checks.append(((), axiom))
+    reports = iter(fork_map(
+        lambda check: forward_check(*check, rule, max_n, iso_reject=iso_reject, deadline=deadline),
+        checks,
+    ))
 
     rows_out = []
-    for row in _sweep_rows(rule):
-        props = list(row["properties"]) + list(row["background"])
+    for row in rows:
         axioms_out = {}
         row_match: bool | None = True
         for axiom in row["axioms"]:
-            forward = check(props, axiom)
+            forward = next(reports)
             entry = {"forward": forward}
             if row["kind"] == "correspondence":
-                dropped = check((), axiom)
+                dropped = next(reports)
                 entry["dropped"] = dropped
                 entry["match"] = forward["status"] == "confirmed" and dropped["status"] == "counterexample"
             elif row["kind"] == "unconditional":

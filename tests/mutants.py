@@ -108,6 +108,14 @@ MUTANTS = (
         ("tests/test_finder.py::test_search_rejects_a_rule_that_is_not_an_eval_rule",),
     ),
     Mutant(
+        "fork_map returns results in arrival order", "forks.py",
+        "    done.sort(key=lambda entry: entry[0])\n",
+        "",
+        ("tests/test_finder.py::test_fork_map_keeps_the_order_of_the_items",
+         "tests/test_finder.py::test_table_sweep_is_the_same_in_forked_processes",
+         "tests/test_finder.py::test_grid_and_lattice_are_the_same_in_forked_processes"),
+    ),
+    Mutant(
         "_revalidate without the frame-filter re-check", "finder.py",
         "    if spec.frame_filter is not None and not spec.frame_filter(model.rel):\n",
         "    if False:\n",

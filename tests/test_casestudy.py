@@ -3,6 +3,7 @@ acceptance suite reads the n <= 4 cores)."""
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from itertools import combinations
@@ -233,6 +234,9 @@ def test_case_study_searches_share_one_budget(analysis, searches, monkeypatch):
 
     monkeypatch.setattr(casestudy, "find_satisfying_model", search)
     monkeypatch.setattr(finder, "find_satisfying_model", search)
+    # seen records the searches of this process only: run_grid's rows run
+    # in one process per CPU (forks.fork_map), so give it one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     analysis(3, deadline=deadline)
     assert seen == [deadline] * searches
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -235,7 +236,9 @@ def test_json_reports_are_deterministic(capsys):
     # Stops inside the unrestricted five-world class build (about 7 s).
     "correspond --table --rule opt --max-n 5 --timeout 1 --json",
 ])
-def test_correspond_honours_timeout(argv, capsys):
+def test_correspond_honours_timeout(argv, capsys, monkeypatch):
+    # a table runs in two processes, both stop, and the child is reaped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     started = time.monotonic()
     code, out = run(capsys, *argv.split())
     assert time.monotonic() - started < 15
@@ -243,6 +246,20 @@ def test_correspond_honours_timeout(argv, capsys):
     report = json.loads(out)
     assert report == {"command": "correspond", "status": "timeout",
                       "max_n": report["max_n"], "elapsed_ms": None}
+    with pytest.raises(ChildProcessError):  # no child process is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dead_search_process_is_an_error_line_with_exit_3(capsys, monkeypatch):
+    def dead(*args, **kwargs):
+        raise ChildProcessError("fork_map worker 12345 ended with exit code -9")
+
+    monkeypatch.setattr(cli, "table_sweep", dead)
+    code = main(["correspond", "--table", "--max-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: fork_map worker 12345 ended with exit code -9\n"
 
 
 @pytest.mark.parametrize("argv, code, limit_s", [

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import os
 import time
 from itertools import product
 
 import pytest
 
 from ddlmc import model
+from ddlmc import formula as fm
 from ddlmc.finder import (
     SearchSpec,
     SearchTimeout,
     find_satisfying_model,
+    lattice_report,
     rule_collapse,
     scan_frames,
 )
 from ddlmc.formula import parse
+from ddlmc.forks import fork_map
 from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs, relation_pairs
 from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, longest_strict_chain
 from ddlmc.schemas import converse_search, forward_check, table_sweep
@@ -343,3 +347,142 @@ def test_timed_out_class_build_is_not_cached():
     classes = canonical_relations(5, keep)
     assert len(classes) == 1895
     assert classes == canonical_relations(5, has_all(frozenset({P.TRANSITIVE})))
+
+
+def test_spec_rejects_a_target_nested_past_max_depth():
+    # a tree built from the constructors never went through parse's limit;
+    # the evaluators recurse over it, so 1 000 nested negations used to end
+    # the search in a RecursionError
+    deepest = fm.Atom("p")
+    for _ in range(fm.MAX_DEPTH - 1):
+        deepest = fm.Not(deepest)
+    assert find_satisfying_model(SearchSpec(1, EvalRule.MAX, [deepest], atoms=("p",))).status == "sat"
+    for depth in (fm.MAX_DEPTH, 1000):
+        f = fm.Atom("p")
+        for _ in range(depth):
+            f = fm.Not(f)
+        with pytest.raises(ValueError, match=f"MAX_DEPTH = {fm.MAX_DEPTH}"):
+            SearchSpec(1, EvalRule.MAX, [f], atoms=("p",))
+    # a node shared by both children is walked once per level, not 2^depth times
+    shared = fm.Atom("p")
+    for _ in range(fm.MAX_DEPTH):
+        shared = fm.Or(shared, shared)
+    assert fm.too_deep(shared)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _on_cpus(monkeypatch, count):
+    # fork_map runs one process per CPU it may use: `count` on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _wait_for(*paths):
+    # the processes of one fork_map meet through marker files; a meeting
+    # that never comes gives up after 10 s, and the test fails on its result
+    stop = time.monotonic() + 10
+    while not any(path.exists() for path in paths) and time.monotonic() < stop:
+        time.sleep(0.001)
+
+
+def test_fork_map_keeps_the_order_of_the_items(monkeypatch, tmp_path):
+    for cpus in (1, 3, 8):
+        _on_cpus(monkeypatch, cpus)
+        assert fork_map(lambda x: x * x, range(12)) == [x * x for x in range(12)]
+        _no_child_left()
+    assert fork_map(abs, []) == [] and fork_map(abs, [-3]) == [3]
+    with pytest.raises(ValueError, match="at most 1024 items"):
+        fork_map(abs, range(1025))
+    # The parent starts no item before the child has taken one, and the
+    # child's first item waits until the parent has finished a later one.
+    # So the results arrive out of order, whoever takes item 0, and only
+    # the index sort puts them back.
+    _on_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def meet(x):
+        child = tmp_path / "child"
+        if os.getpid() == parent:
+            _wait_for(child)
+            (tmp_path / f"done{x}").touch()
+        elif not child.exists():
+            child.touch()
+            _wait_for(*(tmp_path / f"done{y}" for y in range(x + 1, 4)))
+        return x * x
+
+    assert fork_map(meet, range(4)) == [0, 1, 4, 9]
+    _no_child_left()
+
+
+def test_fork_map_raises_what_an_item_raised_in_a_child(monkeypatch, tmp_path):
+    _on_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fail_in_child(failure):
+        # the parent's items wait until the child has taken one, which fails
+        def item(x):
+            if os.getpid() == parent:
+                _wait_for(tmp_path / failure)
+                return x
+            (tmp_path / failure).touch()
+            if failure == "dies":
+                os._exit(3)
+            raise ArithmeticError(f"item {x} in a child")
+        return item
+
+    with pytest.raises(ArithmeticError, match="in a child"):
+        fork_map(fail_in_child("raises"), range(8))
+    _no_child_left()
+    with pytest.raises(ChildProcessError, match="exit code 3"):
+        fork_map(fail_in_child("dies"), range(8))
+    _no_child_left()
+
+    def from_three_on(x):
+        if x >= 3:
+            raise SearchTimeout(x)
+        return x
+
+    # the serial loop's exception: that of the lowest failing item, which
+    # starts before any later item since the indices are taken in order
+    with pytest.raises(SearchTimeout) as raised:
+        fork_map(from_three_on, range(8))
+    assert raised.value.args == (3,)
+    _no_child_left()
+
+
+def test_fork_map_kills_its_children_when_the_parent_is_interrupted(monkeypatch, tmp_path):
+    _on_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def stuck_child(x):
+        if os.getpid() == parent:
+            _wait_for(tmp_path / "child")
+            raise KeyboardInterrupt
+        (tmp_path / "child").touch()
+        time.sleep(60)
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        fork_map(stuck_child, range(4))
+    assert time.monotonic() - started < 10
+    _no_child_left()
+
+
+@pytest.mark.parametrize("rule", list(EvalRule), ids=lambda r: r.value)
+def test_table_sweep_is_the_same_in_forked_processes(rule, monkeypatch):
+    _on_cpus(monkeypatch, 1)
+    serial = table_sweep(rule, 3)
+    _on_cpus(monkeypatch, 2)
+    assert table_sweep(rule, 3) == serial
+    _no_child_left()
+
+
+def test_grid_and_lattice_are_the_same_in_forked_processes(monkeypatch):
+    _on_cpus(monkeypatch, 1)
+    serial = run_grid(3), lattice_report(3)
+    _on_cpus(monkeypatch, 3)
+    assert (run_grid(3), lattice_report(3)) == serial
+    _no_child_left()

@@ -19,14 +19,17 @@ compares it.  So does CI with ``table_lewis5.json`` (``correspond --table
 bound was lifted to 5; this file checks its figures against facts found
 without running it.  The ``*_text.txt`` goldens pin each command's text form
 (no ``--json``); they were captured before the commands stopped printing
-for themselves and returned their reports to ``main``.  Any change in a status, witness, frames_checked or
-exit code shows up as a mismatch.  check-model and props print the model
+for themselves and returned their reports to ``main``.  ``FORKED`` runs
+the three commands whose searches ``forks.fork_map`` spreads over one
+process per CPU as if on one CPU and on three.  Any change in a status,
+witness, frames_checked or exit code shows up as a mismatch.  check-model and props print the model
 path they were given, so every argv runs from the repository root.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -85,6 +88,20 @@ def test_report_matches_golden(path, argv, code, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(argv.split()) == code
     assert capsys.readouterr().out == (ROOT / path).read_text(encoding="utf-8")
+
+
+# Reports whose independent searches fork_map spreads over one process per
+# CPU; each must give its golden's bytes on one CPU (the serial loop) and on
+# three, whatever the host has.
+FORKED = [g for g in GOLDEN if Path(g[0]).stem in {
+    "table_max", "table_opt4", "table_lewis_text", "grid", "paradox_text", "lattice", "lattice_text"}]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("path, argv, code", FORKED, ids=[Path(p).stem for p, _, _ in FORKED])
+def test_report_matches_golden_on_any_number_of_cpus(path, argv, code, cpus, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    test_report_matches_golden(path, argv, code, capsys, monkeypatch)
 
 
 def test_lewis_table_at_five_worlds_agrees_with_what_is_known():
