@@ -26,8 +26,9 @@ Concrete syntax (whitespace-insensitive)::
 names.  ``O`` and ``P`` act as operators only when followed by ``(``.
 Nesting deeper than MAX_DEPTH, in parentheses and operators or in levels of
 the syntax tree, is a ParseError: the code that walks a formula recurses.
-``too_deep`` measures a tree built from the constructors the same way, and
-``finder.SearchSpec`` rejects such a target.
+``too_deep`` measures a tree built from the constructors the same way:
+``render``, ``expand`` and ``finder.SearchSpec`` reject a deeper one with
+ValueError.
 """
 
 from __future__ import annotations
@@ -346,6 +347,11 @@ def too_deep(f: Formula) -> bool:
     return depth > MAX_DEPTH
 
 
+def _check_depth(f: Formula) -> None:
+    if too_deep(f):
+        raise ValueError(f"formula nested more than {MAX_DEPTH} levels deep")
+
+
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -376,9 +382,9 @@ def _render(f: Formula) -> tuple[str, int]:
     if isinstance(f, Iff):
         return f"{_wrap(f.left, _IFF + 1)} <-> {_wrap(f.right, _IFF)}", _IFF
     if isinstance(f, Oblig):
-        return f"O({render(f.consequent)} / {render(f.antecedent)})", _ATOM
+        return f"O({_render(f.consequent)[0]} / {_render(f.antecedent)[0]})", _ATOM
     if isinstance(f, Perm):
-        return f"P({render(f.consequent)} / {render(f.antecedent)})", _ATOM
+        return f"P({_render(f.consequent)[0]} / {_render(f.antecedent)[0]})", _ATOM
     if isinstance(f, PrefGeq):
         return f"{_wrap(f.left, _IFF)} >= {_wrap(f.right, _IFF)}", _PREF
     if isinstance(f, PrefGt):
@@ -392,7 +398,9 @@ def _wrap(f: Formula, min_level: int) -> str:
 
 
 def render(f: Formula) -> str:
-    """Print a formula so that parse(render(f)) == f."""
+    """Print a formula so that parse(render(f)) == f.  A tree deeper than
+    MAX_DEPTH is a ValueError (the printer recurses)."""
+    _check_depth(f)
     return _render(f)[0]
 
 
@@ -404,36 +412,42 @@ def expand(f: Formula) -> Formula:
     """Rewrite into the core fragment {Atom, MetaVar, Top, Not, Or, Box, Oblig}.
 
     The result is semantically equivalent under every evaluation rule, and
-    expand is idempotent.
+    expand is idempotent.  A tree deeper than MAX_DEPTH is a ValueError (the
+    rewrite recurses); the result can be up to six times as deep as f.
     """
+    _check_depth(f)
+    return _expand(f)
+
+
+def _expand(f: Formula) -> Formula:
     if isinstance(f, (Atom, MetaVar, Top)):
         return f
     if isinstance(f, Bot):
         return Not(TOP)
     if isinstance(f, Not):
-        return Not(expand(f.child))
+        return Not(_expand(f.child))
     if isinstance(f, Or):
-        return Or(expand(f.left), expand(f.right))
+        return Or(_expand(f.left), _expand(f.right))
     if isinstance(f, And):
-        return _and(expand(f.left), expand(f.right))
+        return _and(_expand(f.left), _expand(f.right))
     if isinstance(f, Implies):
-        return Or(Not(expand(f.left)), expand(f.right))
+        return Or(Not(_expand(f.left)), _expand(f.right))
     if isinstance(f, Iff):
-        left, right = expand(f.left), expand(f.right)
+        left, right = _expand(f.left), _expand(f.right)
         return _and(Or(Not(left), right), Or(Not(right), left))
     if isinstance(f, Box):
-        return Box(expand(f.child))
+        return Box(_expand(f.child))
     if isinstance(f, Diamond):
-        return Not(Box(Not(expand(f.child))))
+        return Not(Box(Not(_expand(f.child))))
     if isinstance(f, Oblig):
-        return Oblig(expand(f.consequent), expand(f.antecedent))
+        return Oblig(_expand(f.consequent), _expand(f.antecedent))
     if isinstance(f, Perm):
-        return Not(Oblig(Not(expand(f.consequent)), expand(f.antecedent)))
+        return Not(Oblig(Not(_expand(f.consequent)), _expand(f.antecedent)))
     if isinstance(f, PrefGeq):
-        left, right = expand(f.left), expand(f.right)
+        left, right = _expand(f.left), _expand(f.right)
         return _pref_geq_core(left, right)
     if isinstance(f, PrefGt):
-        left, right = expand(f.left), expand(f.right)
+        left, right = _expand(f.left), _expand(f.right)
         return _and(_pref_geq_core(left, right), Oblig(Not(right), Or(left, right)))
     raise TypeError(f"not a formula: {f!r}")
 

@@ -35,8 +35,8 @@ MAX_WORLDS = 16
 # orbits in a table of 2^(n*n) bytes (32 MiB at n=5, 64 GiB at n=6), and
 # enumeration without it iterates every one of the 2^(n*n) relations.  The
 # table is mapped lazily, so only the pages a build touches become resident
-# (about 10 MiB of the 32 for the transitive classes at n=5); an
-# unrestricted build touches them all.
+# (about 10 MiB of the 32 for the transitive classes at n=5, nearly all of
+# it by marking their orbits); an unrestricted build touches them all.
 MAX_EXHAUSTIVE_WORLDS = 5
 
 
@@ -350,11 +350,16 @@ def canonical_relations(
 
     The classes are built from the (n-1)-world classes, by extending each
     representative with a new last world in all 2^(2n-1) ways (the new
-    world's column in the old rows, and its row).  A candidate whose orbit
-    is already marked in a 2^(n*n)-byte table is skipped; otherwise it is
-    tested with keep and, if it passes, its whole orbit is marked and the
-    orbit minimum kept.  Failing orbits are not marked: marking costs more
-    than testing a relabelled copy again.  The table is an anonymous
+    world's column in the old rows, and its row).  With a keep, a
+    candidate is tested only if deleting any of its old worlds leaves a
+    relation in the orbit of a parent class, which heredity requires of
+    every relation keep accepts: the parents' orbits are tabled once per
+    level (_words), and n-1 lookups per column give the new rows that
+    pass (_admitted).  A candidate whose orbit is already marked
+    in a 2^(n*n)-byte table is skipped; otherwise it is tested with keep
+    and, if it passes, its whole orbit is marked and the orbit minimum
+    kept.  Failing orbits are not marked: marking costs more than testing
+    a relabelled copy again.  The table is an anonymous
     mapping that the OS zero-fills page by page, so only the pages the
     build touches become resident.  This is complete because keep must be
     invariant under relabelling worlds and hereditary: deleting a world
@@ -365,14 +370,16 @@ def canonical_relations(
     ``tests/test_relprops.py`` checks that every property is.  The result
     equals the unrestricted classes filtered by keep, in the same order.
 
-    Cost at n=5 (2-vCPU VM, Python 3.11): a restrictive keep makes this
-    cheap (1 895 transitive classes in about 0.2 s).  Without one, or with
-    a weak one, it marks up to 292k orbits of up to 120 relations each and
-    tests every candidate not yet marked: about 6-7 s unrestricted, 3-4 s
-    for the 51 648 quasi-transitive classes and 7-8 s for the 214 848
-    acyclic ones.  keep is called once per unmarked candidate (116 563
-    times for transitivity, 444 168 for acyclicity), so it should be one
-    flat function, as ``relprops.has_all`` returns.
+    Cost at n=5 (2-vCPU VM, Python 3.11, single runs): a restrictive keep
+    makes this cheap (1 895 transitive classes in about 0.1 s).  Without
+    one, or with a weak one, it marks up to 292k orbits of up to 120
+    relations each: about 6-8 s unrestricted, about 2 s for the 51 648
+    quasi-transitive and the 43 168 Suzumura-consistent classes and 5-6.5 s
+    for the 214 848 acyclic ones.  At n=5 keep is called 1 895 times for
+    transitivity, once per class (116 563 times without the deletion
+    test), 51 648 for quasi-transitivity (501 696) and 215 872 for
+    acyclicity (444 168): no deletion shows a strict 5-cycle.  It should be
+    one flat function, as ``relprops.has_all`` returns.
 
     Results are cached per (n, keep): pass the same keep object to reuse a
     build.  The deadline (a ``time.monotonic`` value) is checked between
@@ -381,6 +388,73 @@ def canonical_relations(
     """
     check_world_bound(n)
     return _classes(n, keep, deadline)
+
+
+def _words(parents: tuple[Relation, ...]) -> list[int]:
+    """Every relation in the orbits of parents, the classes of one world
+    count m, as a table: bit last of words[upper] is set iff the relation
+    whose first m-1 rows pack (row 0 most significant) to upper and whose
+    last row is last is one of them."""
+    m = len(parents[0])
+    last_row = full_mask(m)
+    words = [0] * (1 << (m - 1) * m)
+    for parent in parents:
+        for image in _orbit_images(parent):
+            words[image >> m] |= 1 << (image & last_row)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _deletion_tables(n: int) -> tuple[tuple, tuple]:
+    # An n-world candidate is a parent's n-1 rows with a new column, and a
+    # new row.  Deleting old world k from it leaves an (n-1)-world relation
+    # whose last row is the new row without bit k.  columns[k][column] is
+    # the new column's share of that relation's upper rows, packed as in
+    # _words; spread[k][b][byte] is the set, as a 2^n-bit mask, of the new
+    # rows whose last row after the deletion is in byte b of a words entry.
+    columns, spread = [], []
+    for k in range(n - 1):
+        kept = [i for i in range(n - 1) if i != k]
+        columns.append(tuple(
+            sum(1 << (n - 3 - pos) * (n - 1) + n - 2 for pos, i in enumerate(kept) if column >> i & 1)
+            for column in range(1 << (n - 1))
+        ))
+        low = (1 << k) - 1
+        rows = []  # rows[last]: the two new rows that lose bit k to become last
+        for last in range(1 << (n - 1)):
+            row = last & low | (last & ~low) << 1
+            rows.append(1 << row | 1 << (row | 1 << k))
+        tables = []
+        for offset in range(0, len(rows), 8):
+            table = [0]
+            for entry in rows[offset:offset + 8]:
+                table += [bits | entry for bits in table]
+            tables.append(tuple(table))
+        spread.append(tuple(tables))
+    return tuple(columns), tuple(spread)
+
+
+def _admitted(parent: Relation, words: list[int]) -> list[list[int]]:
+    """For each new column of a one-world extension of parent, the new
+    rows, ascending, for which every deletion of an old world leaves a
+    relation in words (the orbits of the parents, see _words)."""
+    n = len(parent) + 1
+    columns, spread = _deletion_tables(n)
+    admitted = [(1 << (1 << n)) - 1] * (1 << (n - 1))
+    for k, (shares, tables) in enumerate(zip(columns, spread)):
+        low = (1 << k) - 1
+        upper = 0
+        for i, row in enumerate(parent):
+            if i != k:
+                upper = upper << (n - 1) | row & low | row >> 1 & ~low
+        for column, share in enumerate(shares):
+            word = words[upper | share]
+            rows = 0
+            for table in tables:
+                rows |= table[word & 255]
+                word >>= 8
+            admitted[column] &= rows
+    return [[row for row in range(1 << n) if mask >> row & 1] for mask in admitted]
 
 
 def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
@@ -392,7 +466,8 @@ def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
     parents = _classes(n - 1, keep, deadline)
     shifts = [(n - 1 - i) * n for i in range(n - 1)]
     new_bit = 1 << (n - 1)
-    new_rows = range(1 << n)
+    unfiltered = [range(1 << n)] * (1 << (n - 1))
+    words = None if keep is None else _words(parents)
     minima = []
     # The table is an anonymous mapping: the OS zero-fills it page by page,
     # so only the pages the build touches become resident.  It is unmapped
@@ -401,7 +476,10 @@ def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
         for parent in parents:
             if deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout()
-            for column in range(1 << (n - 1)):
+            admitted = unfiltered if words is None else _admitted(parent, words)
+            for column, new_rows in enumerate(admitted):
+                if not new_rows:
+                    continue
                 old = tuple(
                     row | new_bit if column >> i & 1 else row
                     for i, row in enumerate(parent)

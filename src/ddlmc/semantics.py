@@ -134,55 +134,60 @@ def truth_set(
     *,
     strict_atoms: bool = False,
 ) -> int:
-    """Set of worlds (bitmask) where f is true."""
+    """Set of worlds (bitmask) where f is true.  The walk keeps its own
+    stack, so a tree of any depth is evaluated without recursion."""
     w = m.full_mask
-
-    def ev(g: fm.Formula) -> int:
+    nodes = []
+    # subformulas yields each node before its operands, left before right:
+    # the order in which an evaluator that recurses meets them, and so
+    # meets a missing atom or metavariable
+    for g in fm.subformulas(f):
+        if isinstance(g, fm.Atom) and strict_atoms and g.name not in m.valuation:
+            raise ValueError(f"atom {g.name!r} has no valuation entry")
+        if isinstance(g, fm.MetaVar) and (assignment is None or g.name not in assignment):
+            raise ValueError(f"unbound metavariable ?{g.name}")
+        nodes.append(g)
+    # read backwards, every operand comes before its node, the right one
+    # first: a node's left (or consequent) value is on top of the stack
+    values: list[int] = []
+    for g in reversed(nodes):
         if isinstance(g, fm.Atom):
-            mask = m.valuation.get(g.name)
-            if mask is None:
-                if strict_atoms:
-                    raise ValueError(f"atom {g.name!r} has no valuation entry")
-                return 0
-            return mask
-        if isinstance(g, fm.MetaVar):
-            if assignment is None or g.name not in assignment:
-                raise ValueError(f"unbound metavariable ?{g.name}")
-            return assignment[g.name]
-        if isinstance(g, fm.Top):
-            return w
-        if isinstance(g, fm.Bot):
-            return 0
-        if isinstance(g, fm.Not):
-            return w ^ ev(g.child)
-        if isinstance(g, fm.Or):
-            return ev(g.left) | ev(g.right)
-        if isinstance(g, fm.And):
-            return ev(g.left) & ev(g.right)
-        if isinstance(g, fm.Implies):
-            return (w ^ ev(g.left)) | ev(g.right)
-        if isinstance(g, fm.Iff):
-            return w ^ (ev(g.left) ^ ev(g.right))
-        if isinstance(g, fm.Box):
-            return w if ev(g.child) == w else 0
-        if isinstance(g, fm.Diamond):
-            return w if ev(g.child) else 0
-        if isinstance(g, fm.Oblig):
-            return w if cond_holds(rule, ev(g.consequent), ev(g.antecedent), m) else 0
-        if isinstance(g, fm.Perm):
-            return w if not cond_holds(rule, w ^ ev(g.consequent), ev(g.antecedent), m) else 0
-        if isinstance(g, fm.PrefGeq):
-            left, right = ev(g.left), ev(g.right)
-            return w if not cond_holds(rule, w ^ left, left | right, m) else 0
-        if isinstance(g, fm.PrefGt):
-            left, right = ev(g.left), ev(g.right)
-            both = left | right
-            geq = not cond_holds(rule, w ^ left, both, m)
-            gt = cond_holds(rule, w ^ right, both, m)
-            return w if geq and gt else 0
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ev(f)
+            value = m.valuation.get(g.name, 0)
+        elif isinstance(g, fm.MetaVar):
+            value = assignment[g.name]
+        elif isinstance(g, fm.Top):
+            value = w
+        elif isinstance(g, fm.Bot):
+            value = 0
+        elif isinstance(g, fm.Not):
+            value = w ^ values.pop()
+        elif isinstance(g, fm.Box):
+            value = w if values.pop() == w else 0
+        elif isinstance(g, fm.Diamond):
+            value = w if values.pop() else 0
+        else:
+            left, right = values.pop(), values.pop()
+            if isinstance(g, fm.Or):
+                value = left | right
+            elif isinstance(g, fm.And):
+                value = left & right
+            elif isinstance(g, fm.Implies):
+                value = (w ^ left) | right
+            elif isinstance(g, fm.Iff):
+                value = w ^ (left ^ right)
+            elif isinstance(g, fm.Oblig):
+                value = w if cond_holds(rule, left, right, m) else 0
+            elif isinstance(g, fm.Perm):
+                value = w if not cond_holds(rule, w ^ left, right, m) else 0
+            elif isinstance(g, fm.PrefGeq):
+                value = w if not cond_holds(rule, w ^ left, left | right, m) else 0
+            else:  # PrefGt
+                both = left | right
+                geq = not cond_holds(rule, w ^ left, both, m)
+                gt = cond_holds(rule, w ^ right, both, m)
+                value = w if geq and gt else 0
+        values.append(value)
+    return values.pop()
 
 
 def valid_in_model(

@@ -45,6 +45,7 @@ _QUOTIENT = ("tests/test_semantics.py::test_a_conditional_reads_only_what_its_ru
 _OPT_KEY = "    return lambda rel: tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))\n"
 _LEWIS_KEY = "        return lambda rel: tuple(map(or_, rel, _DIAGONAL))\n"
 _CORES = ("tests/test_casestudy.py::test_cores_of_every_grid_cell",)
+_PREFILTER = ("tests/test_model.py::test_prefilter_admits_exactly_the_rows_whose_deletions_pass",)
 
 MUTANTS = (
     Mutant(
@@ -187,6 +188,24 @@ MUTANTS = (
         "            per_row[rowval] = per_row[rowval ^ low] | single[low.bit_length() - 1]\n",
         "            per_row[rowval] = per_row[rowval - 1] | single[low.bit_length() - 1]\n",
         ("tests/test_model.py::test_orbit_lanes_equal_the_per_permutation_loop",),
+    ),
+    Mutant(
+        "prefilter words hold each parent class's minimum only", "model.py",
+        "        for image in _orbit_images(parent):\n            words[",
+        "        for image in (min(_orbit_images(parent)),):\n            words[",
+        _PREFILTER,
+    ),
+    Mutant(
+        "prefilter skips the deletion of world 0", "model.py",
+        "            admitted[column] &= rows\n",
+        "            admitted[column] &= rows if k else -1\n",
+        _PREFILTER,
+    ),
+    Mutant(
+        "prefilter byte tables all read the first byte of a words entry", "model.py",
+        "            for entry in rows[offset:offset + 8]:\n",
+        "            for entry in rows[:8]:\n",
+        _PREFILTER + ("tests/test_model.py::test_transitive_build_tests_only_the_admitted_candidates",),
     ),
     Mutant(
         "seen table never marks an orbit", "model.py",

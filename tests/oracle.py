@@ -123,6 +123,13 @@ def orbit(n, pairs):
     }
 
 
+def delete_world(rel, w):
+    """rel (a tuple of row bitmasks) without world w, the worlds above w
+    renumbered down by one."""
+    low = (1 << w) - 1
+    return tuple((row & low) | (row >> 1 & ~low) for i, row in enumerate(rel) if i != w)
+
+
 def orbit_lanes(n):
     """The class builder's orbit lanes, one permutation and one bit at a time.
 

@@ -150,6 +150,24 @@ def test_parse_nesting_limit(nesting):
         parse(_NESTINGS[nesting](fm.MAX_DEPTH + 1))
 
 
+def test_trees_deeper_than_max_depth_from_the_constructors():
+    # 1 000 nested negations never went through parse's limit: render and
+    # expand recurse, so they reject the tree; truth_set keeps its own stack
+    f = fm.Atom("p")
+    for _ in range(1000):
+        f = fm.Not(f)
+    for walk in (render, expand):
+        with pytest.raises(ValueError, match=f"nested more than {fm.MAX_DEPTH} levels deep"):
+            walk(f)
+    m = PreferenceModel(2, (3, 2), {"p": 1})
+    for rule in EvalRule:
+        assert truth_set(f, m, rule) == 1
+        assert truth_set(fm.Not(f), m, rule) == 2
+    # the first missing atom, left to right, is the one named
+    with pytest.raises(ValueError, match="'a' has no valuation entry"):
+        truth_set(parse("O(p / a) & b"), m, EvalRule.MAX, strict_atoms=True)
+
+
 def test_render_examples():
     assert render(fm.Oblig(fm.Atom("p"), fm.TOP)) == "O(p / T)"
     assert render(fm.PrefGt(fm.Atom("A"), fm.Atom("B"))) == "A > B"

@@ -35,7 +35,7 @@ from ddlmc.relprops import (
     property_from_name,
 )
 
-from oracle import naive_properties, strict_pairs
+from oracle import delete_world, naive_properties, strict_pairs
 
 P = RelationProperty
 
@@ -113,14 +113,6 @@ def test_limit_assumptions_match_subset_definitions():
             assert check_property(prop, rel) == expected[prop.value], (rel, prop)
 
 
-def _delete_world(rel, w):
-    """rel without world w, the worlds above w renumbered down by one."""
-    low = (1 << w) - 1
-    return tuple(
-        (row & low) | (row >> 1 & ~low) for i, row in enumerate(rel) if i != w
-    )
-
-
 def test_every_property_is_hereditary_n_le_3():
     # canonical_relations builds property classes by adding one world at a
     # time, which is complete only if deleting a world keeps each property
@@ -130,7 +122,7 @@ def test_every_property_is_hereditary_n_le_3():
                 if not check_property(prop, rel):
                     continue
                 for w in range(n):
-                    assert check_property(prop, _delete_world(rel, w)), (rel, prop, w)
+                    assert check_property(prop, delete_world(rel, w)), (rel, prop, w)
 
 
 def test_acyclicity_of_strict_cycle():

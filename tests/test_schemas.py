@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 import time
 
@@ -209,6 +210,9 @@ def test_sweep_hands_every_check_the_callers_deadline(monkeypatch):
         return {"status": "confirmed"}
 
     monkeypatch.setattr(schemas, "forward_check", check)
+    # seen is appended to in this process only: on one CPU fork_map runs
+    # every check here, where on more a forked process may take some
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     table_sweep(EvalRule.LEWIS, 3, deadline=deadline)
     assert seen == [deadline] * 16
 
