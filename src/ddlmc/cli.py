@@ -15,9 +15,10 @@ Each command accepts only the options it reads.  Every command takes
 --json and --timing.  eval, check-model, find-model and correspond take
 --rule; eval and check-model also take --strict-atoms.  The five search
 commands (find-model, correspond, collapse, paradox, lattice) take
---max-n, --timeout and --workers, and all of them but lattice take
---iso-reject/--no-iso-reject.  paradox picks its rules with --rules.
-Anything else is a usage error.
+--max-n and --timeout, and all of them but lattice take
+--iso-reject/--no-iso-reject.  paradox picks its rules with --rules, and
+correspond alone accepts --workers (and ignores it).  Anything else is a
+usage error.
 
 correspond runs one mode: --table alone, --axiom with --props (a
 forward check), or --axiom with --converse and optionally --model-level
@@ -45,9 +46,9 @@ reports "status": "timeout" (exit 1).  correspond --table, paradox and
 lattice run their independent searches in one process per CPU this
 process may run on (forks.fork_map), with the same report on any number
 of CPUs; find-model, a forward or converse correspondence check and
-collapse run one search each, so they have nothing to split.  --workers is
-accepted and ignored.  A forked process that dies (say, killed for
-memory) is reported as one "error:" line with exit 3.
+collapse run one search each, so they have nothing to split.  A forked
+process that dies (say, killed for memory) is reported as one "error:"
+line with exit 3.
 """
 
 from __future__ import annotations
@@ -68,17 +69,13 @@ from .semantics import rule_from_name, truth_set, valid_in_model
 DEFAULT_TIMEOUT = 60.0
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_props(text: str | None) -> tuple[RelationProperty, ...]:
     if not text:
         return ()
     props = tuple(property_from_name(p) for p in text.split(",") if p.strip())
     repeated = sorted({p.value for p in props if props.count(p) > 1})
     if repeated:
-        raise UsageError(f"properties {repeated} are listed more than once")
+        raise ValueError(f"properties {repeated} are listed more than once")
     return props
 
 
@@ -87,16 +84,16 @@ def _read_model(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return parse_model(handle.read())
     except FileNotFoundError:
-        raise UsageError(f"model file not found: {path}") from None
+        raise ValueError(f"model file not found: {path}") from None
     except ModelFormatError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_formula(text: str):
     try:
         return parse(text)
     except ParseError as exc:
-        raise UsageError(f"bad formula {text!r}: {exc}") from None
+        raise ValueError(f"bad formula {text!r}: {exc}") from None
 
 
 def _parse_ground(texts: list[str], what: str) -> list:
@@ -104,7 +101,7 @@ def _parse_ground(texts: list[str], what: str) -> list:
     formulas = [_parse_formula(t) for t in texts]
     for f in formulas:
         if metavars(f):
-            raise UsageError(f"{what} contains metavariables: {render(f)}")
+            raise ValueError(f"{what} contains metavariables: {render(f)}")
     return formulas
 
 
@@ -200,11 +197,11 @@ def _cmd_correspond(args):
         if value
     ]
     if args.table and forward_or_converse:
-        raise UsageError(f"correspond --table does not read {', '.join(forward_or_converse)}")
+        raise ValueError(f"correspond --table does not read {', '.join(forward_or_converse)}")
     if args.converse and args.props:
-        raise UsageError("correspond --converse does not read --props")
+        raise ValueError("correspond --converse does not read --props")
     if args.model_level and not args.converse:
-        raise UsageError("correspond --model-level needs --converse")
+        raise ValueError("correspond --model-level needs --converse")
     if args.table:
         report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, deadline=args.deadline)
         lines = [f"correspondence table [{rule}] up to n={args.max_n}"]
@@ -219,9 +216,9 @@ def _cmd_correspond(args):
         return report, "\n".join(lines), report["all_match"]
 
     if not args.axiom:
-        raise UsageError("correspond needs --table or --axiom")
+        raise ValueError("correspond needs --table or --axiom")
     if args.axiom not in SCHEMAS:
-        raise UsageError(f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(SCHEMAS))}")
+        raise ValueError(f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(SCHEMAS))}")
 
     if args.converse:
         prop = property_from_name(args.converse)
@@ -310,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
                         help="wall-clock budget in seconds; 0 disables (default 60)")
-    search.add_argument("--workers", type=int, default=1,
-                        help="accepted and ignored: correspond --table, paradox and lattice run their "
-                             "independent searches on every CPU, and the other commands run one search")
     iso_reject.add_argument("--iso-reject", action=argparse.BooleanOptionalAction, default=True,
                             help="enumerate one frame per isomorphism class (default)")
 
@@ -355,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--converse", default="", help="property for a converse search")
     p.add_argument("--model-level", action="store_true",
                    help="converse search over models (fixed atoms) instead of frames")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: --table runs its checks in one process per CPU")
 
     command("collapse", _cmd_collapse, "check the three rules collapse on well-behaved frames",
             search, iso_reject, output, max_n=4)
@@ -381,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         report, text, ok = args.fn(args)
     except SearchTimeout:
         report, text, ok = {"status": "timeout", "max_n": args.max_n}, None, False
-    except ValueError as exc:  # UsageError included
+    except ValueError as exc:  # a usage error, raised by any layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChildProcessError as exc:  # from forks.fork_map

@@ -91,9 +91,9 @@ class SearchSpec:
     atoms: a frame witness, reported with an empty valuation).
     frame_filter, a pure predicate on the relation rows, narrows the frames
     scanned and is re-checked on the witness.  The search stops at
-    deadline, a ``time.monotonic()`` value (None: no limit).  A target
-    nested deeper than ``formula.MAX_DEPTH`` is a ValueError, as it is for
-    ``formula.parse``.
+    deadline, a ``time.monotonic()`` value (None: no limit).  The search
+    compiles the targets before it builds any frame, and so rejects one
+    nested past the ``formula`` depth limit with ValueError.
     """
 
     def __init__(
@@ -126,8 +126,6 @@ class SearchSpec:
             raise ValueError(f"{rule!r}: not an evaluation rule")
         if mode not in _STATUS:
             raise ValueError(f"unknown search mode {mode!r}")
-        if any(map(fm.too_deep, self.targets)):  # the evaluators recurse
-            raise ValueError(f"a target is nested more than MAX_DEPTH = {fm.MAX_DEPTH} levels deep")
         names = set().union(*(fm.atoms(t) for t in self.targets))
         metavars = set().union(*(fm.metavars(t) for t in self.targets))
         if names & metavars:

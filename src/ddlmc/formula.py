@@ -26,9 +26,9 @@ Concrete syntax (whitespace-insensitive)::
 names.  ``O`` and ``P`` act as operators only when followed by ``(``.
 Nesting deeper than MAX_DEPTH, in parentheses and operators or in levels of
 the syntax tree, is a ParseError: the code that walks a formula recurses.
-``too_deep`` measures a tree built from the constructors the same way:
-``render``, ``expand`` and ``finder.SearchSpec`` reject a deeper one with
-ValueError.
+``too_deep`` measures a tree built from the constructors the same way, and
+``check_depth`` turns a deeper one into ValueError: ``render``, ``expand``
+and the compiler of ``semantics`` call it at entry.
 """
 
 from __future__ import annotations
@@ -339,15 +339,16 @@ def parse(text: str) -> Formula:
 def too_deep(f: Formula) -> bool:
     """Whether the syntax tree of f has more than MAX_DEPTH levels.  The walk
     goes level by level, with no recursion, stops past MAX_DEPTH and visits
-    a node shared by several parents once per level."""
-    level, depth = [f], 0
+    a node shared by several parents once per level.  A non-formula is
+    left to the caller's walk, which raises TypeError."""
+    level, depth = [f] if isinstance(f, Formula) else [], 0
     while level and depth <= MAX_DEPTH:
         level = list({id(c): c for g in level for c in g._values() if isinstance(c, Formula)}.values())
         depth += 1
     return depth > MAX_DEPTH
 
 
-def _check_depth(f: Formula) -> None:
+def check_depth(f: Formula) -> None:
     if too_deep(f):
         raise ValueError(f"formula nested more than {MAX_DEPTH} levels deep")
 
@@ -400,7 +401,7 @@ def _wrap(f: Formula, min_level: int) -> str:
 def render(f: Formula) -> str:
     """Print a formula so that parse(render(f)) == f.  A tree deeper than
     MAX_DEPTH is a ValueError (the printer recurses)."""
-    _check_depth(f)
+    check_depth(f)
     return _render(f)[0]
 
 
@@ -415,7 +416,7 @@ def expand(f: Formula) -> Formula:
     expand is idempotent.  A tree deeper than MAX_DEPTH is a ValueError (the
     rewrite recurses); the result can be up to six times as deep as f.
     """
-    _check_depth(f)
+    check_depth(f)
     return _expand(f)
 
 

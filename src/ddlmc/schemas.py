@@ -261,7 +261,6 @@ def table_sweep(
     rows_out = []
     for row in rows:
         axioms_out = {}
-        row_match: bool | None = True
         for axiom in row["axioms"]:
             forward = next(reports)
             entry = {"forward": forward}
@@ -274,10 +273,6 @@ def table_sweep(
             else:
                 entry["match"] = None
             axioms_out[axiom] = entry
-            if entry["match"] is not None and row_match is not None:
-                row_match = row_match and entry["match"]
-        if row["kind"] == "no_correspondence":
-            row_match = None
         rows_out.append(
             {
                 "label": row["label"],
@@ -285,7 +280,10 @@ def table_sweep(
                 "properties": [p.value for p in row["properties"]],
                 "background": [p.value for p in row["background"]],
                 "axioms": axioms_out,
-                "match": row_match,
+                "match": (
+                    None if row["kind"] == "no_correspondence"
+                    else all(entry["match"] for entry in axioms_out.values())
+                ),
                 "note": (
                     "bounded evidence only: at finite sizes extra validities can "
                     "be artifacts of finiteness"

@@ -297,9 +297,15 @@ class _Slice:
         return self.ones ^ violated
 
 
-def _compile(g: fm.Formula):
-    """g compiled once into a closure: a _Slice -> per world, the valuations
-    where g holds."""
+def _compile(f: fm.Formula):
+    """f compiled once into a closure: a _Slice -> per world, the valuations
+    where f holds.  The one entry of the compiler: a tree deeper than
+    formula.MAX_DEPTH is a ValueError (the closures recurse)."""
+    fm.check_depth(f)
+    return _closure(f)
+
+
+def _closure(g: fm.Formula):
     if isinstance(g, (fm.Atom, fm.MetaVar)):
         name = g.name
         return lambda s: s.cols[name]
@@ -308,23 +314,23 @@ def _compile(g: fm.Formula):
     if isinstance(g, fm.Bot):
         return lambda s: [0] * s.n
     if isinstance(g, fm.Not):
-        child = _compile(g.child)
+        child = _closure(g.child)
         return lambda s: [s.ones ^ x for x in child(s)]
     if isinstance(g, fm.Box):
-        child = _compile(g.child)
+        child = _closure(g.child)
         return lambda s: [reduce(and_, child(s), s.ones)] * s.n
     if isinstance(g, fm.Diamond):
-        child = _compile(g.child)
+        child = _closure(g.child)
         return lambda s: [reduce(or_, child(s), 0)] * s.n
     if isinstance(g, fm.Oblig):
-        cons, ant = _compile(g.consequent), _compile(g.antecedent)
+        cons, ant = _closure(g.consequent), _closure(g.antecedent)
         return lambda s: [s.cond(cons(s), ant(s))] * s.n
     if isinstance(g, fm.Perm):
-        cons, ant = _compile(g.consequent), _compile(g.antecedent)
+        cons, ant = _closure(g.consequent), _closure(g.antecedent)
         return lambda s: [s.ones ^ s.cond([s.ones ^ x for x in cons(s)], ant(s))] * s.n
     if not isinstance(g, (fm.Or, fm.And, fm.Implies, fm.Iff, fm.PrefGeq, fm.PrefGt)):
         raise TypeError(f"not a formula: {g!r}")
-    left, right = _compile(g.left), _compile(g.right)
+    left, right = _closure(g.left), _closure(g.right)
     if isinstance(g, fm.Or):
         return lambda s: [x | y for x, y in zip(left(s), right(s))]
     if isinstance(g, fm.And):

@@ -85,6 +85,13 @@ MUTANTS = (
         ("tests/test_semantics.py::test_a_search_builds_one_slice_per_key",),
     ),
     Mutant(
+        "compiler entry without its depth check", "semantics.py",
+        "    fm.check_depth(f)\n    return _closure(f)\n",
+        "    return _closure(f)\n",
+        ("tests/test_semantics.py::test_compiled_evaluation_rejects_a_schema_nested_past_max_depth",
+         "tests/test_finder.py::test_search_on_a_too_deep_target_raises_before_any_frame_is_built"),
+    ),
+    Mutant(
         "scan_frames without its world-bound check", "finder.py",
         "    check_world_bound(max_n)\n    keep = has_all(frozenset(properties))\n",
         "    keep = has_all(frozenset(properties))\n",

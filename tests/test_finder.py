@@ -349,20 +349,27 @@ def test_timed_out_class_build_is_not_cached():
     assert classes == canonical_relations(5, has_all(frozenset({P.TRANSITIVE})))
 
 
-def test_spec_rejects_a_target_nested_past_max_depth():
+def test_search_on_a_too_deep_target_raises_before_any_frame_is_built(monkeypatch):
     # a tree built from the constructors never went through parse's limit;
-    # the evaluators recurse over it, so 1 000 nested negations used to end
-    # the search in a RecursionError
+    # the compiled probe recurses over it, so the search compiles (and
+    # checks) its targets before it builds any frame
     deepest = fm.Atom("p")
     for _ in range(fm.MAX_DEPTH - 1):
         deepest = fm.Not(deepest)
     assert find_satisfying_model(SearchSpec(1, EvalRule.MAX, [deepest], atoms=("p",))).status == "sat"
-    for depth in (fm.MAX_DEPTH, 1000):
+
+    def no_frames(*args):
+        raise AssertionError("built a frame for a too-deep target")
+
+    monkeypatch.setattr(model, "_classes", no_frames)
+    monkeypatch.setattr("ddlmc.finder.all_relations", no_frames)
+    for depth, iso_reject in product((fm.MAX_DEPTH, 1000), (True, False)):
         f = fm.Atom("p")
         for _ in range(depth):
             f = fm.Not(f)
-        with pytest.raises(ValueError, match=f"MAX_DEPTH = {fm.MAX_DEPTH}"):
-            SearchSpec(1, EvalRule.MAX, [f], atoms=("p",))
+        spec = SearchSpec(2, EvalRule.MAX, [f], atoms=("p",), iso_reject=iso_reject)
+        with pytest.raises(ValueError, match=f"^formula nested more than {fm.MAX_DEPTH} levels deep$"):
+            find_satisfying_model(spec)
     # a node shared by both children is walked once per level, not 2^depth times
     shared = fm.Atom("p")
     for _ in range(fm.MAX_DEPTH):

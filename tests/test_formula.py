@@ -12,7 +12,7 @@ from ddlmc import formula as fm
 from ddlmc.formula import ParseError, atoms, expand, metavars, parse, render
 from ddlmc.model import PreferenceModel
 from ddlmc.schemas import SCHEMAS
-from ddlmc.semantics import EvalRule, truth_set
+from ddlmc.semantics import EvalRule, slicer, truth_set
 
 from oracle import random_formula
 
@@ -243,5 +243,6 @@ def test_subformulas_lists_each_node_before_its_operands():
         f, f.left, fm.Atom("p"), fm.MetaVar("x"), f.right, f.right.child, fm.TOP,
     ]
     for bad in (3, fm.Not("p"), fm.Oblig(fm.Atom("p"), None)):
-        with pytest.raises(TypeError, match="not a formula"):
-            atoms(bad)
+        for walk in (atoms, render, expand, lambda f: slicer(f, EvalRule.MAX, ())):
+            with pytest.raises(TypeError, match="not a formula"):
+                walk(bad)

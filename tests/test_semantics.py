@@ -382,6 +382,32 @@ def test_a_search_reads_the_schema_names_once(monkeypatch):
     assert small_calls == large_calls
 
 
+def _negations(depth):
+    f = fm.MetaVar("x")
+    for _ in range(depth):
+        f = fm.Not(f)
+    return f
+
+
+_COMPILED_ENTRIES = {
+    "valid_on_frame": lambda f: valid_on_frame(f, (1, 2), EvalRule.MAX),
+    "frame_counterexample": lambda f: frame_counterexample(f, (1, 2), EvalRule.MAX),
+    "slicer": lambda f: slicer(f, EvalRule.MAX, ("x",))((1, 2)),
+    "scanner": lambda f: scanner((f,), EvalRule.MAX, ("x",), "refute")((1, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COMPILED_ENTRIES))
+def test_compiled_evaluation_rejects_a_schema_nested_past_max_depth(entry):
+    # 1 000 nested negations built from the constructors never went through
+    # parse's limit, and used to end frame validity in a RecursionError
+    evaluate = _COMPILED_ENTRIES[entry]
+    assert evaluate(_negations(fm.MAX_DEPTH - 1)) == evaluate(fm.Not(fm.MetaVar("x")))
+    for depth in (fm.MAX_DEPTH, 1000):
+        with pytest.raises(ValueError, match=f"^formula nested more than {fm.MAX_DEPTH} levels deep$"):
+            evaluate(_negations(depth))
+
+
 def test_frame_validity_cap(monkeypatch):
     # The one cap is the world bound 1..5, checked before any work.
     cok = parse("O(?g -> ?h / ?f) -> (O(?g / ?f) -> O(?h / ?f))")
