@@ -15,7 +15,12 @@ least valuation.  Each search compiles its formulas once and runs the
 compiled probe on every frame; the probe settles each part of a frame the
 rule can tell apart once and answers repeats from its memo.  Searches
 count frames, not valuations or memo entries: frames_checked and the
-witness are the same as without the memo.
+witness are the same as without the memo.  A search with no property and
+no frame filter walks its rule's key classes (``semantics.key_image``)
+before any frame, and scans frames only at the first world count where
+a key class hits; the frames of the smaller world counts, and of every
+world count when none hits, are counted (``model.class_count``, or
+2^(n*n) without isomorph rejection), not visited.
 
 ``scan_frames`` is the one search skeleton and frame loop: it checks the
 world bound, enumerates the frames with the given properties, narrowed by
@@ -55,13 +60,14 @@ from .model import (
     all_relations,
     canonical_relations,
     check_world_bound,
+    class_count,
     model_json,
     orbit_size,
     transitive_closure,
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_property, has_all
-from .semantics import EvalRule, cond_holds, least_valuation, scanner, slicer, truth_set
+from .semantics import EvalRule, cond_holds, key_image, least_valuation, scanner, slicer, truth_set
 
 
 # Per mode, the status of a search that found a witness and of one that
@@ -183,12 +189,14 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     being returned.
 
     frames_checked counts frames up to and including the witness frame, or
-    all filtered frames when the bound is exhausted.
+    all filtered frames when the bound is exhausted; a property-free search
+    counts some of them without visiting them (``scan_frames``).
     """
     scan = scanner(spec.targets, spec.rule, spec.atoms, spec.mode)
     hit, per_n = scan_frames(
         spec.max_n, spec.properties, lambda rel: scan(rel, spec.deadline),
         iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,
+        image=key_image(spec.targets, spec.rule),
     )
     checked = sum(per_n.values())
     found, exhausted = _STATUS[spec.mode]
@@ -208,6 +216,7 @@ def scan_frames(
     iso_reject: bool = True,
     deadline: float | None = None,
     frame_filter: Callable[[Relation], bool] | None = None,
+    image: Callable[[Relation], bool] | None = None,
 ):
     """First (n, rel, probe(rel)) whose probe result is not None, plus the
     frames scanned per world count.
@@ -219,19 +228,35 @@ def scan_frames(
     per_n[n] counts the frames scanned up to and including the hit.  The
     deadline is checked every 256 relations examined, passing or not.  A
     max_n outside the world bound is rejected first.
+
+    image, a ``semantics.key_image`` predicate, says that probe reads a
+    frame only through its key.  With no properties and no frame filter
+    the scan then walks the image's classes first: an n where none of them
+    hits has no hit among its frames either, which per_n counts
+    (``class_count(n)``, or 2^(n*n) without iso_reject) instead of
+    visiting.  The frames of the first n with a hit are scanned as above,
+    so the hit and per_n are the same as without image.
     """
     check_world_bound(max_n)
     keep = has_all(frozenset(properties))
+    quotient = image is not None and keep is None and frame_filter is None
     per_n: dict[int, int] = {}
-    for n in range(1, max_n + 1):
-        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)
-        test = None if iso_reject else keep
-        per_n[n] = 0
+
+    def frames(relations, test):
         for idx, rel in enumerate(relations):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
             if test is not None and not test(rel) or frame_filter is not None and not frame_filter(rel):
                 continue
+            yield rel
+
+    for n in range(1, max_n + 1):
+        if quotient and all(probe(key) is None for key in frames(canonical_relations(n, image, deadline), None)):
+            per_n[n] = class_count(n) if iso_reject else 1 << n * n
+            continue
+        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)
+        per_n[n] = 0
+        for rel in frames(relations, None if iso_reject else keep):
             per_n[n] += 1
             result = probe(rel)
             if result is not None:

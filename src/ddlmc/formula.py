@@ -42,15 +42,20 @@ class Record:
     of finder's implication results.
 
     A subclass declares only its field names, ``__slots__ = _fields =
-    (...)``; it is built from the field values, by position or by name.  Two
-    records are equal when they are of the same class and their fields are
-    equal; a record hashes as the tuple of its fields, and its repr names
-    the fields, as in ``Not(child=Atom(name='q'))``.  The methods are
+    (...)``; it is built from the field values, by position or by name, and
+    they must be hashable.  Two records are equal when they are of the same
+    class and their fields are equal; a record hashes as the tuple of its
+    fields, and its repr names the fields, as in
+    ``Not(child=Atom(name='q'))``.  The hash is computed once, when the
+    record is built, from its fields' hashes, which a field that is a
+    record has stored already; ``==`` and repr walk the fields that are
+    records with a stack of their own.  So a tree of any depth can be
+    hashed, compared and printed without recursion.  The methods are
     written out once here rather than generated for each class at import
     time, which cost every CLI call about 30 ms.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
     def __init__(self, *args, **kwargs):
@@ -64,21 +69,45 @@ class Record:
             raise TypeError(f"{type(self).__name__}() takes exactly the fields {fields}")
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(args))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash:
+                return False
+            for x, y in zip(a._values(), b._values()):
+                if isinstance(x, Record) and y.__class__ is x.__class__:
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return self._hash
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        out = []
+        todo = [self]  # records still to print, and text to copy
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
+                parts += [f"{', ' if i else ''}{name}=", value if isinstance(value, Record) else repr(value)]
+            todo += reversed(parts + [")"])
+        return "".join(out)
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, since __setattr__ refuses

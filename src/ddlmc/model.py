@@ -25,6 +25,7 @@ import sys
 import time
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial, gcd
 from typing import Callable, Iterable, Iterator
 
 Relation = tuple[int, ...]
@@ -334,6 +335,31 @@ def orbit_size(rel: Relation) -> int:
     automorphisms, which are the permutations that map rel to itself."""
     images = _orbit_images(rel)
     return len(images) // images.count(images[0])
+
+
+@lru_cache(maxsize=None)
+def class_count(n: int) -> int:
+    """Number of isomorphism classes of the n-world relations, which is
+    len(canonical_relations(n)), counted without building them (OEIS
+    A000595: 2, 10, 104, 3 044, 291 968 for n = 1..5).  By Burnside's
+    lemma it is the mean, over the world permutations, of the relations
+    each one fixes: 2 to the number of cycles it makes on the n*n ordered
+    pairs, and two world cycles of lengths a and b make gcd(a, b) of them.
+    """
+    total = 0
+    for perm in permutations(range(n)):
+        lengths = []
+        unseen = set(range(n))
+        while unseen:
+            start = world = unseen.pop()
+            length = 1
+            while perm[world] != start:
+                world = perm[world]
+                unseen.remove(world)
+                length += 1
+            lengths.append(length)
+        total += 1 << sum(gcd(a, b) for a in lengths for b in lengths)
+    return total // factorial(n)
 
 
 _canonical_cache: dict[tuple[int, object], tuple[Relation, ...]] = {}

@@ -48,9 +48,14 @@ never consults a world's loop), max the strict part (``strict_part``), and
 opt the rows of the worlds with a loop (a world without one is never
 optimal, so its row is emptied).  Each probe memoises its results on the
 key, so a search settles each key once however many frames share it.  The
-memo lives as long as the probe and holds at most 2**16 keys (an n=5 scan
-over isomorphism classes meets 23 566 under lewis, 7 921 under max and
-41 249 under opt); keys met past that are settled each time.
+memo lives as long as the probe and holds at most 2**16 keys (a scan of
+all 291 968 five-world classes meets 23 566 under lewis, 7 921 under max
+and 41 249 under opt); keys met past that are settled each time.  The keys
+of all frames are the relations ``key_image`` accepts, so a search with no
+property and no frame filter first walks their classes (9 608, 582 and
+13 140 at n=5 under lewis, max and opt): ``finder.scan_frames`` counts
+the frames of a world count where none of them hits, without visiting
+them.
 ``truth_set`` stays the reference evaluator and re-validates every witness
 the scans report.
 
@@ -231,6 +236,13 @@ def _columns(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 _DIAGONAL = tuple(1 << a for a in range(MAX_WORLDS))
 
 
+def _reads_relation(formulas) -> bool:
+    """Whether some formula has an O, P, >= or > node: only those read the
+    relation."""
+    conditionals = (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)
+    return any(isinstance(g, conditionals) for f in formulas for g in fm.subformulas(f))
+
+
 def _key(formulas, rule: EvalRule):
     """rel -> the part of rel the formulas read under rule, as a relation
     whose slices give the same values as rel's.
@@ -239,17 +251,53 @@ def _key(formulas, rule: EvalRule):
     the empty relation on as many worlds); lewis never reads a world's
     reflexive loop (the key is the reflexive closure); max reads only the
     strict part; opt never reads the row of a world without its loop,
-    which is in its own near list (the key empties that row).  Only O, P,
-    >= and > nodes read the relation.
+    which is in its own near list (the key empties that row).
     """
-    conditionals = (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)
-    if not any(isinstance(g, conditionals) for f in formulas for g in fm.subformulas(f)):
+    if not _reads_relation(formulas):
         return lambda rel: (0,) * len(rel)
     if rule is EvalRule.LEWIS:
         return lambda rel: tuple(map(or_, rel, _DIAGONAL))
     if rule is EvalRule.MAX:
         return strict_part
     return lambda rel: tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))
+
+
+# The image of each key map, the relations it gives, which are the relations
+# it leaves unchanged.  Each predicate is invariant under relabelling worlds
+# and hereditary, so canonical_relations builds its classes; each is one
+# object, so it keys that cache once.
+
+def _empty(rel: Relation) -> bool:
+    return not any(rel)
+
+
+def _reflexive(rel: Relation) -> bool:
+    return all(r >> a & 1 for a, r in enumerate(rel))
+
+
+def _asymmetric(rel: Relation) -> bool:
+    return all(not rel[b] >> a & 1 for a, r in enumerate(rel) for b in iter_bits(r))
+
+
+def _loopless_rows_empty(rel: Relation) -> bool:
+    return all(r >> a & 1 or not r for a, r in enumerate(rel))
+
+
+_IMAGES = {EvalRule.LEWIS: _reflexive, EvalRule.MAX: _asymmetric, EvalRule.OPT: _loopless_rows_empty}
+
+
+def key_image(formulas, rule: EvalRule):
+    """The predicate that accepts exactly the keys of the formulas under
+    rule (see _key): the empty relations for formulas without a
+    conditional, else the reflexive relations (lewis), the asymmetric ones
+    (max) or those whose worlds without a loop have empty rows (opt).
+
+    A scanner probe reads a frame only through its key, and its answer, hit
+    or miss, does not change when the worlds are relabelled.  So some
+    n-world frame hits iff some n-world class of the image does:
+    ``finder.scan_frames`` walks these classes before any frame.
+    """
+    return _IMAGES[rule] if _reads_relation(formulas) else _empty
 
 
 class _Slice:

@@ -45,6 +45,7 @@ _QUOTIENT = ("tests/test_semantics.py::test_a_conditional_reads_only_what_its_ru
 _OPT_KEY = "    return lambda rel: tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))\n"
 _LEWIS_KEY = "        return lambda rel: tuple(map(or_, rel, _DIAGONAL))\n"
 _CORES = ("tests/test_casestudy.py::test_cores_of_every_grid_cell",)
+_KEY_CLASSES = ("tests/test_finder.py::test_key_classes_stand_in_for_the_frames",)
 _PREFILTER = ("tests/test_model.py::test_prefilter_admits_exactly_the_rows_whose_deletions_pass",)
 
 MUTANTS = (
@@ -90,6 +91,24 @@ MUTANTS = (
         "    return _closure(f)\n",
         ("tests/test_semantics.py::test_compiled_evaluation_rejects_a_schema_nested_past_max_depth",
          "tests/test_finder.py::test_search_on_a_too_deep_target_raises_before_any_frame_is_built"),
+    ),
+    Mutant(
+        "lewis key image asks for totality too", "semantics.py",
+        "    return all(r >> a & 1 for a, r in enumerate(rel))\n",
+        "    return all(r >> b & 1 or rel[b] >> a & 1 for a, r in enumerate(rel) for b in range(len(rel)))\n",
+        _KEY_CLASSES + ("tests/test_semantics.py::test_key_image_accepts_exactly_the_keys",),
+    ),
+    Mutant(
+        "Burnside count off by one cycle", "model.py",
+        "        total += 1 << sum(gcd(a, b) for a in lengths for b in lengths)\n",
+        "        total += 1 << sum(gcd(a, b) for a in lengths for b in lengths) - 1\n",
+        _KEY_CLASSES + ("tests/test_model.py::test_class_count_is_the_number_of_classes_built",),
+    ),
+    Mutant(
+        "witness taken from the key class hit, the frame scan skipped", "finder.py",
+        "        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)\n",
+        "        relations = canonical_relations(n, image if quotient else keep, deadline) if iso_reject else all_relations(n)\n",
+        _KEY_CLASSES,
     ),
     Mutant(
         "scan_frames without its world-bound check", "finder.py",
@@ -139,6 +158,7 @@ MUTANTS = (
         "valid-mode probe accepts every frame, re-check skipped", "finder.py",
         "        spec.max_n, spec.properties, lambda rel: scan(rel, spec.deadline),\n"
         "        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,\n"
+        "        image=key_image(spec.targets, spec.rule),\n"
         "    )\n"
         "    checked = sum(per_n.values())\n"
         "    found, exhausted = _STATUS[spec.mode]\n"
@@ -150,6 +170,7 @@ MUTANTS = (
         "        spec.max_n, spec.properties,\n"
         "        lambda rel: () if spec.mode == \"valid\" else scan(rel, spec.deadline),\n"
         "        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,\n"
+        "        image=key_image(spec.targets, spec.rule),\n"
         "    )\n"
         "    checked = sum(per_n.values())\n"
         "    found, exhausted = _STATUS[spec.mode]\n"
@@ -186,8 +207,8 @@ MUTANTS = (
     ),
     Mutant(
         "node equality ignores the class", "formula.py",
-        "        if other.__class__ is self.__class__:\n",
-        "        if isinstance(other, Record):\n",
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not isinstance(other, Record):\n",
         ("tests/test_formula.py::test_nodes_are_equal_only_within_their_class",),
     ),
     Mutant(

@@ -11,6 +11,7 @@ import pytest
 from ddlmc import model
 from ddlmc import formula as fm
 from ddlmc.finder import (
+    _STATUS,
     SearchSpec,
     SearchTimeout,
     find_satisfying_model,
@@ -22,10 +23,10 @@ from ddlmc.formula import parse
 from ddlmc.forks import fork_map
 from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs, relation_pairs
 from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, longest_strict_chain
-from ddlmc.schemas import converse_search, forward_check, table_sweep
+from ddlmc.schemas import SCHEMAS, converse_search, forward_check, table_sweep
 from ddlmc.casestudy import run_grid
 from ddlmc.relprops import RelationProperty as P
-from ddlmc.semantics import EvalRule, scanner, truth_set
+from ddlmc.semantics import EvalRule, scanner, schema_names, truth_set
 
 from oracle import orbit
 
@@ -294,6 +295,30 @@ def test_least_witness_beyond_the_first_slice(rule, mode):
     assert find_satisfying_model(spec).model == expected
 
 
+@pytest.mark.parametrize("mode", sorted(_STATUS))
+@pytest.mark.parametrize("rule", list(EvalRule), ids=str)
+def test_key_classes_stand_in_for_the_frames(rule, mode):
+    # A property-free search walks its rule's key classes and counts the
+    # frames of a world count none of them hits.  Status, witness and
+    # frames_checked must be those of the frame scan without that walk,
+    # which visits every frame, with isomorph rejection and without.  Each
+    # schema's negation is searched too: in satisfy and valid mode most
+    # schemas hit at once, and most negations late or never.
+    for name, schema in SCHEMAS.items():
+        names = schema_names(schema)
+        for target in (schema, fm.Not(schema)):
+            for max_n, iso_reject in ((4, True), (3, False)):
+                found = find_satisfying_model(SearchSpec(
+                    max_n, rule, [target], atoms=names, mode=mode, iso_reject=iso_reject,
+                ))
+                probe = scanner((target,), rule, names, mode)
+                hit, per_n = scan_frames(max_n, (), probe, iso_reject=iso_reject)
+                witness = found.model and (found.model.n, found.model.rel, tuple(found.model.valuation.values()))
+                assert (found.status, found.frames_checked, witness) == (
+                    _STATUS[mode][hit is None], sum(per_n.values()), hit,
+                ), (fm.render(target), max_n, iso_reject)
+
+
 def test_deadline_stops_a_sliced_scan():
     # a and ~a cannot both hold, so no slice has a hit; the lapsed
     # deadline must stop the scan instead
@@ -302,20 +327,22 @@ def test_deadline_stops_a_sliced_scan():
         scanner(targets, EvalRule.MAX, _FIVE_ATOMS)((0, 1, 2, 8), time.monotonic() - 1)
 
 
-def test_timeout_holds_while_unrestricted_classes_are_built():
+def test_timeout_holds_while_dense_classes_are_built():
     # p & ~p holds at no world, so the search exhausts n <= 4 at once and
-    # then builds the 292k unrestricted five-world classes; the deadline
-    # must stop that build, so the classes are left unbuilt, whatever the
-    # speed of the host
-    model._canonical_cache.pop((5, None), None)
+    # then builds the 215k acyclic five-world classes (a property-free
+    # search would count its frames instead); the deadline must stop that
+    # build, so the classes are left unbuilt, whatever the speed of the host
+    acyclic = has_all(frozenset({P.ACYCLIC}))
+    model._canonical_cache.pop((5, acyclic), None)
     spec = SearchSpec(
-        max_n=5, rule=EvalRule.MAX, targets=[parse("p & ~p")], deadline=time.monotonic() + 1,
+        max_n=5, rule=EvalRule.MAX, targets=[parse("p & ~p")], properties=(P.ACYCLIC,),
+        deadline=time.monotonic() + 1,
     )
     start = time.monotonic()
     with pytest.raises(SearchTimeout):
         find_satisfying_model(spec)
     assert time.monotonic() - start < 10
-    assert (5, None) not in model._canonical_cache
+    assert (5, acyclic) not in model._canonical_cache
 
 
 def test_timeout_holds_while_every_relation_is_filtered():

@@ -168,6 +168,28 @@ def test_trees_deeper_than_max_depth_from_the_constructors():
         truth_set(parse("O(p / a) & b"), m, EvalRule.MAX, strict_atoms=True)
 
 
+def test_trees_of_any_depth_hash_compare_and_print():
+    # a set or dict of deep trees needs hash and ==, and an error message
+    # needs repr: none of them may recurse
+    def negations(depth, leaf):
+        f = leaf
+        for _ in range(depth):
+            f = fm.Not(f)
+        return f
+
+    f, g = negations(1000, fm.MetaVar("x")), negations(1000, fm.MetaVar("x"))
+    deeper, other = negations(1001, fm.MetaVar("x")), negations(1000, fm.MetaVar("y"))
+    assert f == g and f is not g and hash(f) == hash(g)
+    assert len({f, g, deeper, other}) == 3
+    assert f != deeper and f != other and f != fm.Atom("x")
+    assert repr(f) == "Not(child=" * 1000 + "MetaVar(name='x')" + ")" * 1000
+    shallow = parse("O(p & ~q / T) -> []?x")
+    assert repr(shallow) == (
+        "Implies(left=Oblig(consequent=And(left=Atom(name='p'), right=Not(child=Atom(name='q'))), "
+        "antecedent=Top()), right=Box(child=MetaVar(name='x')))"
+    )
+
+
 def test_render_examples():
     assert render(fm.Oblig(fm.Atom("p"), fm.TOP)) == "O(p / T)"
     assert render(fm.PrefGt(fm.Atom("A"), fm.Atom("B"))) == "A > B"

@@ -16,8 +16,10 @@ search memoised its probe on that part of the frame.  ``lattice5.json``
 of its own pass over every class; it is too slow for this file, so CI
 compares it.  So does CI with ``table_lewis5.json`` (``correspond --table
 --rule lewis --max-n 5 --timeout 0 --json``), captured when the table's
-bound was lifted to 5; this file checks its figures against facts found
-without running it.  The ``*_text.txt`` goldens pin each command's text form
+bound was lifted to 5, and with ``table_max5.json`` and
+``table_opt5.json``, captured before a property-free search walked its
+rule's key classes in place of the frames; this file checks the Lewis
+table's figures against facts found without running it.  The ``*_text.txt`` goldens pin each command's text form
 (no ``--json``); they were captured before the commands stopped printing
 for themselves and returned their reports to ``main``.  ``FORKED`` runs
 the three commands whose searches ``forks.fork_map`` spreads over one

@@ -21,6 +21,7 @@ from ddlmc.model import (
     _words,
     all_relations,
     canonical_relations,
+    class_count,
     equal_goodness,
     mask_from_worlds,
     orbit_size,
@@ -187,6 +188,12 @@ def test_canonical_counts():
     assert len(canonical_relations(2)) == 10
     assert len(canonical_relations(3)) == 104
     assert len(canonical_relations(4)) == 3044
+
+
+def test_class_count_is_the_number_of_classes_built():
+    # Burnside's count stands in for the classes a property-free search
+    # does not build; CI compares n=5 (291 968) with the dense build
+    assert [class_count(n) for n in range(1, 5)] == [len(canonical_relations(n)) for n in range(1, 5)]
 
 
 def test_canonical_orbits_partition_space():

@@ -13,7 +13,8 @@ from ddlmc import formula as fm
 from ddlmc import semantics
 from ddlmc.finder import rule_collapse
 from ddlmc.formula import expand, parse
-from ddlmc.model import PreferenceModel, all_relations, mask_from_worlds
+from ddlmc.model import PreferenceModel, all_relations, mask_from_worlds, relation_from_pairs, relation_pairs
+from ddlmc.relprops import RelationProperty as P
 from ddlmc.schemas import SCHEMAS, forward_check
 from ddlmc.semantics import (
     EvalRule,
@@ -29,7 +30,7 @@ from ddlmc.semantics import (
 )
 
 import oracle
-from oracle import random_formula, random_model_data, truth_worlds
+from oracle import delete_world, orbit, random_formula, random_model_data, truth_worlds
 
 RULES = (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
 
@@ -342,11 +343,33 @@ def test_a_memoised_probe_answers_as_a_fresh_one(rule, mode, monkeypatch):
         assert [probe(rel) for rel in frames] == fresh, keys
 
 
+@pytest.mark.parametrize("rule", list(EvalRule), ids=str)
+@pytest.mark.parametrize("axiom", ["Abs", "K"])
+def test_key_image_accepts_exactly_the_keys(rule, axiom):
+    # A property-free search walks the classes of key_image in place of the
+    # frames, which is complete only if the predicate accepts exactly the
+    # keys, and its class build only if it is invariant and hereditary.
+    formulas = (SCHEMAS[axiom],)
+    key = semantics._key(formulas, rule)
+    image = semantics.key_image(formulas, rule)
+    for n in (1, 2, 3):
+        relations = list(all_relations(n))
+        assert {rel for rel in relations if image(rel)} == {key(rel) for rel in relations}, n
+        for rel in relations:
+            relabelled = {relation_from_pairs(n, pairs) for pairs in orbit(n, relation_pairs(rel))}
+            assert {image(other) for other in relabelled} == {image(rel)}, rel
+            if image(rel):
+                assert all(image(delete_world(rel, w)) for w in range(n)), rel
+
+
 def test_a_search_builds_one_slice_per_key(monkeypatch):
-    # Among the 3 044 four-world classes lewis sees 428 reflexive closures
-    # and opt 854 relations with the loopless rows emptied, and K reads no
-    # relation: a search builds one slice per key it meets, while it still
-    # counts every frame it scans.
+    # A property-free search walks its rule's key classes: 218 of the 3 044
+    # four-world classes are lewis's (the reflexive ones) and 351 opt's (the
+    # relations whose loopless rows are empty), and K reads no relation.  It
+    # builds one slice per class while it counts every frame.  max's D*
+    # also scans the three-world frames, past the key class that hits: the
+    # memo answers the frames whose key it has met.  A search with
+    # properties scans its frames, one slice per key it meets.
     built = []
     original = semantics._Slice
 
@@ -355,13 +378,15 @@ def test_a_search_builds_one_slice_per_key(monkeypatch):
         return original(seen, *args)
 
     monkeypatch.setattr(semantics, "_Slice", counted)
-    for rule, axiom, per_n in (
-        (EvalRule.LEWIS, "Abs", [1, 3, 22, 428]),
-        (EvalRule.LEWIS, "K", [1, 1, 1, 1]),
-        (EvalRule.OPT, "Abs", [2, 7, 51, 854]),
+    for rule, axiom, properties, checked, per_n in (
+        (EvalRule.LEWIS, "Abs", (), 3160, [1, 3, 16, 218]),
+        (EvalRule.LEWIS, "K", (), 3160, [1, 1, 1, 1]),
+        (EvalRule.OPT, "Abs", (), 3160, [2, 6, 30, 351]),
+        (EvalRule.MAX, "Dstar", (), 83, [1, 2, 9, 0]),
+        (EvalRule.LEWIS, "Abs", (P.TRANSITIVE,), 291, [1, 3, 11, 58]),
     ):
         built.clear()
-        assert forward_check((), axiom, rule, 4)["frames_checked"] == 3160
+        assert forward_check(properties, axiom, rule, 4)["frames_checked"] == checked
         assert [built.count(n) for n in range(1, 5)] == per_n, (rule, axiom)
 
 
