@@ -83,8 +83,8 @@ def _read_model(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_model(handle.read())
-    except FileNotFoundError:
-        raise ValueError(f"model file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+        raise ValueError(f"cannot read model file {path}: {getattr(exc, 'strerror', None) or exc}") from None
     except ModelFormatError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -264,9 +264,7 @@ def _cmd_paradox(args):
 
 def _cmd_lattice(args):
     report = lattice_report(args.max_n, deadline=args.deadline)
-    ok = all(a["status"] == "confirmed" for a in report["arrows"]) and all(
-        i["status"] == "witness" for i in report["independence"]
-    )
+    ok = all(i["status"] == "witness" for i in report["independence"])  # a failed arrow raises
     lines = [f"property lattice up to n={args.max_n}"]
     for a in report["arrows"]:
         lines.append(f"  {a['from']} => {a['to']}: {a['status']} ({a['relations_checked']} relations)")

@@ -16,11 +16,11 @@ compiled probe on every frame; the probe settles each part of a frame the
 rule can tell apart once and answers repeats from its memo.  Searches
 count frames, not valuations or memo entries: frames_checked and the
 witness are the same as without the memo.  A search with no property and
-no frame filter walks its rule's key classes (``semantics.key_image``)
-before any frame, and scans frames only at the first world count where
-a key class hits; the frames of the smaller world counts, and of every
-world count when none hits, are counted (``model.class_count``, or
-2^(n*n) without isomorph rejection), not visited.
+no frame filter walks the classes of its ``semantics.key`` before any
+frame, and scans frames only at the first world count where a key class
+hits; the frames of the smaller world counts, and of every world count
+when none hits, are counted (``model.class_count``, or 2^(n*n) without
+isomorph rejection), not visited.
 
 ``scan_frames`` is the one search skeleton and frame loop: it checks the
 world bound, enumerates the frames with the given properties, narrowed by
@@ -67,7 +67,7 @@ from .model import (
     worlds_from_mask,
 )
 from .relprops import RelationProperty, check_property, has_all
-from .semantics import EvalRule, cond_holds, key_image, least_valuation, scanner, slicer, truth_set
+from .semantics import EvalRule, cond_holds, fixed_points, key, least_valuation, scanner, slicer, truth_set
 
 
 # Per mode, the status of a search that found a witness and of one that
@@ -196,7 +196,7 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     hit, per_n = scan_frames(
         spec.max_n, spec.properties, lambda rel: scan(rel, spec.deadline),
         iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,
-        image=key_image(spec.targets, spec.rule),
+        key=key(spec.targets, spec.rule),
     )
     checked = sum(per_n.values())
     found, exhausted = _STATUS[spec.mode]
@@ -216,7 +216,7 @@ def scan_frames(
     iso_reject: bool = True,
     deadline: float | None = None,
     frame_filter: Callable[[Relation], bool] | None = None,
-    image: Callable[[Relation], bool] | None = None,
+    key: Callable[[Relation], Relation] | None = None,
 ):
     """First (n, rel, probe(rel)) whose probe result is not None, plus the
     frames scanned per world count.
@@ -229,17 +229,17 @@ def scan_frames(
     deadline is checked every 256 relations examined, passing or not.  A
     max_n outside the world bound is rejected first.
 
-    image, a ``semantics.key_image`` predicate, says that probe reads a
-    frame only through its key.  With no properties and no frame filter
-    the scan then walks the image's classes first: an n where none of them
-    hits has no hit among its frames either, which per_n counts
-    (``class_count(n)``, or 2^(n*n) without iso_reject) instead of
+    key, a ``semantics.key`` map, says that probe reads a frame only
+    through key(frame).  With no properties and no frame filter the scan
+    then walks the classes of the key's fixed points first: an n where
+    none of them hits has no hit among its frames either, which per_n
+    counts (``class_count(n)``, or 2^(n*n) without iso_reject) instead of
     visiting.  The frames of the first n with a hit are scanned as above,
-    so the hit and per_n are the same as without image.
+    so the hit and per_n are the same as without key.
     """
     check_world_bound(max_n)
     keep = has_all(frozenset(properties))
-    quotient = image is not None and keep is None and frame_filter is None
+    quotient = fixed_points(key) if key is not None and keep is None and frame_filter is None else None
     per_n: dict[int, int] = {}
 
     def frames(relations, test):
@@ -251,7 +251,7 @@ def scan_frames(
             yield rel
 
     for n in range(1, max_n + 1):
-        if quotient and all(probe(key) is None for key in frames(canonical_relations(n, image, deadline), None)):
+        if quotient and all(probe(seen) is None for seen in frames(canonical_relations(n, quotient, deadline), None)):
             per_n[n] = class_count(n) if iso_reject else 1 << n * n
             continue
         relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)

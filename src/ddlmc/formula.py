@@ -110,14 +110,38 @@ class Record:
         return "".join(out)
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__, since __setattr__ refuses
-        return type(self), self._values()
+        # pickle and copy rebuild through __init__ (__setattr__ refuses) from a
+        # flat postorder list, without recursion: a node is (class, field
+        # values with each record as the index of an earlier node, their positions)
+        nodes, index, todo = [], {}, [self]
+        while todo:
+            record = todo[-1]
+            values = record._values()
+            links = tuple(i for i, v in enumerate(values) if isinstance(v, Record))
+            pending = [values[i] for i in reversed(links) if id(values[i]) not in index]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            if id(record) not in index:
+                index[id(record)] = len(nodes)
+                encoded = tuple(index[id(v)] if i in links else v for i, v in enumerate(values))
+                nodes.append((type(record), encoded, links))
+        return _rebuild, (tuple(nodes),)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _rebuild(nodes) -> Record:
+    """The record that Record.__reduce__ flattened into nodes."""
+    built = []
+    for cls, values, links in nodes:
+        built.append(cls(*(built[v] if i in links else v for i, v in enumerate(values))))
+    return built[-1]
 
 
 class Formula(Record):

@@ -490,6 +490,8 @@ def _classes(n: int, keep, deadline: float | None) -> tuple[Relation, ...]:
     if key in _canonical_cache:
         return _canonical_cache[key]
     parents = _classes(n - 1, keep, deadline)
+    if not parents:  # keep is hereditary, so it accepts no larger relation either
+        return ()
     shifts = [(n - 1 - i) * n for i in range(n - 1)]
     new_bit = 1 << (n - 1)
     unfiltered = [range(1 << n)] * (1 << (n - 1))

@@ -42,20 +42,16 @@ least-valuation probe (or, in "valid" mode, the every-valuation probe) and
 ``frame_counterexample`` is the one-shot frame-validity form.
 
 A slice reads a frame only through its key, the part of the relation the
-formulas' conditionals can tell apart: formulas without an O, P, >= or >
-node read only the world count, lewis reads the reflexive closure (it
-never consults a world's loop), max the strict part (``strict_part``), and
-opt the rows of the worlds with a loop (a world without one is never
-optimal, so its row is emptied).  Each probe memoises its results on the
-key, so a search settles each key once however many frames share it.  The
-memo lives as long as the probe and holds at most 2**16 keys (a scan of
-all 291 968 five-world classes meets 23 566 under lewis, 7 921 under max
-and 41 249 under opt); keys met past that are settled each time.  The keys
-of all frames are the relations ``key_image`` accepts, so a search with no
+formulas' conditionals can tell apart under the rule (``key``).  Each
+probe memoises its results on the key, so a search settles each key once
+however many frames share it.  The memo lives as long as the probe and
+holds at most 2**16 keys (a scan of all 291 968 five-world classes meets
+23 566 under lewis, 7 921 under max and 41 249 under opt); keys met past
+that are settled each time.  Every key map is idempotent, so the keys of
+all frames are its fixed points (``fixed_points``), and a search with no
 property and no frame filter first walks their classes (9 608, 582 and
-13 140 at n=5 under lewis, max and opt): ``finder.scan_frames`` counts
-the frames of a world count where none of them hits, without visiting
-them.
+13 140 at n=5 under lewis, max and opt): ``finder.scan_frames`` counts the
+frames of a world count where none of them hits, without visiting them.
 ``truth_set`` stays the reference evaluator and re-validates every witness
 the scans report.
 
@@ -236,68 +232,47 @@ def _columns(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 _DIAGONAL = tuple(1 << a for a in range(MAX_WORLDS))
 
 
-def _reads_relation(formulas) -> bool:
-    """Whether some formula has an O, P, >= or > node: only those read the
-    relation."""
-    conditionals = (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)
-    return any(isinstance(g, conditionals) for f in formulas for g in fm.subformulas(f))
+def _world_count(rel: Relation) -> Relation:
+    return (0,) * len(rel)
 
 
-def _key(formulas, rule: EvalRule):
+def _reflexive_closure(rel: Relation) -> Relation:
+    return tuple(map(or_, rel, _DIAGONAL))
+
+
+def _looped_rows(rel: Relation) -> Relation:
+    return tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))
+
+
+_KEYS = {EvalRule.LEWIS: _reflexive_closure, EvalRule.MAX: strict_part, EvalRule.OPT: _looped_rows}
+
+
+def key(formulas, rule: EvalRule):
     """rel -> the part of rel the formulas read under rule, as a relation
     whose slices give the same values as rel's.
 
-    Formulas without a conditional read only the world count (the key is
-    the empty relation on as many worlds); lewis never reads a world's
-    reflexive loop (the key is the reflexive closure); max reads only the
-    strict part; opt never reads the row of a world without its loop,
-    which is in its own near list (the key empties that row).
+    Only O, P, >= and > nodes read the relation: formulas without one read
+    only the world count (the key is the empty relation on as many
+    worlds).  Otherwise lewis never reads a world's reflexive loop (the key
+    is the reflexive closure); max reads only the strict part; opt never
+    reads the row of a world without its loop, which is in its own near
+    list (the key empties that row).  Each key map k is one module-level
+    function, and idempotent: k(k(rel)) == k(rel).
     """
-    if not _reads_relation(formulas):
-        return lambda rel: (0,) * len(rel)
-    if rule is EvalRule.LEWIS:
-        return lambda rel: tuple(map(or_, rel, _DIAGONAL))
-    if rule is EvalRule.MAX:
-        return strict_part
-    return lambda rel: tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))
+    conditionals = (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)
+    if any(isinstance(g, conditionals) for f in formulas for g in fm.subformulas(f)):
+        return _KEYS[rule]
+    return _world_count
 
 
-# The image of each key map, the relations it gives, which are the relations
-# it leaves unchanged.  Each predicate is invariant under relabelling worlds
-# and hereditary, so canonical_relations builds its classes; each is one
-# object, so it keys that cache once.
-
-def _empty(rel: Relation) -> bool:
-    return not any(rel)
-
-
-def _reflexive(rel: Relation) -> bool:
-    return all(r >> a & 1 for a, r in enumerate(rel))
-
-
-def _asymmetric(rel: Relation) -> bool:
-    return all(not rel[b] >> a & 1 for a, r in enumerate(rel) for b in iter_bits(r))
-
-
-def _loopless_rows_empty(rel: Relation) -> bool:
-    return all(r >> a & 1 or not r for a, r in enumerate(rel))
-
-
-_IMAGES = {EvalRule.LEWIS: _reflexive, EvalRule.MAX: _asymmetric, EvalRule.OPT: _loopless_rows_empty}
-
-
-def key_image(formulas, rule: EvalRule):
-    """The predicate that accepts exactly the keys of the formulas under
-    rule (see _key): the empty relations for formulas without a
-    conditional, else the reflexive relations (lewis), the asymmetric ones
-    (max) or those whose worlds without a loop have empty rows (opt).
-
-    A scanner probe reads a frame only through its key, and its answer, hit
-    or miss, does not change when the worlds are relabelled.  So some
-    n-world frame hits iff some n-world class of the image does:
-    ``finder.scan_frames`` walks these classes before any frame.
-    """
-    return _IMAGES[rule] if _reads_relation(formulas) else _empty
+@lru_cache(maxsize=None)
+def fixed_points(key_map):
+    """The predicate rel -> key_map(rel) == rel, which for an idempotent map
+    accepts exactly its keys: the classes ``finder.scan_frames`` walks.
+    For each key map it is invariant under relabelling worlds and
+    hereditary, so ``canonical_relations`` builds its classes, and it is
+    one object per map, so it keys that cache once."""
+    return lambda rel: key_map(rel) == rel
 
 
 class _Slice:
@@ -404,14 +379,14 @@ def slicer(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
     """f compiled once: values(rel) is, per world of rel, the valuations of
     names where f holds, in one slice."""
     program = _compile(f)
-    key = _key((f,), rule)
+    key_of = key((f,), rule)
 
     def values(rel: Relation) -> list[int]:
         n = len(rel)
         if n * len(names) > _SLICE_LOG2:
             raise ValueError(f"{len(names)} names over {n} worlds exceed one slice")
         cols, ones = _columns(n, len(names))
-        return program(_Slice(key(rel), rule, dict(zip(names, cols)), ones))
+        return program(_Slice(key_of(rel), rule, dict(zip(names, cols)), ones))
 
     return values
 
@@ -435,10 +410,8 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
     slice, the leading names are bound to constant columns one mask tuple
     at a time, in ascending order, with the deadline checked between slices.
 
-    The probe remembers its result per key (see the module docstring):
-    formulas without a conditional are keyed on the world count, lewis on
-    the reflexive closure, max on the strict part, opt on the rows of the
-    worlds with a loop.  A timeout stores nothing.
+    The probe remembers its result per key (``key``; see the module
+    docstring).  A timeout stores nothing.
     """
     programs = [_compile(f) for f in formulas]
     satisfy, valid = mode == "satisfy", mode == "valid"
@@ -466,11 +439,11 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
                 return None if valid else head + least_valuation(hits, n, tail)
         return () if valid else None
 
-    key = _key(formulas, rule)
+    key_of = key(formulas, rule)
     memo = {}
 
     def probe(rel: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
-        seen = key(rel)
+        seen = key_of(rel)
         try:
             return memo[seen]
         except KeyError:

@@ -42,41 +42,43 @@ class Mutant(NamedTuple):
 
 
 _QUOTIENT = ("tests/test_semantics.py::test_a_conditional_reads_only_what_its_rule_sees",)
-_OPT_KEY = "    return lambda rel: tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))\n"
-_LEWIS_KEY = "        return lambda rel: tuple(map(or_, rel, _DIAGONAL))\n"
+_OPT_KEY = "    return tuple(r if r >> a & 1 else 0 for a, r in enumerate(rel))\n"
+_LEWIS_KEY = "    return tuple(map(or_, rel, _DIAGONAL))\n"
+_MAX_KEY = "EvalRule.MAX: strict_part,"
 _CORES = ("tests/test_casestudy.py::test_cores_of_every_grid_cell",)
 _KEY_CLASSES = ("tests/test_finder.py::test_key_classes_stand_in_for_the_frames",)
+_KEY_IMAGE = ("tests/test_semantics.py::test_key_image_accepts_exactly_the_keys",)
 _PREFILTER = ("tests/test_model.py::test_prefilter_admits_exactly_the_rows_whose_deletions_pass",)
 
 MUTANTS = (
     Mutant(
         "max keyed on the reflexive closure", "semantics.py",
-        "        return strict_part\n",
-        "        return lambda rel: tuple(map(or_, rel, _DIAGONAL))\n",
+        _MAX_KEY,
+        "EvalRule.MAX: _reflexive_closure,",
         _QUOTIENT,
     ),
     Mutant(
         "max keyed on the reflexive closure at n=4 only", "semantics.py",
-        "        return strict_part\n",
-        "        return lambda rel: tuple(map(or_, rel, _DIAGONAL)) if len(rel) == 4 else strict_part(rel)\n",
+        _MAX_KEY,
+        "EvalRule.MAX: lambda rel: _reflexive_closure(rel) if len(rel) == 4 else strict_part(rel),",
         _QUOTIENT,
     ),
     Mutant(
         "lewis keyed on the world count", "semantics.py",
         _LEWIS_KEY,
-        "        return lambda rel: (0,) * len(rel)\n",
+        "    return (0,) * len(rel)\n",
         _QUOTIENT,
     ),
     Mutant(
         "opt key empties the looped rows", "semantics.py",
         _OPT_KEY,
-        "    return lambda rel: tuple(0 if r >> a & 1 else r for a, r in enumerate(rel))\n",
+        "    return tuple(0 if r >> a & 1 else r for a, r in enumerate(rel))\n",
         ("tests/test_semantics.py::test_one_probe_serves_every_size_and_slice[opt-refute]",),
     ),
     Mutant(
         "opt key empties the looped rows at n=4 only", "semantics.py",
         _OPT_KEY,
-        "    return lambda rel: tuple(r if r >> a & 1 ^ (len(rel) == 4) else 0 for a, r in enumerate(rel))\n",
+        "    return tuple(r if r >> a & 1 ^ (len(rel) == 4) else 0 for a, r in enumerate(rel))\n",
         _QUOTIENT,
     ),
     Mutant(
@@ -93,10 +95,16 @@ MUTANTS = (
          "tests/test_finder.py::test_search_on_a_too_deep_target_raises_before_any_frame_is_built"),
     ),
     Mutant(
-        "lewis key image asks for totality too", "semantics.py",
-        "    return all(r >> a & 1 for a, r in enumerate(rel))\n",
-        "    return all(r >> b & 1 or rel[b] >> a & 1 for a, r in enumerate(rel) for b in range(len(rel)))\n",
-        _KEY_CLASSES + ("tests/test_semantics.py::test_key_image_accepts_exactly_the_keys",),
+        "key classes taken from the relations at or above their key", "semantics.py",
+        "    return lambda rel: key_map(rel) == rel\n",
+        "    return lambda rel: key_map(rel) <= rel\n",
+        _KEY_CLASSES + _KEY_IMAGE,
+    ),
+    Mutant(
+        "lewis key toggles the loops: the same slices, but not idempotent", "semantics.py",
+        _LEWIS_KEY,
+        "    return tuple(r ^ d for r, d in zip(rel, _DIAGONAL))\n",
+        _KEY_CLASSES + _KEY_IMAGE,
     ),
     Mutant(
         "Burnside count off by one cycle", "model.py",
@@ -107,7 +115,7 @@ MUTANTS = (
     Mutant(
         "witness taken from the key class hit, the frame scan skipped", "finder.py",
         "        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)\n",
-        "        relations = canonical_relations(n, image if quotient else keep, deadline) if iso_reject else all_relations(n)\n",
+        "        relations = canonical_relations(n, quotient or keep, deadline) if iso_reject else all_relations(n)\n",
         _KEY_CLASSES,
     ),
     Mutant(
@@ -158,7 +166,7 @@ MUTANTS = (
         "valid-mode probe accepts every frame, re-check skipped", "finder.py",
         "        spec.max_n, spec.properties, lambda rel: scan(rel, spec.deadline),\n"
         "        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,\n"
-        "        image=key_image(spec.targets, spec.rule),\n"
+        "        key=key(spec.targets, spec.rule),\n"
         "    )\n"
         "    checked = sum(per_n.values())\n"
         "    found, exhausted = _STATUS[spec.mode]\n"
@@ -170,7 +178,7 @@ MUTANTS = (
         "        spec.max_n, spec.properties,\n"
         "        lambda rel: () if spec.mode == \"valid\" else scan(rel, spec.deadline),\n"
         "        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,\n"
-        "        image=key_image(spec.targets, spec.rule),\n"
+        "        key=key(spec.targets, spec.rule),\n"
         "    )\n"
         "    checked = sum(per_n.values())\n"
         "    found, exhausted = _STATUS[spec.mode]\n"

@@ -143,8 +143,20 @@ def test_props(model_file, capsys):
     assert report["longest_strict_chain"] == 3
 
 
-def test_usage_errors(model_file, capsys):
+def test_usage_errors(model_file, tmp_path, capsys):
     assert main(["eval", "--model", "/nonexistent.pm", "p"]) == 2
+    # a directory, or a file that is not UTF-8, is one error line naming
+    # it, not a traceback with exit 1
+    binary = tmp_path / "binary.pm"
+    binary.write_bytes(b"\xff\xfe 3")
+    capsys.readouterr()
+    for argv in (["eval", "--model", str(tmp_path), "p"], ["check-model", "--model", str(tmp_path)],
+                 ["props", "--model", str(tmp_path)], ["eval", "--model", str(binary), "p"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and argv[2] in captured.err
+        assert captured.err.count("\n") == 1
     assert main(["eval", "--model", model_file, "p & "]) == 2
     assert main(["correspond", "--axiom", "NoSuchAxiom"]) == 2
     assert main(["find-model", "p", "--props", "nonsense"]) == 2
@@ -230,8 +242,10 @@ def test_json_reports_are_deterministic(capsys):
 @pytest.mark.parametrize("argv", [
     # Unbounded, this converse search runs for close to a minute.
     "correspond --axiom CM --converse max_smooth --rule max --max-n 5 --timeout 1 --json",
-    "correspond --table --rule max --max-n 4 --timeout 0.05 --json",
-    # Stops inside the unrestricted five-world class build (about 7 s).
+    # Unbounded, these tables run for 5-8 s (max) and about 3 s (opt) on two
+    # CPUs, and for 2 and 3 s with the class caches of an earlier run: each
+    # deadline falls well inside the work, whatever ran before in the process.
+    "correspond --table --rule max --max-n 5 --timeout 0.2 --json",
     "correspond --table --rule opt --max-n 5 --timeout 1 --json",
 ])
 def test_correspond_honours_timeout(argv, capsys, monkeypatch):

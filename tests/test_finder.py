@@ -237,6 +237,37 @@ def test_collapse_divergence_is_revalidated(monkeypatch):
         rule_collapse(3)
 
 
+def test_collapse_reports_a_divergence_the_reference_confirms(monkeypatch):
+    # opt's O(g / f) made false at f = {0, 1}, g = {0} on two-world frames,
+    # consistently in the sliced values and the reference conditional: the
+    # first such frame with the collapse properties is reported, with the
+    # three reference verdicts
+    bad = 3 << 2 | 1  # valuation number of (f, g) = (0b11, 0b01) over two worlds
+
+    def slicer(cond, rule, names):
+        def values(rel):
+            ones = (1 << (1 << 2 * len(rel))) - 1
+            return [ones ^ (1 << bad) if rule is EvalRule.OPT and len(rel) == 2 else ones] * len(rel)
+        return values
+
+    def cond_holds(rule, consequent, antecedent, m):
+        return not (rule is EvalRule.OPT and m.n == 2 and (antecedent, consequent) == (3, 1))
+
+    monkeypatch.setattr("ddlmc.finder.slicer", slicer)
+    monkeypatch.setattr("ddlmc.finder.cond_holds", cond_holds)
+    assert rule_collapse(3) == {
+        "status": "diverged",
+        "max_n": 3,
+        "frames_checked": 2,
+        "frame": {"n": 2, "rel": [1, 3]},
+        "antecedent": [0, 1],
+        "consequent": [0],
+        "opt": False,
+        "max": True,
+        "lewis": True,
+    }
+
+
 _SEARCHES = {
     "forward_check": lambda max_n, deadline: forward_check(
         [P.REFLEXIVE], "Dstar", EvalRule.OPT, max_n, deadline=deadline),

@@ -169,8 +169,9 @@ def test_trees_deeper_than_max_depth_from_the_constructors():
 
 
 def test_trees_of_any_depth_hash_compare_and_print():
-    # a set or dict of deep trees needs hash and ==, and an error message
-    # needs repr: none of them may recurse
+    # a set or dict of deep trees needs hash and ==, an error message needs
+    # repr, and a library caller may pickle or copy them: none of them may
+    # recurse
     def negations(depth, leaf):
         f = leaf
         for _ in range(depth):
@@ -183,6 +184,12 @@ def test_trees_of_any_depth_hash_compare_and_print():
     assert len({f, g, deeper, other}) == 3
     assert f != deeper and f != other and f != fm.Atom("x")
     assert repr(f) == "Not(child=" * 1000 + "MetaVar(name='x')" + ")" * 1000
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert copied == f and copied is not f
+    # a subtree shared by two parents is rebuilt once and stays shared
+    p = fm.Atom("p")
+    shared = pickle.loads(pickle.dumps(fm.And(deeper, fm.Oblig(deeper, p))))
+    assert shared.left is shared.right.consequent and shared.left == deeper
     shallow = parse("O(p & ~q / T) -> []?x")
     assert repr(shallow) == (
         "Implies(left=Oblig(consequent=And(left=Atom(name='p'), right=Not(child=Atom(name='q'))), "

@@ -190,6 +190,15 @@ def test_canonical_counts():
     assert len(canonical_relations(4)) == 3044
 
 
+def test_a_keep_that_accepts_nothing_has_no_classes():
+    # a world count with no classes extends to none: the build of the next
+    # one returns no classes instead of failing on the empty parent level
+    def nothing(rel):
+        return False
+
+    assert [canonical_relations(n, nothing) for n in (1, 2, 3)] == [(), (), ()]
+
+
 def test_class_count_is_the_number_of_classes_built():
     # Burnside's count stands in for the classes a property-free search
     # does not build; CI compares n=5 (291 968) with the dense build

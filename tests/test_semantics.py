@@ -346,12 +346,13 @@ def test_a_memoised_probe_answers_as_a_fresh_one(rule, mode, monkeypatch):
 @pytest.mark.parametrize("rule", list(EvalRule), ids=str)
 @pytest.mark.parametrize("axiom", ["Abs", "K"])
 def test_key_image_accepts_exactly_the_keys(rule, axiom):
-    # A property-free search walks the classes of key_image in place of the
-    # frames, which is complete only if the predicate accepts exactly the
-    # keys, and its class build only if it is invariant and hereditary.
+    # A property-free search walks the classes of the key's fixed points in
+    # place of the frames, which is complete only if they are exactly the
+    # keys (the set equality holds only for an idempotent key), and their
+    # class build only if they are invariant and hereditary.
     formulas = (SCHEMAS[axiom],)
-    key = semantics._key(formulas, rule)
-    image = semantics.key_image(formulas, rule)
+    key = semantics.key(formulas, rule)
+    image = semantics.fixed_points(key)
     for n in (1, 2, 3):
         relations = list(all_relations(n))
         assert {rel for rel in relations if image(rel)} == {key(rel) for rel in relations}, n
