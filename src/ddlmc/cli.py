@@ -81,7 +81,7 @@ def _parse_props(text: str | None) -> tuple[RelationProperty, ...]:
 
 def _read_model(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
             return parse_model(handle.read())
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
         raise ValueError(f"cannot read model file {path}: {getattr(exc, 'strerror', None) or exc}") from None

@@ -66,7 +66,7 @@ from .model import (
     transitive_closure,
     worlds_from_mask,
 )
-from .relprops import RelationProperty, check_property, has_all
+from .relprops import RelationProperty, base_properties, check_property, has_all
 from .semantics import EvalRule, cond_holds, fixed_points, key, least_valuation, scanner, slicer, truth_set
 
 
@@ -428,9 +428,10 @@ def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confi
 
 # The implication diagram over the order-theoretic properties: the five
 # weakenings of transitivity, plus totality and reflexivity.  Base arrows are
-# the known one-step implications; interval order is total + Ferrers by
-# definition, which contributes two more.  Everything else is independent and
-# the report must produce a witness for each non-implied ordered pair.
+# the known one-step implications; the definitions in ``relprops`` add
+# p => q wherever q's base properties are among p's (interval order is total
+# and Ferrers).  Everything else is independent and the report must produce
+# a witness for each non-implied ordered pair.
 
 LATTICE_NODES = (
     RelationProperty.TRANSITIVE,
@@ -451,18 +452,16 @@ LATTICE_ARROWS = (
     (RelationProperty.TOTAL, RelationProperty.REFLEXIVE),
 )
 
-_DEFINITIONAL_ARROWS = (
-    (RelationProperty.INTERVAL_ORDER, RelationProperty.TOTAL),
-    (RelationProperty.INTERVAL_ORDER, RelationProperty.REFLEXIVE),
-)
-
 
 def implied_pairs() -> frozenset[tuple[RelationProperty, RelationProperty]]:
-    """Transitive closure of the arrow diagram (with definitional arrows)."""
+    """Transitive closure of the arrow diagram plus the definitional arrows."""
     index = {p: i for i, p in enumerate(LATTICE_NODES)}
     rows = [0] * len(LATTICE_NODES)
-    for a, b in LATTICE_ARROWS + _DEFINITIONAL_ARROWS:
+    for a, b in LATTICE_ARROWS:
         rows[index[a]] |= 1 << index[b]
+    for a, b in product(LATTICE_NODES, repeat=2):
+        if base_properties({b}) <= base_properties({a}):
+            rows[index[a]] |= 1 << index[b]
     reach = transitive_closure(tuple(rows))
     return frozenset(
         (p, q) for p in LATTICE_NODES for q in LATTICE_NODES

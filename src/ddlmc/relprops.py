@@ -15,13 +15,16 @@ Parent, "Maximality vs. optimality in dyadic deontic logic", *J. Phil.
 Logic* 2014).  The subset definitions are the test reference, in
 ``tests/oracle.py::naive_properties``.
 
-Each check is one tight loop over the row bitmasks; the cycle and
-strict-transitivity checks first compute the strict rows once
-(``model.strict_part``).  One peel of strict layers decides acyclicity and
-gives the longest strict chain (``longest_strict_chain``).
-``has_all(props)`` returns one flat predicate for the class builder: the
-check itself for a single property, else one loop over the checks.
-Implications between properties are searches, so they live in ``finder``.
+Seven properties have a check of their own (``_CHECKS``); ``_DEFINITIONS``
+states each of the twelve as a conjunction of those seven, once, and
+``base_properties`` reads it.  Each check is one tight loop over the row
+bitmasks; the cycle and strict-transitivity checks first compute the
+strict rows once (``model.strict_part``).  One peel of strict layers
+decides acyclicity and gives the longest strict chain
+(``longest_strict_chain``).  ``has_all(props)`` returns one flat predicate
+for the class builder: the check itself for a single base property, else
+one loop over the base checks.  Implications between properties are
+searches, so they live in ``finder``.
 """
 
 from __future__ import annotations
@@ -52,11 +55,10 @@ class RelationProperty(enum.Enum):
 
 
 def property_from_name(name: str) -> RelationProperty:
-    key = name.strip().lower().replace("-", "_")
-    for prop in RelationProperty:
-        if prop.value == key:
-            return prop
-    raise ValueError(f"unknown relation property {name!r}")
+    try:
+        return RelationProperty(name.strip().lower().replace("-", "_"))
+    except ValueError:
+        raise ValueError(f"unknown relation property {name!r}") from None
 
 
 def is_reflexive(rel: Relation) -> bool:
@@ -154,24 +156,6 @@ def is_ferrers(rel: Relation) -> bool:
     return True
 
 
-def is_interval_order(rel: Relation) -> bool:
-    """Total and Ferrers (equivalently, reflexive and Ferrers)."""
-    return is_total(rel) and is_ferrers(rel)
-
-
-# The limit assumptions by their finite order equivalents (module docstring).
-is_max_limited = is_acyclic
-is_max_smooth = is_quasi_transitive
-
-
-def is_opt_limited(rel: Relation) -> bool:
-    return is_total(rel) and is_acyclic(rel)
-
-
-def is_opt_smooth(rel: Relation) -> bool:
-    return is_total(rel) and is_quasi_transitive(rel)
-
-
 _CHECKS = {
     RelationProperty.REFLEXIVE: is_reflexive,
     RelationProperty.TOTAL: is_total,
@@ -180,34 +164,46 @@ _CHECKS = {
     RelationProperty.ACYCLIC: is_acyclic,
     RelationProperty.SUZUMURA_CONSISTENT: is_suzumura_consistent,
     RelationProperty.FERRERS: is_ferrers,
-    RelationProperty.INTERVAL_ORDER: is_interval_order,
-    RelationProperty.OPT_LIMITED: is_opt_limited,
-    RelationProperty.MAX_LIMITED: is_max_limited,
-    RelationProperty.OPT_SMOOTH: is_opt_smooth,
-    RelationProperty.MAX_SMOOTH: is_max_smooth,
 }
+
+# Each property as the conjunction of the checked properties it is defined
+# by: interval orders are the total Ferrers relations, and the limit
+# assumptions are read by their finite order equivalents (module docstring).
+_DEFINITIONS = {
+    **{prop: frozenset({prop}) for prop in _CHECKS},
+    RelationProperty.INTERVAL_ORDER: frozenset({RelationProperty.TOTAL, RelationProperty.FERRERS}),
+    RelationProperty.OPT_LIMITED: frozenset({RelationProperty.TOTAL, RelationProperty.ACYCLIC}),
+    RelationProperty.MAX_LIMITED: frozenset({RelationProperty.ACYCLIC}),
+    RelationProperty.OPT_SMOOTH: frozenset({RelationProperty.TOTAL, RelationProperty.QUASI_TRANSITIVE}),
+    RelationProperty.MAX_SMOOTH: frozenset({RelationProperty.QUASI_TRANSITIVE}),
+}
+
+
+def base_properties(props) -> frozenset[RelationProperty]:
+    """The checked properties whose conjunction is "has every property in
+    props".  A member that is not a RelationProperty raises ValueError."""
+    bad = sorted(repr(p) for p in props if not isinstance(p, RelationProperty))
+    if bad:
+        raise ValueError(f"{', '.join(bad)}: not a relation property")
+    return frozenset().union(*(_DEFINITIONS[p] for p in props))
 
 
 def check_property(prop: RelationProperty, target: PreferenceModel | Relation) -> bool:
     """True iff the property holds of the betterness relation; a prop that
     is not a RelationProperty raises ValueError."""
-    if not isinstance(prop, RelationProperty):
-        raise ValueError(f"{prop!r}: not a relation property")
     rel = target.rel if isinstance(target, PreferenceModel) else tuple(target)
-    return _CHECKS[prop](rel)
+    return all(_CHECKS[base](rel) for base in base_properties((prop,)))
 
 
 @lru_cache(maxsize=None)
 def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
     """The predicate "has every property in props", one flat function: the
-    check itself for one property, else one loop over the checks in
-    declaration order.  One object per set, so that it keys the class cache
-    of ``canonical_relations``; None when props is empty.  A member that is
-    not a RelationProperty raises ValueError."""
-    bad = sorted(repr(p) for p in props if not isinstance(p, RelationProperty))
-    if bad:
-        raise ValueError(f"{', '.join(bad)}: not a relation property")
-    checks = tuple(dict.fromkeys(_CHECKS[p] for p in RelationProperty if p in props))
+    check itself when props come down to one base property, else one loop
+    over their base checks in declaration order.  One object per set, so
+    that it keys the class cache of ``canonical_relations``; None when props
+    is empty.  A member that is not a RelationProperty raises ValueError."""
+    base = base_properties(props)
+    checks = tuple(check for prop, check in _CHECKS.items() if prop in base)
     if not checks:
         return None
     if len(checks) == 1:

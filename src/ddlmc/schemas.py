@@ -29,7 +29,7 @@ from __future__ import annotations
 from . import formula as fm
 from .finder import SearchSpec, find_satisfying_model
 from .model import PreferenceModel, model_json, worlds_from_mask
-from .relprops import RelationProperty, check_property
+from .relprops import RelationProperty, has_all
 from .semantics import EvalRule, schema_names
 
 _SCHEMA_SOURCES = {
@@ -132,11 +132,12 @@ def converse_search(
     "none_up_to_bound") carries it.
     """
     name, body = _resolve(axiom)
+    has = has_all(frozenset({prop}))
     found = find_satisfying_model(SearchSpec(
         max_n=max_n, rule=rule, targets=(body,), atoms=schema_names(body),
         mode="satisfy" if model_level else "valid",
         iso_reject=iso_reject, deadline=deadline,
-        frame_filter=lambda rel: not check_property(prop, rel),
+        frame_filter=lambda rel: not has(rel),
     ))
     report = {
         "axiom": name,

@@ -190,6 +190,13 @@ MUTANTS = (
         ("tests/test_schemas.py::test_converse_frame_witness_is_valid_by_the_oracle",),
     ),
     Mutant(
+        "_revalidate without the refutation re-check", "finder.py",
+        "    if spec.mode == \"refute\" and not failed:\n"
+        "        raise AssertionError(\"refutation witness validates all targets\")\n",
+        "",
+        ("tests/test_finder.py::test_refutation_witness_is_revalidated",),
+    ),
+    Mutant(
         "cores searches supersets of an unsatisfiable set", "finder.py",
         "            if any(core <= subset for core in unsat):\n",
         "            if False:\n",
@@ -212,6 +219,18 @@ MUTANTS = (
         "        if conclusion is not None and not conclusion(rel):\n            return rel\n",
         "        if conclusion is not None and not conclusion(rel):\n            return None\n",
         ("tests/test_relprops.py::test_implication_confirmed_and_witness",),
+    ),
+    Mutant(
+        "lattice report without its implied-pair check", "finder.py",
+        "    for p, q in implied:\n        if isinstance(results[p, q], Witness):\n",
+        "    for p, q in implied:\n        if False:\n",
+        ("tests/test_finder.py::test_lattice_rejects_a_witness_against_an_implied_pair",),
+    ),
+    Mutant(
+        "definitional arrows only between equal definitions", "finder.py",
+        "        if base_properties({b}) <= base_properties({a}):\n",
+        "        if base_properties({b}) == base_properties({a}):\n",
+        ("tests/test_relprops.py",),
     ),
     Mutant(
         "node equality ignores the class", "formula.py",
@@ -248,6 +267,12 @@ MUTANTS = (
         "                        seen[image] = 1\n",
         "                        pass\n",
         ("tests/test_model.py::test_canonical_counts",),
+    ),
+    Mutant(
+        "opt-smooth defined without totality", "relprops.py",
+        "    RelationProperty.OPT_SMOOTH: frozenset({RelationProperty.TOTAL, RelationProperty.QUASI_TRANSITIVE}),\n",
+        "    RelationProperty.OPT_SMOOTH: frozenset({RelationProperty.QUASI_TRANSITIVE}),\n",
+        ("tests/test_relprops.py",),
     ),
     Mutant(
         "strict-layer peel keeps peeled worlds", "relprops.py",

@@ -157,7 +157,24 @@ def test_usage_errors(model_file, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and argv[2] in captured.err
         assert captured.err.count("\n") == 1
+    # a malformed line is named with its file
+    bad = tmp_path / "bad.pm"
+    bad.write_text("worlds 2\nrel 0>=1\nval 1x = {0}\n", encoding="utf-8")
+    assert main(["eval", "--model", str(bad), "p"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 3: bad atom name '1x'\n"
+    # a UTF-8 byte-order mark is not part of the header
+    bom = tmp_path / "bom.pm"
+    bom.write_bytes(b"\xef\xbb\xbf" + MODEL.encode("utf-8"))
+    assert main(["eval", "--model", model_file, "--json", "A | B"]) == 1
+    plain = capsys.readouterr()
+    assert main(["eval", "--model", str(bom), "--json", "A | B"]) == 1
+    assert capsys.readouterr() == plain
     assert main(["eval", "--model", model_file, "p & "]) == 2
+    assert main(["eval", "--model", model_file, "?x"]) == 2  # an unbound metavariable
+    assert main("find-model p --rule nope --max-n 1".split()) == 2
+    assert main("paradox --max-n 2 --rules max,nope".split()) == 2
+    assert main("find-model p --timeout abc".split()) == 2
+    assert main(["correspond"]) == 2  # neither --table nor --axiom
     assert main(["correspond", "--axiom", "NoSuchAxiom"]) == 2
     assert main(["find-model", "p", "--props", "nonsense"]) == 2
     # a repeated atom name used to crash the sliced n=3 scan

@@ -8,12 +8,13 @@ from itertools import product
 
 import pytest
 
-from ddlmc import model
+from ddlmc import finder, model
 from ddlmc import formula as fm
 from ddlmc.finder import (
     _STATUS,
     SearchSpec,
     SearchTimeout,
+    Witness,
     find_satisfying_model,
     lattice_report,
     rule_collapse,
@@ -120,6 +121,8 @@ def test_spec_validation():
             max_n=3, rule=EvalRule.MAX, targets=(parse("<>p"),),
             atoms=("p", "q", "r", "s", "t", "p"),
         )
+    with pytest.raises(ValueError, match="unknown search mode 'bogus'"):
+        SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("p"),), mode="bogus")
     spec = SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("O(p/q)"),))
     assert spec.atoms == ("p", "q")
 
@@ -235,6 +238,31 @@ def test_collapse_divergence_is_revalidated(monkeypatch):
     monkeypatch.setattr("ddlmc.finder.slicer", slicer)
     with pytest.raises(AssertionError, match="does not diverge"):
         rule_collapse(3)
+
+
+def test_refutation_witness_is_revalidated(monkeypatch):
+    # A refute probe that reports a valuation on every frame must not get
+    # one past the search: nothing refutes excluded middle.
+    monkeypatch.setattr("ddlmc.finder.scanner", lambda *args: lambda rel, deadline: (0,))
+    spec = SearchSpec(max_n=2, rule=EvalRule.MAX, targets=(parse("p | ~p"),), mode="refute")
+    with pytest.raises(AssertionError, match="refutation witness validates all targets"):
+        find_satisfying_model(spec)
+
+
+def test_lattice_rejects_a_witness_against_an_implied_pair(monkeypatch):
+    # An implication search that witnesses "interval order, not total" must
+    # not get the pair into the report: interval orders are total.
+    real = finder.property_implication
+
+    def lying(p, q, n, deadline=None):
+        if (p, q) == (P.INTERVAL_ORDER, P.TOTAL):
+            return Witness(1, (0,))
+        return real(p, q, n, deadline)
+
+    _on_cpus(monkeypatch, 1)
+    monkeypatch.setattr(finder, "property_implication", lying)
+    with pytest.raises(AssertionError, match="implication interval_order => total fails at size 1"):
+        lattice_report(2)
 
 
 def test_collapse_reports_a_divergence_the_reference_confirms(monkeypatch):

@@ -124,6 +124,8 @@ def test_parse_errors_carry_position():
         parse("O(p / q")
     with pytest.raises(ParseError):
         parse("p q")
+    with pytest.raises(ParseError, match=r"expected a formula, found '\)' \(at position 0\)"):
+        parse(")")
     with pytest.raises(ParseError):
         parse("A >= B >= C")  # non-associative
 
@@ -202,6 +204,7 @@ def test_render_examples():
     assert render(fm.PrefGt(fm.Atom("A"), fm.Atom("B"))) == "A > B"
     assert render(fm.Not(fm.Not(fm.Atom("p")))) == "~~p"
     assert render(fm.Box(fm.Implies(fm.Atom("p"), fm.Atom("q")))) == "[](p -> q)"
+    assert str(parse("O(p / q) & ~r")) == "O(p / q) & ~r"
 
 
 def test_render_parenthesizes_associativity():

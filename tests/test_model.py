@@ -130,6 +130,11 @@ def test_model_validation():
         PreferenceModel(2, (0b100, 0))  # row refers to world 2
     with pytest.raises(ValueError):
         PreferenceModel(2, (0, 0), {"p": 0b100})
+    with pytest.raises(ValueError, match="relation has 1 rows for n=2"):
+        PreferenceModel(2, (0,))
+    with pytest.raises(ValueError, match=r"world pair \(0,2\) out of range for n=2"):
+        relation_from_pairs(2, [(0, 2)])
+    assert PreferenceModel(1, (0,)) != (0,)
 
 
 def test_parse_model_example():
@@ -137,6 +142,7 @@ def test_parse_model_example():
     assert m.n == 2
     assert _pairs(m.rel) == {(0, 0), (1, 1), (1, 0)}
     assert m.valuation == {"p": 0b10}
+    assert repr(m) == "PreferenceModel(n=2, rel=((0, 0), (1, 0), (1, 1)), valuation={p: (1,)})"
 
 
 def test_parse_model_minimal():
@@ -155,6 +161,9 @@ def test_parse_model_comments_and_empty_set():
     [
         ("", "empty"),
         ("worlds x\nrel\n", "worlds"),
+        ("worlds 17\nrel\n", "world count 17 out of range 1..16"),
+        ("worlds 2\nrel\nvar p = {0}\n", "line 3: expected 'val <atom> = {...}'"),
+        ("worlds 2\nrel\nval 1x = {0}\n", "line 3: bad atom name '1x'"),
         ("worlds 2\n", "rel"),
         ("worlds 2\nrel 0>=5\n", "out of range"),
         ("worlds 2\nrel 0>5\n", "bad relation pair"),
@@ -246,6 +255,9 @@ def test_orbit_lanes_equal_the_per_permutation_loop():
         lanes, size = _orbit_lanes(n)
         assert lanes == orbit_lanes(n), n
         assert size == 8 * math.factorial(n)
+    # 9 * 9 pair bits do not fit one 64-bit lane
+    with pytest.raises(ValueError, match="supported for n <= 8"):
+        orbit_size((0,) * 9)
 
 
 def test_canonical_form_is_the_orbit_minimum():

@@ -33,6 +33,7 @@ from ddlmc.relprops import (
     RelationProperty,
     check_property,
     has_all,
+    is_acyclic,
     longest_strict_chain,
     property_from_name,
 )
@@ -98,6 +99,9 @@ def test_has_all_is_check_all():
         for rel in rels:
             assert keep(rel) == all(check_property(p, rel) for p in props), (props, rel)
     assert has_all(frozenset()) is None
+    # a set defined by one base property is that property's check, so the
+    # two share their class build
+    assert has_all(frozenset({P.MAX_LIMITED})) is has_all(frozenset({P.ACYCLIC})) is is_acyclic
 
 
 def test_limit_assumptions_match_subset_definitions():
@@ -218,6 +222,8 @@ def test_check_property_rejects_a_name():
     # a bare name used to raise KeyError from the check table
     with pytest.raises(ValueError, match="'total': not a relation property"):
         check_property("total", (1,))
+    with pytest.raises(ValueError, match=r"\['total'\]: not a relation property"):
+        check_property(["total"], (1,))
 
 
 def test_ferrers_plus_reflexive_implies_total():
@@ -240,6 +246,7 @@ def test_witness_is_least():
 
 def test_implied_pairs_close_the_arrows():
     implied = implied_pairs()
+    assert len(implied) == 10
     for arrow in LATTICE_ARROWS:
         assert arrow in implied
     assert (P.TRANSITIVE, P.ACYCLIC) in implied

@@ -36,6 +36,8 @@ def test_registry_contents():
     }
     for name, body in SCHEMAS.items():
         assert metavars(body) <= {"f", "g", "h"}, name
+    with pytest.raises(ValueError, match="unknown axiom schema 'nope'"):
+        schemas.schema("nope")
 
 
 def test_forward_examples():

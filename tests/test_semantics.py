@@ -247,6 +247,9 @@ def test_one_probe_serves_every_size_and_slice(rule, mode):
         if rel == _FULL:
             assert expected[0] != 0
         assert probe(rel) == expected, rel
+    # the slicer reads one slice, so it rejects what the probe splits
+    with pytest.raises(ValueError, match="5 names over 4 worlds exceed one slice"):
+        slicer(targets[0], rule, _SCAN_NAMES)(_FULL)
 
 
 def _visible(rel, rule):
