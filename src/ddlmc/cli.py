@@ -18,7 +18,9 @@ commands (find-model, correspond, collapse, paradox, lattice) take
 --max-n and --timeout, and all of them but lattice take
 --iso-reject/--no-iso-reject.  paradox picks its rules with --rules, and
 correspond alone accepts --workers (and ignores it).  Anything else is a
-usage error.
+usage error.  --props, --atoms and --rules take comma-separated lists; an
+empty option means none (the default rules for --rules), and an empty
+entry is a usage error.
 
 correspond runs one mode: --table alone, --axiom with --props (a
 forward check), or --axiom with --converse and optionally --model-level
@@ -69,10 +71,20 @@ from .semantics import rule_from_name, truth_set, valid_in_model
 DEFAULT_TIMEOUT = 60.0
 
 
-def _parse_props(text: str | None) -> tuple[RelationProperty, ...]:
+def _entries(text: str | None, option: str) -> list[str]:
+    """The stripped entries of a comma-separated option: none when the
+    option is empty, and an empty entry ("max," or "p,,q") is a usage
+    error."""
     if not text:
-        return ()
-    props = tuple(property_from_name(p) for p in text.split(",") if p.strip())
+        return []
+    entries = [entry.strip() for entry in text.split(",")]
+    if "" in entries:
+        raise ValueError(f"{option} {text!r} has an empty entry")
+    return entries
+
+
+def _parse_props(text: str | None) -> tuple[RelationProperty, ...]:
+    props = tuple(property_from_name(p) for p in _entries(text, "--props"))
     repeated = sorted({p.value for p in props if props.count(p) > 1})
     if repeated:
         raise ValueError(f"properties {repeated} are listed more than once")
@@ -171,7 +183,7 @@ def _cmd_find_model(args):
     rule = rule_from_name(args.rule)
     props = _parse_props(args.props)
     targets = _parse_ground(args.targets, "target")
-    atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip()) if args.atoms else None
+    atoms = tuple(_entries(args.atoms, "--atoms")) or None
     spec = SearchSpec(
         max_n=args.max_n,
         rule=rule,
@@ -255,7 +267,7 @@ def _cmd_collapse(args):
 
 
 def _cmd_paradox(args):
-    rules = tuple(rule_from_name(r) for r in args.rules.split(",")) if args.rules else casestudy.GRID_RULES
+    rules = tuple(rule_from_name(r) for r in _entries(args.rules, "--rules")) or casestudy.GRID_RULES
     report = casestudy.run_grid(
         args.max_n, rules=rules, iso_reject=args.iso_reject, deadline=args.deadline
     )

@@ -15,12 +15,20 @@ least valuation.  Each search compiles its formulas once and runs the
 compiled probe on every frame; the probe settles each part of a frame the
 rule can tell apart once and answers repeats from its memo.  Searches
 count frames, not valuations or memo entries: frames_checked and the
-witness are the same as without the memo.  A search with no property and
-no frame filter walks the classes of its ``semantics.key`` before any
-frame, and scans frames only at the first world count where a key class
-hits; the frames of the smaller world counts, and of every world count
-when none hits, are counted (``model.class_count``, or 2^(n*n) without
-isomorph rejection), not visited.
+witness are the same as without the memo.  A search without a frame
+filter may walk a quotient of its frames before any frame, and scan
+frames only at the first world count where a class of the quotient hits;
+the frames of the smaller world counts, and of every world count when
+none hits, are counted, not visited.  With no property the quotient is
+the classes of its ``semantics.key`` (counted by ``model.class_count``,
+or 2^(n*n) without isomorph rejection).  Under lewis, max and targets
+without a conditional, whose keys read no loop, a search whose properties
+the reflexive closure keeps (transitivity, quasi-transitivity,
+acyclicity, Suzumura consistency: ``relprops.CLOSURE_LOOPS``) walks the
+reflexive closures with them; each stands for the frames that are it with
+any loop set that holds the loops the properties need
+(``model.loop_variants``, Burnside's lemma).  Opt, the other properties
+and frame filters keep the frame scan.
 
 ``scan_frames`` is the one search skeleton and frame loop: it checks the
 world bound, enumerates the frames with the given properties, narrowed by
@@ -61,13 +69,25 @@ from .model import (
     canonical_relations,
     check_world_bound,
     class_count,
+    full_mask,
+    loop_variants,
     model_json,
     orbit_size,
     transitive_closure,
     worlds_from_mask,
 )
-from .relprops import RelationProperty, base_properties, check_property, has_all
-from .semantics import EvalRule, cond_holds, fixed_points, key, least_valuation, scanner, slicer, truth_set
+from .relprops import CLOSURE_LOOPS, RelationProperty, base_properties, check_property, has_all
+from .semantics import (
+    CLOSURE_KEYS,
+    EvalRule,
+    cond_holds,
+    fixed_points,
+    key,
+    least_valuation,
+    scanner,
+    slicer,
+    truth_set,
+)
 
 
 # Per mode, the status of a search that found a witness and of one that
@@ -189,8 +209,8 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     being returned.
 
     frames_checked counts frames up to and including the witness frame, or
-    all filtered frames when the bound is exhausted; a property-free search
-    counts some of them without visiting them (``scan_frames``).
+    all filtered frames when the bound is exhausted; a search that walks a
+    quotient counts some of them without visiting them (``scan_frames``).
     """
     scan = scanner(spec.targets, spec.rule, spec.atoms, spec.mode)
     hit, per_n = scan_frames(
@@ -230,16 +250,22 @@ def scan_frames(
     max_n outside the world bound is rejected first.
 
     key, a ``semantics.key`` map, says that probe reads a frame only
-    through key(frame).  With no properties and no frame filter the scan
-    then walks the classes of the key's fixed points first: an n where
-    none of them hits has no hit among its frames either, which per_n
-    counts (``class_count(n)``, or 2^(n*n) without iso_reject) instead of
-    visiting.  The frames of the first n with a hit are scanned as above,
-    so the hit and per_n are the same as without key.
+    through key(frame).  Without a frame filter the scan may then walk a
+    quotient of the frames first, probing each of its classes once: an n
+    where none of them hits has no hit among its frames either, and per_n
+    counts those frames instead of visiting them.  With no properties the
+    walk goes over the classes of the key's fixed points and counts
+    ``class_count(n)`` frames (2^(n*n) without iso_reject).  With
+    properties from ``relprops.CLOSURE_LOOPS`` and a key that reads no loop
+    (``semantics.CLOSURE_KEYS``) it goes over the reflexive closures with
+    the properties, and counts for each closure the frames above it: the
+    closure with any loop set that holds the loops the table requires
+    (``model.loop_variants``).  The frames of the first n with a hit are
+    scanned as above, so the hit and per_n are the same as without key.
     """
     check_world_bound(max_n)
-    keep = has_all(frozenset(properties))
-    quotient = fixed_points(key) if key is not None and keep is None and frame_filter is None else None
+    base = base_properties(properties)
+    keep = has_all(base)
     per_n: dict[int, int] = {}
 
     def frames(relations, test):
@@ -250,10 +276,33 @@ def scan_frames(
                 continue
             yield rel
 
+    # The walk: the classes to probe first, and count(n, classes), the
+    # frames of n worlds they stand for.
+    walk = count = None
+    if key is not None and frame_filter is None:
+        if keep is None:
+            walk = fixed_points(key)
+
+            def count(n, classes):
+                return class_count(n) if iso_reject else 1 << n * n
+        elif key in CLOSURE_KEYS and base <= CLOSURE_LOOPS.keys():
+            walk = has_all(base | {RelationProperty.REFLEXIVE})
+
+            def count(n, classes):
+                total = 0
+                for closure in frames(classes, None):
+                    needed = 0
+                    for prop in base:
+                        needed |= CLOSURE_LOOPS[prop](closure)
+                    total += loop_variants(closure, full_mask(n) & ~needed, iso_reject)
+                return total
+
     for n in range(1, max_n + 1):
-        if quotient and all(probe(seen) is None for seen in frames(canonical_relations(n, quotient, deadline), None)):
-            per_n[n] = class_count(n) if iso_reject else 1 << n * n
-            continue
+        if walk is not None:
+            classes = canonical_relations(n, walk, deadline)
+            if all(probe(seen) is None for seen in frames(classes, None)):
+                per_n[n] = count(n, classes)
+                continue
         relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)
         per_n[n] = 0
         for rel in frames(relations, None if iso_reject else keep):
@@ -410,7 +459,7 @@ def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confi
     Raises SearchTimeout at the deadline, a ``time.monotonic()`` value
     (None: no limit).
     """
-    conclusion = has_all(frozenset(_as_props(p2)))
+    conclusion = has_all(_as_props(p2))
     checked = 0
 
     def probe(rel):

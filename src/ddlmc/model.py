@@ -338,6 +338,26 @@ def orbit_size(rel: Relation) -> int:
 
 
 @lru_cache(maxsize=None)
+def _cycles(n: int) -> tuple[tuple[int, ...], ...]:
+    """Each world permutation's cycles as world masks, the permutations in
+    the order of ``_orbit_lanes`` (``itertools.permutations``)."""
+    result = []
+    for perm in permutations(range(n)):
+        cycles = []
+        unseen = set(range(n))
+        while unseen:
+            start = world = unseen.pop()
+            mask = 1 << world
+            while perm[world] != start:
+                world = perm[world]
+                unseen.remove(world)
+                mask |= 1 << world
+            cycles.append(mask)
+        result.append(tuple(cycles))
+    return tuple(result)
+
+
+@lru_cache(maxsize=None)
 def class_count(n: int) -> int:
     """Number of isomorphism classes of the n-world relations, which is
     len(canonical_relations(n)), counted without building them (OEIS
@@ -347,19 +367,30 @@ def class_count(n: int) -> int:
     pairs, and two world cycles of lengths a and b make gcd(a, b) of them.
     """
     total = 0
-    for perm in permutations(range(n)):
-        lengths = []
-        unseen = set(range(n))
-        while unseen:
-            start = world = unseen.pop()
-            length = 1
-            while perm[world] != start:
-                world = perm[world]
-                unseen.remove(world)
-                length += 1
-            lengths.append(length)
+    for cycles in _cycles(n):
+        lengths = [bin(cycle).count("1") for cycle in cycles]
         total += 1 << sum(gcd(a, b) for a in lengths for b in lengths)
     return total // factorial(n)
+
+
+def loop_variants(rel: Relation, free: int, iso_reject: bool = True) -> int:
+    """Number of relations, or with iso_reject of their isomorphism classes,
+    whose reflexive closure is in the orbit of rel and that loop every
+    world outside the free worlds (a world mask) of that closure.
+
+    rel must be reflexive and free invariant under rel's automorphisms.
+    Without iso_reject that is 2^|free| per relation in rel's orbit.
+    Every class holds a relation whose closure is rel itself, and two of
+    those are isomorphic only through an automorphism of rel (relabelling
+    commutes with the closure), so by Burnside's lemma the classes number
+    the mean, over the automorphisms, of 2 to the number of cycles each
+    one makes on the free worlds.
+    """
+    images = _orbit_images(rel)
+    if not iso_reject:
+        return len(images) // images.count(images[0]) << bin(free).count("1")
+    autos = [cycles for cycles, image in zip(_cycles(len(rel)), images) if image == images[0]]
+    return sum(1 << sum(1 for cycle in cycles if cycle & free) for cycles in autos) // len(autos)
 
 
 _canonical_cache: dict[tuple[int, object], tuple[Relation, ...]] = {}

@@ -22,9 +22,12 @@ bitmasks; the cycle and strict-transitivity checks first compute the
 strict rows once (``model.strict_part``).  One peel of strict layers
 decides acyclicity and gives the longest strict chain
 (``longest_strict_chain``).  ``has_all(props)`` returns one flat predicate
-for the class builder: the check itself for a single base property, else
-one loop over the base checks.  Implications between properties are
-searches, so they live in ``finder``.
+for the class builder, one object per base set: the check itself for a
+single base property, else one loop over the base checks.
+``CLOSURE_LOOPS`` holds the four base properties that a relation has iff
+its reflexive closure has them and it loops the worlds the closure needs,
+which lets ``finder.scan_frames`` count frames from their closures.
+Implications between properties are searches, so they live in ``finder``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import enum
 from functools import lru_cache
 from typing import Callable
 
-from .model import PreferenceModel, Relation, strict_part, transitive_closure
+from .model import PreferenceModel, Relation, equal_goodness, strict_part, transitive_closure
 
 
 class RelationProperty(enum.Enum):
@@ -195,14 +198,18 @@ def check_property(prop: RelationProperty, target: PreferenceModel | Relation) -
     return all(_CHECKS[base](rel) for base in base_properties((prop,)))
 
 
-@lru_cache(maxsize=None)
-def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
+def has_all(props) -> Callable[[Relation], bool] | None:
     """The predicate "has every property in props", one flat function: the
     check itself when props come down to one base property, else one loop
-    over their base checks in declaration order.  One object per set, so
-    that it keys the class cache of ``canonical_relations``; None when props
-    is empty.  A member that is not a RelationProperty raises ValueError."""
-    base = base_properties(props)
+    over their base checks in declaration order.  One object per base set
+    (``base_properties``), so that sets with one definition share the
+    class cache of ``canonical_relations``; None when props is empty.  A
+    member that is not a RelationProperty raises ValueError."""
+    return _has_all(base_properties(props))
+
+
+@lru_cache(maxsize=None)
+def _has_all(base: frozenset[RelationProperty]) -> Callable[[Relation], bool] | None:
     checks = tuple(check for prop, check in _CHECKS.items() if prop in base)
     if not checks:
         return None
@@ -216,3 +223,31 @@ def has_all(props: frozenset[RelationProperty]) -> Callable[[Relation], bool] | 
         return True
 
     return keep
+
+
+def _tied_worlds(rel: Relation) -> int:
+    """The worlds i with some other world j such that i >= j and j >= i."""
+    tied = 0
+    for i, row in enumerate(equal_goodness(rel)):
+        if row & ~(1 << i):
+            tied |= 1 << i
+    return tied
+
+
+def _no_loops(rel: Relation) -> int:
+    return 0
+
+
+# The base properties that the reflexive closure keeps: a relation has one
+# iff its closure has it and it loops every world that the entry returns
+# for the closure.  Transitivity needs the loop of each tied world (i >= j
+# >= i gives i >= i); the other three read only steps between distinct
+# worlds.  Reflexivity and totality read the loops themselves, and the
+# closure does not keep Ferrers (the empty two-world relation has it, its
+# closure does not), so they stay out.
+CLOSURE_LOOPS = {
+    RelationProperty.TRANSITIVE: _tied_worlds,
+    RelationProperty.QUASI_TRANSITIVE: _no_loops,
+    RelationProperty.ACYCLIC: _no_loops,
+    RelationProperty.SUZUMURA_CONSISTENT: _no_loops,
+}

@@ -132,7 +132,7 @@ def converse_search(
     "none_up_to_bound") carries it.
     """
     name, body = _resolve(axiom)
-    has = has_all(frozenset({prop}))
+    has = has_all({prop})
     found = find_satisfying_model(SearchSpec(
         max_n=max_n, rule=rule, targets=(body,), atoms=schema_names(body),
         mode="satisfy" if model_level else "valid",

@@ -49,6 +49,10 @@ _CORES = ("tests/test_casestudy.py::test_cores_of_every_grid_cell",)
 _KEY_CLASSES = ("tests/test_finder.py::test_key_classes_stand_in_for_the_frames",)
 _KEY_IMAGE = ("tests/test_semantics.py::test_key_image_accepts_exactly_the_keys",)
 _PREFILTER = ("tests/test_model.py::test_prefilter_admits_exactly_the_rows_whose_deletions_pass",)
+_CLOSURE_FACTS = (
+    "tests/test_relprops.py::test_a_relation_has_a_closure_property_iff_its_closure_has_it_with_the_needed_loops",
+)
+_CLOSURE_COUNT = ("tests/test_finder.py::test_closure_walk_counts_the_frames_above_its_classes",)
 
 MUTANTS = (
     Mutant(
@@ -115,13 +119,25 @@ MUTANTS = (
     Mutant(
         "witness taken from the key class hit, the frame scan skipped", "finder.py",
         "        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)\n",
-        "        relations = canonical_relations(n, quotient or keep, deadline) if iso_reject else all_relations(n)\n",
+        "        relations = canonical_relations(n, walk or keep, deadline) if iso_reject else all_relations(n)\n",
         _KEY_CLASSES,
     ),
     Mutant(
+        "opt's key admitted to the closure walk", "semantics.py",
+        "CLOSURE_KEYS = frozenset({_world_count, _reflexive_closure, strict_part})\n",
+        "CLOSURE_KEYS = frozenset({_world_count, _reflexive_closure, strict_part, _looped_rows})\n",
+        ("tests/test_semantics.py::test_closure_keys_read_no_loop",),
+    ),
+    Mutant(
+        "closure count takes the cycles over every world, not only the free ones", "model.py",
+        "    return sum(1 << sum(1 for cycle in cycles if cycle & free) for cycles in autos) // len(autos)\n",
+        "    return sum(1 << len(cycles) for cycles in autos) // len(autos)\n",
+        _CLOSURE_COUNT,
+    ),
+    Mutant(
         "scan_frames without its world-bound check", "finder.py",
-        "    check_world_bound(max_n)\n    keep = has_all(frozenset(properties))\n",
-        "    keep = has_all(frozenset(properties))\n",
+        "    check_world_bound(max_n)\n    base = base_properties(properties)\n",
+        "    base = base_properties(properties)\n",
         ("tests/test_finder.py::test_library_searches_check_bound_and_deadline",),
     ),
     Mutant(
@@ -273,6 +289,18 @@ MUTANTS = (
         "    RelationProperty.OPT_SMOOTH: frozenset({RelationProperty.TOTAL, RelationProperty.QUASI_TRANSITIVE}),\n",
         "    RelationProperty.OPT_SMOOTH: frozenset({RelationProperty.QUASI_TRANSITIVE}),\n",
         ("tests/test_relprops.py",),
+    ),
+    Mutant(
+        "transitivity needs no loops above its closure", "relprops.py",
+        "    RelationProperty.TRANSITIVE: _tied_worlds,\n",
+        "    RelationProperty.TRANSITIVE: _no_loops,\n",
+        _CLOSURE_FACTS + _CLOSURE_COUNT,
+    ),
+    Mutant(
+        "Ferrers joins the closure table with no needed loops", "relprops.py",
+        "    RelationProperty.SUZUMURA_CONSISTENT: _no_loops,\n}\n",
+        "    RelationProperty.SUZUMURA_CONSISTENT: _no_loops,\n    RelationProperty.FERRERS: _no_loops,\n}\n",
+        _CLOSURE_FACTS,
     ),
     Mutant(
         "strict-layer peel keeps peeled worlds", "relprops.py",

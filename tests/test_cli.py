@@ -186,6 +186,16 @@ def test_usage_errors(model_file, tmp_path, capsys):
     assert main("find-model p --props transitive,transitive --json".split()) == 2
     assert main("correspond --axiom CM --props max_smooth,max_smooth".split()) == 2
     assert main(["check-model", "--model", model_file, "--props", "max-smooth,max_smooth"]) == 2
+    capsys.readouterr()
+    # an empty entry in a comma list is one usage error in each of the three
+    # options, not a silently dropped entry (nor an unknown rule '')
+    for argv, option in (("paradox --max-n 2 --rules max,", "--rules"),
+                         ("find-model p --props , --max-n 2", "--props"),
+                         ("find-model p --atoms p,,q --max-n 2", "--atoms")):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option} ") and captured.err.count("\n") == 1, captured.err
     assert main(["nonsense-command"]) == 2
     assert capsys.readouterr().out == ""
 

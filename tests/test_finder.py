@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from ddlmc import finder, model
+from ddlmc import finder, model, semantics
 from ddlmc import formula as fm
 from ddlmc.finder import (
     _STATUS,
@@ -22,8 +22,8 @@ from ddlmc.finder import (
 )
 from ddlmc.formula import parse
 from ddlmc.forks import fork_map
-from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs, relation_pairs
-from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, longest_strict_chain
+from ddlmc.model import PreferenceModel, all_relations, canonical_relations, relation_from_pairs, relation_pairs
+from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, is_reflexive, longest_strict_chain
 from ddlmc.schemas import SCHEMAS, converse_search, forward_check, table_sweep
 from ddlmc.casestudy import run_grid
 from ddlmc.relprops import RelationProperty as P
@@ -354,28 +354,65 @@ def test_least_witness_beyond_the_first_slice(rule, mode):
     assert find_satisfying_model(spec).model == expected
 
 
+_CLOSURE_PROPS = (P.TRANSITIVE, P.QUASI_TRANSITIVE, P.ACYCLIC, P.SUZUMURA_CONSISTENT)
+
+
 @pytest.mark.parametrize("mode", sorted(_STATUS))
 @pytest.mark.parametrize("rule", list(EvalRule), ids=str)
 def test_key_classes_stand_in_for_the_frames(rule, mode):
-    # A property-free search walks its rule's key classes and counts the
-    # frames of a world count none of them hits.  Status, witness and
-    # frames_checked must be those of the frame scan without that walk,
-    # which visits every frame, with isomorph rejection and without.  Each
-    # schema's negation is searched too: in satisfy and valid mode most
-    # schemas hit at once, and most negations late or never.
+    # A property-free search walks its rule's key classes, and a search
+    # with closure properties under lewis or max their reflexive closures;
+    # each counts the frames of a world count none of its classes hits.
+    # Status, witness and frames_checked must be those of the frame scan
+    # without that walk, which visits every frame, with isomorph rejection
+    # and without.  Opt keeps the frame scan.  Each schema's negation is
+    # searched too: in satisfy and valid mode most schemas hit at once, and
+    # most negations late or never.
+    property_sets = [()] + [(p,) for p in _CLOSURE_PROPS]
+    property_sets += [(P.MAX_SMOOTH, P.MAX_LIMITED), (P.TRANSITIVE, P.ACYCLIC)]
     for name, schema in SCHEMAS.items():
         names = schema_names(schema)
-        for target in (schema, fm.Not(schema)):
+        for target, props in product((schema, fm.Not(schema)), property_sets):
             for max_n, iso_reject in ((4, True), (3, False)):
                 found = find_satisfying_model(SearchSpec(
-                    max_n, rule, [target], atoms=names, mode=mode, iso_reject=iso_reject,
+                    max_n, rule, [target], props, atoms=names, mode=mode, iso_reject=iso_reject,
                 ))
                 probe = scanner((target,), rule, names, mode)
-                hit, per_n = scan_frames(max_n, (), probe, iso_reject=iso_reject)
+                hit, per_n = scan_frames(max_n, props, probe, iso_reject=iso_reject)
                 witness = found.model and (found.model.n, found.model.rel, tuple(found.model.valuation.values()))
                 assert (found.status, found.frames_checked, witness) == (
                     _STATUS[mode][hit is None], sum(per_n.values()), hit,
-                ), (fm.render(target), max_n, iso_reject)
+                ), (fm.render(target), props, max_n, iso_reject)
+
+
+def test_closure_walk_counts_the_frames_above_its_classes():
+    # For every nonempty set of the four closure properties, the walk under
+    # lewis's or max's key probes the reflexive closures with the properties
+    # and no other relation, and counts the frames above them: the built
+    # classes with the properties at n <= 4, and every relation with them at
+    # n <= 3.
+    def subsets():
+        for size in range(1, len(_CLOSURE_PROPS) + 1):
+            yield from combinations(_CLOSURE_PROPS, size)
+
+    def closure_walk(props, max_n, iso_reject, key):
+        probed = {}
+
+        def probe(rel):
+            probed[len(rel)] = probed.get(len(rel), 0) + 1
+            assert is_reflexive(rel), rel
+
+        _, per_n = scan_frames(max_n, props, probe, iso_reject=iso_reject, key=key)
+        closures = has_all({*props, P.REFLEXIVE})
+        assert probed == {n: len(canonical_relations(n, closures)) for n in range(1, max_n + 1)}
+        return per_n
+
+    for props in subsets():
+        keep = has_all(props)
+        built = {n: len(canonical_relations(n, keep)) for n in range(1, 5)}
+        assert closure_walk(props, 4, True, semantics._reflexive_closure) == built, props
+        labelled = {n: sum(map(keep, all_relations(n))) for n in range(1, 4)}
+        assert closure_walk(props, 3, False, semantics.strict_part) == labelled, props
 
 
 def test_deadline_stops_a_sliced_scan():
@@ -387,14 +424,15 @@ def test_deadline_stops_a_sliced_scan():
 
 
 def test_timeout_holds_while_dense_classes_are_built():
-    # p & ~p holds at no world, so the search exhausts n <= 4 at once and
-    # then builds the 215k acyclic five-world classes (a property-free
-    # search would count its frames instead); the deadline must stop that
-    # build, so the classes are left unbuilt, whatever the speed of the host
+    # O(p/T) & ~O(p/T) holds at no world, so the search exhausts n <= 4 and
+    # then builds the 215k acyclic five-world classes (a search under lewis
+    # or max would walk the acyclic closures and count the frames instead,
+    # but opt reads the loops); the deadline must stop that build, so the
+    # classes are left unbuilt, whatever the speed of the host
     acyclic = has_all(frozenset({P.ACYCLIC}))
     model._canonical_cache.pop((5, acyclic), None)
     spec = SearchSpec(
-        max_n=5, rule=EvalRule.MAX, targets=[parse("p & ~p")], properties=(P.ACYCLIC,),
+        max_n=5, rule=EvalRule.OPT, targets=[parse("O(p/T) & ~O(p/T)")], properties=(P.ACYCLIC,),
         deadline=time.monotonic() + 1,
     )
     start = time.monotonic()

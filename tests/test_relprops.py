@@ -29,14 +29,17 @@ from ddlmc.finder import (
     property_implication,
 )
 from ddlmc.relprops import (
+    CLOSURE_LOOPS,
     CYCLIC,
     RelationProperty,
     check_property,
     has_all,
     is_acyclic,
+    is_ferrers,
     longest_strict_chain,
     property_from_name,
 )
+from ddlmc.semantics import _reflexive_closure
 
 from oracle import delete_world, naive_properties, strict_pairs
 
@@ -102,6 +105,29 @@ def test_has_all_is_check_all():
     # a set defined by one base property is that property's check, so the
     # two share their class build
     assert has_all(frozenset({P.MAX_LIMITED})) is has_all(frozenset({P.ACYCLIC})) is is_acyclic
+    # the predicate is keyed on the base set, so sets with one definition
+    # share it, and with it their class build
+    assert has_all(frozenset({P.MAX_LIMITED, P.TOTAL, P.TRANSITIVE})) is has_all(
+        frozenset({P.OPT_LIMITED, P.TRANSITIVE}))
+    assert has_all(frozenset({P.QUASI_TRANSITIVE, P.REFLEXIVE})) is has_all(
+        frozenset({P.MAX_SMOOTH, P.REFLEXIVE}))
+
+
+def test_a_relation_has_a_closure_property_iff_its_closure_has_it_with_the_needed_loops():
+    # A closure walk counts the frames above each reflexive closure from
+    # CLOSURE_LOOPS: p(rel) iff p(closure) and rel loops every world that
+    # the entry returns for the closure.  Transitivity needs the loops of
+    # the tied worlds; a two-cycle without its loops is not transitive.
+    for n in (1, 2, 3, 4):
+        for rel in all_relations(n):
+            closure = _reflexive_closure(rel)
+            loops = sum(1 << i for i in range(n) if rel[i] >> i & 1)
+            for prop, needed in CLOSURE_LOOPS.items():
+                has = has_all(frozenset({prop}))
+                assert has(rel) == (has(closure) and needed(closure) & ~loops == 0), (prop, rel)
+    assert CLOSURE_LOOPS[P.TRANSITIVE](_reflexive_closure((2, 1))) == 0b11
+    # the closure does not keep Ferrers: the empty two-world relation has it
+    assert is_ferrers((0, 0)) and not is_ferrers(_reflexive_closure((0, 0)))
 
 
 def test_limit_assumptions_match_subset_definitions():

@@ -346,6 +346,22 @@ def test_a_memoised_probe_answers_as_a_fresh_one(rule, mode, monkeypatch):
         assert [probe(rel) for rel in frames] == fresh, keys
 
 
+def test_closure_keys_read_no_loop():
+    # A search with closure properties walks the reflexive closures in place
+    # of its frames only under a key that gives every relation the key of
+    # its closure.  Opt's does not: (2, 0) loops neither world, so its key
+    # is (0, 0), while its closure (3, 2) is its own key.
+    closure = semantics._reflexive_closure
+    for key_map in semantics.CLOSURE_KEYS:
+        for n in (1, 2, 3, 4):
+            for rel in all_relations(n):
+                assert key_map(closure(rel)) == key_map(rel), (key_map.__name__, rel)
+    assert {semantics.key([parse("p")], rule) for rule in EvalRule} <= semantics.CLOSURE_KEYS
+    opt = semantics.key([parse("O(p/T)")], EvalRule.OPT)
+    assert opt((2, 0)) != opt(closure((2, 0)))
+    assert opt not in semantics.CLOSURE_KEYS
+
+
 @pytest.mark.parametrize("rule", list(EvalRule), ids=str)
 @pytest.mark.parametrize("axiom", ["Abs", "K"])
 def test_key_image_accepts_exactly_the_keys(rule, axiom):
@@ -372,8 +388,10 @@ def test_a_search_builds_one_slice_per_key(monkeypatch):
     # relations whose loopless rows are empty), and K reads no relation.  It
     # builds one slice per class while it counts every frame.  max's D*
     # also scans the three-world frames, past the key class that hits: the
-    # memo answers the frames whose key it has met.  A search with
-    # properties scans its frames, one slice per key it meets.
+    # memo answers the frames whose key it has met.  A transitive search
+    # under lewis walks the preorders, the reflexive closures of the
+    # transitive frames, one slice per class (33 of the 58 keys its frame
+    # scan met at n=4).
     built = []
     original = semantics._Slice
 
@@ -387,7 +405,7 @@ def test_a_search_builds_one_slice_per_key(monkeypatch):
         (EvalRule.LEWIS, "K", (), 3160, [1, 1, 1, 1]),
         (EvalRule.OPT, "Abs", (), 3160, [2, 6, 30, 351]),
         (EvalRule.MAX, "Dstar", (), 83, [1, 2, 9, 0]),
-        (EvalRule.LEWIS, "Abs", (P.TRANSITIVE,), 291, [1, 3, 11, 58]),
+        (EvalRule.LEWIS, "Abs", (P.TRANSITIVE,), 291, [1, 3, 9, 33]),
     ):
         built.clear()
         assert forward_check(properties, axiom, rule, 4)["frames_checked"] == checked
