@@ -28,7 +28,10 @@ acyclicity, Suzumura consistency: ``relprops.CLOSURE_LOOPS``) walks the
 reflexive closures with them; each stands for the frames that are it with
 any loop set that holds the loops the properties need
 (``model.loop_variants``, Burnside's lemma).  Opt, the other properties
-and frame filters keep the frame scan.
+and frame filters keep the frame scan.  With isomorph rejection, the
+frames of properties from ``relprops.CLOSURE_LOOPS``, or of none, are
+derived from the same closures (``closure_frames``), so no search builds
+their dense classes.
 
 ``scan_frames`` is the one search skeleton and frame loop: it checks the
 world bound, enumerates the frames with the given properties, narrowed by
@@ -70,6 +73,7 @@ from .model import (
     check_world_bound,
     class_count,
     full_mask,
+    loop_variant_classes,
     loop_variants,
     model_json,
     orbit_size,
@@ -243,7 +247,9 @@ def scan_frames(
 
     The frames of n worlds are the relations with the given properties that
     pass frame_filter, ascending: with iso_reject the cached orbit minima
-    (``canonical_relations``), else all 2^(n*n) relations, tested here.
+    (``canonical_relations``, or ``closure_frames`` when every base
+    property is in ``relprops.CLOSURE_LOOPS``), else all 2^(n*n)
+    relations, tested here.
     Universes are scanned smallest first, so the hit is the least one.
     per_n[n] counts the frames scanned up to and including the hit.  The
     deadline is checked every 256 relations examined, passing or not.  A
@@ -289,13 +295,10 @@ def scan_frames(
             walk = has_all(base | {RelationProperty.REFLEXIVE})
 
             def count(n, classes):
-                total = 0
-                for closure in frames(classes, None):
-                    needed = 0
-                    for prop in base:
-                        needed |= CLOSURE_LOOPS[prop](closure)
-                    total += loop_variants(closure, full_mask(n) & ~needed, iso_reject)
-                return total
+                return sum(
+                    loop_variants(closure, _free_loops(base, closure), iso_reject)
+                    for closure in frames(classes, None)
+                )
 
     for n in range(1, max_n + 1):
         if walk is not None:
@@ -303,7 +306,12 @@ def scan_frames(
             if all(probe(seen) is None for seen in frames(classes, None)):
                 per_n[n] = count(n, classes)
                 continue
-        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)
+        if not iso_reject:
+            relations = all_relations(n)
+        elif base <= CLOSURE_LOOPS.keys():
+            relations = closure_frames(n, base, deadline)
+        else:
+            relations = canonical_relations(n, keep, deadline)
         per_n[n] = 0
         for rel in frames(relations, None if iso_reject else keep):
             per_n[n] += 1
@@ -311,6 +319,39 @@ def scan_frames(
             if result is not None:
                 return (n, rel, result), per_n
     return None, per_n
+
+
+def _free_loops(base, closure: Relation) -> int:
+    """The worlds of a reflexive closure whose loops the base properties,
+    all from ``relprops.CLOSURE_LOOPS``, do not need."""
+    needed = 0
+    for prop in base:
+        needed |= CLOSURE_LOOPS[prop](closure)
+    return full_mask(len(closure)) & ~needed
+
+
+_closure_frames: dict[tuple[int, frozenset], tuple[Relation, ...]] = {}
+
+
+def closure_frames(n: int, base: frozenset, deadline: float | None = None) -> tuple[Relation, ...]:
+    """canonical_relations(n, has_all(base)) for base properties from
+    ``relprops.CLOSURE_LOOPS`` (none at all included): the same classes in
+    the same order, derived from the far fewer reflexive closures with the
+    properties.  A relation has them iff its closure has them and it loops
+    the worlds the closure needs, so the frames are each closure without
+    the loops of some set of the other worlds
+    (``model.loop_variant_classes``), canonicalised, each once, ascending.
+    No class build then marks the dense orbits of the frames themselves.
+
+    Cached per (n, base).  The deadline (a ``time.monotonic()`` value) is
+    checked between closures, and a timeout caches nothing.
+    """
+    if (n, base) not in _closure_frames:
+        closures = canonical_relations(n, has_all(base | {RelationProperty.REFLEXIVE}), deadline)
+        _closure_frames[n, base] = loop_variant_classes(
+            closures, lambda closure: _free_loops(base, closure), deadline,
+        )
+    return _closure_frames[n, base]
 
 
 def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:

@@ -393,6 +393,55 @@ def loop_variants(rel: Relation, free: int, iso_reject: bool = True) -> int:
     return sum(1 << sum(1 for cycle in cycles if cycle & free) for cycles in autos) // len(autos)
 
 
+def loop_variant_classes(
+    closures: tuple[Relation, ...],
+    free: Callable[[Relation], int],
+    deadline: float | None = None,
+) -> tuple[Relation, ...]:
+    """The orbit minima, ascending and each once, of the relations that
+    are one of closures (reflexive relations of one world count) without
+    the loops of some set of its free worlds (free(closure), a world mask):
+    the classes ``loop_variants`` counts, built.
+
+    A variant's images are its closure's images without the images of the
+    dropped loops, one AND over the packed lanes of ``_orbit_lanes``, and
+    its class is its least image.  Relabelling commutes with the closure,
+    so variants of two closures from different orbits are never
+    isomorphic, and classes repeat only within one closure.  The deadline
+    (a ``time.monotonic`` value) is checked between closures and raises
+    SearchTimeout.
+    """
+    if not closures:
+        return ()
+    n = len(closures[0])
+    lanes, size = _orbit_lanes(n)
+    everything = (1 << 8 * size) - 1
+    kept = [everything] * (1 << n)  # kept[drop]: every lane bit but those of the loops in drop
+    for drop in range(1, 1 << n):
+        low = drop & -drop
+        world = low.bit_length() - 1
+        kept[drop] = kept[drop ^ low] & ~lanes[world][low]
+    minima = []
+    for closure in closures:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout()
+        packed = 0
+        for column, row in zip(lanes, closure):
+            packed |= column[row]
+        worlds = free(closure)
+        drop = worlds
+        variants = set()
+        while True:  # every set of free worlds, down to the empty one
+            images = memoryview((packed & kept[drop]).to_bytes(size, sys.byteorder)).cast("Q")
+            variants.add(min(images))
+            if not drop:
+                break
+            drop = drop - 1 & worlds
+        minima += variants
+    minima.sort()
+    return tuple(unpack_relation(packed, n) for packed in minima)
+
+
 _canonical_cache: dict[tuple[int, object], tuple[Relation, ...]] = {}
 
 
@@ -436,7 +485,13 @@ def canonical_relations(
     transitivity, once per class (116 563 times without the deletion
     test), 51 648 for quasi-transitivity (501 696) and 215 872 for
     acyclicity (444 168): no deletion shows a strict 5-cycle.  It should be
-    one flat function, as ``relprops.has_all`` returns.
+    one flat function, as ``relprops.has_all`` returns.  No search asks
+    for those dense builds: the classes with transitivity or its
+    weakenings, or with no property, are derived from the far fewer
+    reflexive closures with them (``finder.closure_frames``; at n=5 about
+    2-3 s unrestricted, 0.4 s quasi-transitive and 1.5-2 s acyclic), so
+    the builder gets only sparse keeps: the closures, keeps with
+    reflexivity or totality, the Ferrers family and key fixed points.
 
     Results are cached per (n, keep): pass the same keep object to reuse a
     build.  The deadline (a ``time.monotonic`` value) is checked between

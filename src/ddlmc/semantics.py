@@ -43,11 +43,13 @@ least-valuation probe (or, in "valid" mode, the every-valuation probe) and
 
 A slice reads a frame only through its key, the part of the relation the
 formulas' conditionals can tell apart under the rule (``key``).  Each
-probe memoises its results on the key, so a search settles each key once
-however many frames share it.  The memo lives as long as the probe and
-holds at most 2**16 keys (a scan of all 291 968 five-world classes meets
-23 566 under lewis, 7 921 under max and 41 249 under opt); keys met past
-that are settled each time.  Every key map is idempotent, so the keys of
+probe memoises its results on the key, and ``scanner`` keeps one probe
+per (formulas, rule, names, mode) for the whole process, so the searches
+of a process settle each key once however many frames and searches share
+it.  A memo lives as long as the process and holds at most 2**16 keys (a
+scan of all 291 968 five-world classes meets 23 566 under lewis, 7 921
+under max and 41 249 under opt); keys met past that are settled each
+time.  Every key map is idempotent, so the keys of
 all frames are its fixed points (``fixed_points``), and a search with no
 property and no frame filter first walks their classes (9 608, 582 and
 13 140 at n=5 under lewis, max and opt): ``finder.scan_frames`` counts the
@@ -288,10 +290,12 @@ def fixed_points(key_map):
 class _Slice:
     """One frame's key under one rule, evaluated over a slice of valuations.
 
-    near[a] lists the worlds the conditional consults for world a: under
-    opt the worlds a is not at least as good as; under max (the key is the
-    strict part) the worlds strictly better than a, and under lewis (the
-    key is reflexive) the worlds at least as good as a: both are the worlds
+    near pairs a world a with the worlds the conditional consults for it:
+    under opt the worlds a is not at least as good as, for the looped
+    worlds only (a world without its loop is in its own list, so it is
+    never optimal); under max (the key is the strict part) the worlds
+    strictly better than a, and under lewis (the key is reflexive) the
+    worlds at least as good as a, for every world: both are the worlds
     whose key row holds a.
     """
 
@@ -300,9 +304,9 @@ class _Slice:
     def __init__(self, seen: Relation, rule: EvalRule, cols: dict, ones: int):
         r = range(len(seen))
         if rule is EvalRule.OPT:
-            self.near = [[b for b in r if not seen[a] >> b & 1] for a in r]
+            self.near = [(a, [b for b in r if not row >> b & 1]) for a, row in enumerate(seen) if row >> a & 1]
         else:
-            self.near = [[c for c in r if seen[c] >> a & 1] for a in r]
+            self.near = [(a, [c for c in r if seen[c] >> a & 1]) for a in r]
         self.n = len(seen)
         self.lewis = rule is EvalRule.LEWIS
         self.cols = cols
@@ -314,7 +318,7 @@ class _Slice:
             bad = [x & ~y for x, y in zip(ant, cons)]
             good = 0
             some = 0
-            for b, near in enumerate(self.near):
+            for b, near in self.near:
                 some |= ant[b]
                 blocked = 0
                 for c in near:
@@ -322,7 +326,7 @@ class _Slice:
                 good |= ant[b] & cons[b] & ~blocked
             return good | (self.ones ^ some)
         violated = 0
-        for a, near in enumerate(self.near):
+        for a, near in self.near:
             beaten = 0
             for b in near:
                 beaten |= ant[b]
@@ -408,6 +412,9 @@ def least_valuation(hits: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(v >> (k - 1 - i) * n & (1 << n) - 1 for i in range(k))
 
 
+_probes: dict = {}  # every probe scanner has built, per (formulas, rule, names, mode)
+
+
 def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satisfy"):
     """The formulas compiled once: probe(rel, deadline=None) is the least
     valuation of names (a tuple of masks) settling them on rel, or None.
@@ -421,8 +428,19 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
     at a time, in ascending order, with the deadline checked between slices.
 
     The probe remembers its result per key (``key``; see the module
-    docstring).  A timeout stores nothing.
+    docstring).  A timeout stores nothing.  The process keeps one probe per
+    (formulas, rule, names, mode): the searches of one process on the same
+    targets (the rows of a grid, a table's forward and dropped check of one
+    axiom) share its memo and settle each key once.
     """
+    formulas, names = tuple(formulas), tuple(names)
+    args = (formulas, rule, names, mode)
+    if args not in _probes:
+        _probes[args] = _probe(formulas, rule, names, mode)
+    return _probes[args]
+
+
+def _probe(formulas: tuple, rule: EvalRule, names: tuple[str, ...], mode: str):
     programs = [_compile(f) for f in formulas]
     satisfy, valid = mode == "satisfy", mode == "valid"
 

@@ -53,6 +53,7 @@ _CLOSURE_FACTS = (
     "tests/test_relprops.py::test_a_relation_has_a_closure_property_iff_its_closure_has_it_with_the_needed_loops",
 )
 _CLOSURE_COUNT = ("tests/test_finder.py::test_closure_walk_counts_the_frames_above_its_classes",)
+_CLOSURE_FRAMES = ("tests/test_finder.py::test_closure_frames_are_the_built_classes",)
 
 MUTANTS = (
     Mutant(
@@ -118,8 +119,9 @@ MUTANTS = (
     ),
     Mutant(
         "witness taken from the key class hit, the frame scan skipped", "finder.py",
-        "        relations = canonical_relations(n, keep, deadline) if iso_reject else all_relations(n)\n",
-        "        relations = canonical_relations(n, walk or keep, deadline) if iso_reject else all_relations(n)\n",
+        "        if not iso_reject:\n            relations = all_relations(n)\n",
+        "        if walk is not None and iso_reject:\n            relations = classes\n"
+        "        elif not iso_reject:\n            relations = all_relations(n)\n",
         _KEY_CLASSES,
     ),
     Mutant(
@@ -301,6 +303,30 @@ MUTANTS = (
         "    RelationProperty.SUZUMURA_CONSISTENT: _no_loops,\n}\n",
         "    RelationProperty.SUZUMURA_CONSISTENT: _no_loops,\n    RelationProperty.FERRERS: _no_loops,\n}\n",
         _CLOSURE_FACTS,
+    ),
+    Mutant(
+        "closure frames skip the empty drop set", "model.py",
+        "            if not drop:\n                break\n            drop = drop - 1 & worlds\n",
+        "            drop = drop - 1 & worlds\n            if not drop:\n                break\n",
+        _CLOSURE_FRAMES,
+    ),
+    Mutant(
+        "closure frames drop needed loops", "finder.py",
+        "    return full_mask(len(closure)) & ~needed\n",
+        "    return full_mask(len(closure))\n",
+        _CLOSURE_FRAMES,
+    ),
+    Mutant(
+        "opt reads the loopless worlds instead of the looped ones", "semantics.py",
+        "for a, row in enumerate(seen) if row >> a & 1]",
+        "for a, row in enumerate(seen) if not row >> a & 1]",
+        _QUOTIENT,
+    ),
+    Mutant(
+        "one probe per targets, rule and names, whatever the mode", "semantics.py",
+        "    args = (formulas, rule, names, mode)\n",
+        "    args = (formulas, rule, names)\n",
+        ("tests/test_semantics.py::test_one_probe_per_targets_rule_names_and_mode",),
     ),
     Mutant(
         "strict-layer peel keeps peeled worlds", "relprops.py",

@@ -425,21 +425,60 @@ def test_deadline_stops_a_sliced_scan():
 
 def test_timeout_holds_while_dense_classes_are_built():
     # O(p/T) & ~O(p/T) holds at no world, so the search exhausts n <= 4 and
-    # then builds the 215k acyclic five-world classes (a search under lewis
-    # or max would walk the acyclic closures and count the frames instead,
-    # but opt reads the loops); the deadline must stop that build, so the
-    # classes are left unbuilt, whatever the speed of the host
-    acyclic = has_all(frozenset({P.ACYCLIC}))
-    model._canonical_cache.pop((5, acyclic), None)
-    spec = SearchSpec(
-        max_n=5, rule=EvalRule.OPT, targets=[parse("O(p/T) & ~O(p/T)")], properties=(P.ACYCLIC,),
-        deadline=time.monotonic() + 1,
-    )
+    # then derives the 215k acyclic five-world classes from their 7 117
+    # reflexive closures (a search under lewis or max would count the
+    # frames above the closures instead, but opt reads the loops).  With
+    # the smaller world counts and the closures built, and the probe's memo
+    # filled, the derivation is what runs past the deadline; it must stop
+    # there and leave the classes uncached, whatever the speed of the host
+    acyclic = frozenset({P.ACYCLIC})
+    targets = [parse("O(p/T) & ~O(p/T)")]
+    find_satisfying_model(SearchSpec(4, EvalRule.OPT, targets, properties=(P.ACYCLIC,)))
+    canonical_relations(5, has_all(acyclic | {P.REFLEXIVE}))
+    finder._closure_frames.pop((5, acyclic), None)
+    spec = SearchSpec(5, EvalRule.OPT, targets, properties=(P.ACYCLIC,), deadline=time.monotonic() + 0.05)
     start = time.monotonic()
     with pytest.raises(SearchTimeout):
         find_satisfying_model(spec)
     assert time.monotonic() - start < 10
-    assert (5, acyclic) not in model._canonical_cache
+    assert (5, acyclic) not in finder._closure_frames
+
+
+def test_closure_frames_are_the_built_classes():
+    # Searches whose base properties all lie in CLOSURE_LOOPS, none at all
+    # included, take their frames from the reflexive closures; the order
+    # matters, since the scan reports the first frame that hits
+    for size in range(len(_CLOSURE_PROPS) + 1):
+        for props in combinations(_CLOSURE_PROPS, size):
+            base = frozenset(props)
+            for n in range(1, 5):
+                assert finder.closure_frames(n, base) == canonical_relations(n, has_all(base)), (props, n)
+
+
+def test_grid_and_lattice_build_no_dense_classes(monkeypatch):
+    # Every class build the grid and the lattice ask for is sparse: the
+    # closures, keeps with reflexivity or totality, the Ferrers family and
+    # key fixed points.  A keep whose properties the closure keeps (no
+    # property included) takes its frames from the closures instead.
+    _on_cpus(monkeypatch, 1)
+    dense = {
+        has_all(frozenset(props))
+        for size in range(len(_CLOSURE_PROPS) + 1)
+        for props in combinations(_CLOSURE_PROPS, size)
+    }
+    keeps = []
+    build = model._classes
+
+    def recorded(n, keep, deadline):
+        keeps.append(keep)
+        return build(n, keep, deadline)
+
+    monkeypatch.setattr(model, "_classes", recorded)
+    finder._closure_frames.clear()
+    run_grid(4)
+    lattice_report(4)
+    assert keeps
+    assert dense.isdisjoint(keeps), sorted({getattr(k, "__name__", repr(k)) for k in dense & set(keeps)})
 
 
 def test_timeout_holds_while_every_relation_is_filtered():

@@ -339,11 +339,31 @@ def test_a_memoised_probe_answers_as_a_fresh_one(rule, mode, monkeypatch):
     targets = [parse(t) for t in _MEMO_TARGETS[mode]]
     frames = [rel for n in (1, 2, 3) for rel in all_relations(n)]
     frames += [(0, 1, 2, 15), _FULL, (0, 1, 18, 4, 8), (0, 1, 0, 0, 0)]
-    fresh = [scanner(targets, rule, _SCAN_NAMES, mode)(rel) for rel in frames]
+    fresh = []
+    for rel in frames:
+        semantics._probes.clear()
+        fresh.append(scanner(targets, rule, _SCAN_NAMES, mode)(rel))
     for keys in (semantics._MEMO_KEYS, 3):
         monkeypatch.setattr(semantics, "_MEMO_KEYS", keys)
+        semantics._probes.clear()
         probe = scanner(targets, rule, _SCAN_NAMES, mode)
         assert [probe(rel) for rel in frames] == fresh, keys
+
+
+def test_one_probe_per_targets_rule_names_and_mode():
+    # The process keeps one probe per (targets, rule, names, mode), so the
+    # searches of a grid's rows or of a table's checks share its memo.  A
+    # search in another mode needs another probe: on the frame where world
+    # 1 is the one optimal world, O(?a / T) is satisfied first by a = {1}
+    # and refuted first by a = {}.
+    targets = [parse("O(?a / T)")]
+    probe = scanner(targets, EvalRule.OPT, ("a",), "satisfy")
+    assert scanner(tuple(targets), EvalRule.OPT, ["a"]) is probe
+    refute = scanner(targets, EvalRule.OPT, ("a",), "refute")
+    assert refute is not probe
+    assert (probe((1, 3)), refute((1, 3))) == ((2,), (0,))
+    assert scanner(targets, EvalRule.MAX, ("a",)) is not probe
+    assert scanner(targets, EvalRule.OPT, ("a", "b")) is not probe
 
 
 def test_closure_keys_read_no_loop():
@@ -391,7 +411,8 @@ def test_a_search_builds_one_slice_per_key(monkeypatch):
     # memo answers the frames whose key it has met.  A transitive search
     # under lewis walks the preorders, the reflexive closures of the
     # transitive frames, one slice per class (33 of the 58 keys its frame
-    # scan met at n=4).
+    # scan met at n=4).  Each row starts without the process's probes,
+    # which would answer the keys an earlier search settled.
     built = []
     original = semantics._Slice
 
@@ -408,6 +429,7 @@ def test_a_search_builds_one_slice_per_key(monkeypatch):
         (EvalRule.LEWIS, "Abs", (P.TRANSITIVE,), 291, [1, 3, 9, 33]),
     ):
         built.clear()
+        semantics._probes.clear()
         assert forward_check(properties, axiom, rule, 4)["frames_checked"] == checked
         assert [built.count(n) for n in range(1, 5)] == per_n, (rule, axiom)
 
