@@ -4,6 +4,10 @@ Evaluate conditional-obligation formulas under three rival truth conditions
 (opt, max, Lewis), check betterness-relation properties, search finite
 frames and models exhaustively, verify property/axiom correspondences at
 desk scale, and reproduce the mere-addition-paradox analysis.
+
+The names of ``schemas``, ``casestudy`` and ``lattice`` are imported on
+first use, so ``import ddlmc`` compiles only the modules every search
+runs.
 """
 
 from .formula import (
@@ -56,23 +60,35 @@ from .semantics import (
     valid_on_frame,
 )
 from .finder import (
-    Confirmed,
     SearchSpec,
     SearchResult,
     SearchTimeout,
-    Witness,
     cores,
     find_satisfying_model,
-    lattice_report,
-    property_implication,
     rule_collapse,
 )
-from .schemas import (
-    SCHEMAS,
-    converse_search,
-    forward_check,
-    table_sweep,
-)
-from .casestudy import run_grid
 
 __version__ = "0.1.0"
+
+# Each lazy name and its module, imported by ``__getattr__`` (PEP 562).
+_LAZY = {
+    "SCHEMAS": "schemas",
+    "converse_search": "schemas",
+    "forward_check": "schemas",
+    "table_sweep": "schemas",
+    "run_grid": "casestudy",
+    "Confirmed": "lattice",
+    "Witness": "lattice",
+    "lattice_report": "lattice",
+    "property_implication": "lattice",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

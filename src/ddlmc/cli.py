@@ -51,6 +51,10 @@ of CPUs; find-model, a forward or converse correspondence check and
 collapse run one search each, so they have nothing to split.  A forked
 process that dies (say, killed for memory) is reported as one "error:"
 line with exit 3.
+
+A call compiles only the modules its command runs: correspond imports
+``schemas``, paradox ``casestudy`` and lattice ``lattice`` when it runs,
+and the three tables import ``forks``.
 """
 
 from __future__ import annotations
@@ -60,12 +64,10 @@ import json
 import sys
 import time
 
-from . import casestudy
-from .finder import SearchSpec, SearchTimeout, find_satisfying_model, lattice_report, rule_collapse
+from .finder import SearchSpec, SearchTimeout, find_satisfying_model, rule_collapse
 from .formula import ParseError, metavars, parse, render
 from .model import ModelFormatError, parse_model, serialize_model, worlds_from_mask
 from .relprops import RelationProperty, check_property, longest_strict_chain, property_from_name
-from .schemas import SCHEMAS, converse_search, forward_check, table_sweep
 from .semantics import rule_from_name, truth_set, valid_in_model
 
 DEFAULT_TIMEOUT = 60.0
@@ -202,6 +204,8 @@ def _cmd_find_model(args):
 
 
 def _cmd_correspond(args):
+    from . import schemas
+
     rule = rule_from_name(args.rule)
     forward_or_converse = [
         flag for flag, value in (("--axiom", args.axiom), ("--props", args.props),
@@ -215,7 +219,7 @@ def _cmd_correspond(args):
     if args.model_level and not args.converse:
         raise ValueError("correspond --model-level needs --converse")
     if args.table:
-        report = table_sweep(rule, args.max_n, iso_reject=args.iso_reject, deadline=args.deadline)
+        report = schemas.table_sweep(rule, args.max_n, iso_reject=args.iso_reject, deadline=args.deadline)
         lines = [f"correspondence table [{rule}] up to n={args.max_n}"]
         for row in report["rows"]:
             if row["kind"] == "no_correspondence":
@@ -229,12 +233,12 @@ def _cmd_correspond(args):
 
     if not args.axiom:
         raise ValueError("correspond needs --table or --axiom")
-    if args.axiom not in SCHEMAS:
-        raise ValueError(f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(SCHEMAS))}")
+    if args.axiom not in schemas.SCHEMAS:
+        raise ValueError(f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(schemas.SCHEMAS))}")
 
     if args.converse:
         prop = property_from_name(args.converse)
-        report = converse_search(
+        report = schemas.converse_search(
             args.axiom, prop, rule, args.max_n,
             iso_reject=args.iso_reject, deadline=args.deadline,
             model_level=args.model_level,
@@ -244,7 +248,7 @@ def _cmd_correspond(args):
         ok = witness is not None
     else:
         props = _parse_props(args.props)
-        report = forward_check(
+        report = schemas.forward_check(
             props, args.axiom, rule, args.max_n,
             iso_reject=args.iso_reject, deadline=args.deadline,
         )
@@ -267,6 +271,8 @@ def _cmd_collapse(args):
 
 
 def _cmd_paradox(args):
+    from . import casestudy
+
     rules = tuple(rule_from_name(r) for r in _entries(args.rules, "--rules")) or casestudy.GRID_RULES
     report = casestudy.run_grid(
         args.max_n, rules=rules, iso_reject=args.iso_reject, deadline=args.deadline
@@ -275,6 +281,8 @@ def _cmd_paradox(args):
 
 
 def _cmd_lattice(args):
+    from .lattice import lattice_report
+
     report = lattice_report(args.max_n, deadline=args.deadline)
     ok = all(i["status"] == "witness" for i in report["independence"])  # a failed arrow raises
     lines = [f"property lattice up to n={args.max_n}"]

@@ -44,17 +44,13 @@ valid mode (frame-level converses).  Every such witness is re-validated in
 one place, ``_revalidate``.  ``cores`` runs one satisfy search per subset
 of a spec's targets, skipping the supersets of unsatisfiable ones, and
 reports the minimal unsatisfiable and maximal satisfiable subsets.  The
-rule collapse and ``property_implication`` hand ``scan_frames`` probes of
-their own: the latter checks "every relation with P1 has P2" on the
-classes with P1, weighting each by its orbit size.
-The properties are invariant under relabelling worlds, so the least witness
-is the least such representative.  ``lattice_report`` asks it once per
-ordered pair of the implication diagram of the transitivity weakenings.
+rule collapse (``rule_collapse``) and ``lattice.property_implication`` hand
+``scan_frames`` probes of their own.
 Every search stops at a deadline, a ``time.monotonic()`` value (None: no
 limit), raising ``SearchTimeout``.  Each scan is serial.  ``forks.fork_map``
-runs the independent searches of a table (``table_sweep``, ``run_grid``,
-``lattice_report``) in one forked process per CPU; the work is pure
-Python, so threads would not run it faster.
+runs the independent searches of a table (``schemas.table_sweep``,
+``casestudy.run_grid``, ``lattice.lattice_report``) in one forked process
+per CPU; the work is pure Python, so threads would not run it faster.
 """
 
 from __future__ import annotations
@@ -76,8 +72,6 @@ from .model import (
     loop_variant_classes,
     loop_variants,
     model_json,
-    orbit_size,
-    transitive_closure,
     worlds_from_mask,
 )
 from .relprops import CLOSURE_LOOPS, RelationProperty, base_properties, check_property, has_all
@@ -472,136 +466,4 @@ def rule_collapse(max_n: int, *, iso_reject: bool = True, deadline: float | None
         "antecedent": list(worlds_from_mask(antecedent)),
         "consequent": list(worlds_from_mask(consequent)),
         **verdicts,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Implications between properties
-
-
-class Confirmed(fm.Record):
-    """p1 implies p2 on every relation of each checked size."""
-
-    __slots__ = _fields = ("n", "relations_checked")
-
-
-class Witness(fm.Record):
-    """Least relation (by size, then row-lexicographic order) with p1 but not p2."""
-
-    __slots__ = _fields = ("n", "rel")
-
-
-def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confirmed | Witness:
-    """Check p1 => p2 over all relations on 1..n worlds, n <= 5.
-
-    p1 and p2 may be single properties or iterables (read conjunctively).
-    A scan of the classes with p1 whose probe hits a class without p2;
-    relations_checked counts the relations in the classes it passes.
-    Raises SearchTimeout at the deadline, a ``time.monotonic()`` value
-    (None: no limit).
-    """
-    conclusion = has_all(_as_props(p2))
-    checked = 0
-
-    def probe(rel):
-        nonlocal checked
-        if conclusion is not None and not conclusion(rel):
-            return rel
-        checked += orbit_size(rel)
-        return None
-
-    hit, _ = scan_frames(n, _as_props(p1), probe, deadline=deadline)
-    if hit is None:
-        return Confirmed(n, checked)
-    return Witness(hit[0], hit[1])
-
-
-# The implication diagram over the order-theoretic properties: the five
-# weakenings of transitivity, plus totality and reflexivity.  Base arrows are
-# the known one-step implications; the definitions in ``relprops`` add
-# p => q wherever q's base properties are among p's (interval order is total
-# and Ferrers).  Everything else is independent and the report must produce
-# a witness for each non-implied ordered pair.
-
-LATTICE_NODES = (
-    RelationProperty.TRANSITIVE,
-    RelationProperty.QUASI_TRANSITIVE,
-    RelationProperty.SUZUMURA_CONSISTENT,
-    RelationProperty.ACYCLIC,
-    RelationProperty.INTERVAL_ORDER,
-    RelationProperty.TOTAL,
-    RelationProperty.REFLEXIVE,
-)
-
-LATTICE_ARROWS = (
-    (RelationProperty.TRANSITIVE, RelationProperty.SUZUMURA_CONSISTENT),
-    (RelationProperty.SUZUMURA_CONSISTENT, RelationProperty.ACYCLIC),
-    (RelationProperty.TRANSITIVE, RelationProperty.QUASI_TRANSITIVE),
-    (RelationProperty.QUASI_TRANSITIVE, RelationProperty.ACYCLIC),
-    (RelationProperty.INTERVAL_ORDER, RelationProperty.QUASI_TRANSITIVE),
-    (RelationProperty.TOTAL, RelationProperty.REFLEXIVE),
-)
-
-
-def implied_pairs() -> frozenset[tuple[RelationProperty, RelationProperty]]:
-    """Transitive closure of the arrow diagram plus the definitional arrows."""
-    index = {p: i for i, p in enumerate(LATTICE_NODES)}
-    rows = [0] * len(LATTICE_NODES)
-    for a, b in LATTICE_ARROWS:
-        rows[index[a]] |= 1 << index[b]
-    for a, b in product(LATTICE_NODES, repeat=2):
-        if base_properties({b}) <= base_properties({a}):
-            rows[index[a]] |= 1 << index[b]
-    reach = transitive_closure(tuple(rows))
-    return frozenset(
-        (p, q) for p in LATTICE_NODES for q in LATTICE_NODES
-        if p is not q and reach[index[p]] >> index[q] & 1
-    )
-
-
-def lattice_report(max_n: int, deadline: float | None = None) -> dict:
-    """Exhaustively confirm every implied pair and witness every other pair:
-    one ``property_implication`` per ordered pair of LATTICE_NODES.  Raises
-    AssertionError if an implied pair fails, and SearchTimeout at the
-    deadline, a ``time.monotonic()`` value (None: no limit).  ``forks.fork_map``
-    runs the premises in parallel, each premise's six implications in one
-    process so that they share its class build."""
-    from .forks import fork_map  # compiled only when a table runs
-
-    implied = implied_pairs()
-    found = fork_map(
-        lambda p: {(p, q): property_implication(p, q, max_n, deadline) for q in LATTICE_NODES if q is not p},
-        LATTICE_NODES,
-    )
-    results = {pair: result for premise in found for pair, result in premise.items()}
-    for p, q in implied:
-        if isinstance(results[p, q], Witness):
-            raise AssertionError(f"implication {p} => {q} fails at size {results[p, q].n}")
-    return {
-        "max_n": max_n,
-        "arrows": [
-            {
-                "from": a.value,
-                "to": b.value,
-                "status": "confirmed",
-                "relations_checked": results[a, b].relations_checked,
-            }
-            for a, b in LATTICE_ARROWS
-        ],
-        "derived_arrows": sorted(
-            f"{a.value} => {b.value}"
-            for a, b in implied
-            if (a, b) not in LATTICE_ARROWS
-        ),
-        "independence": [
-            {
-                "from": p.value,
-                "to": q.value,
-                "witness_n": result.n if isinstance(result, Witness) else None,
-                "witness_rel": list(result.rel) if isinstance(result, Witness) else None,
-                "status": "witness" if isinstance(result, Witness) else "no_witness_up_to_bound",
-            }
-            for (p, q), result in results.items()
-            if (p, q) not in implied
-        ],
     }

@@ -2,11 +2,12 @@
 
 ``fork_map`` runs the independent searches of a table: the forward and
 dropped checks of ``schemas.table_sweep``, the rows of
-``casestudy.run_grid`` and the premises of ``finder.lattice_report``.  It
+``casestudy.run_grid`` and the premises of ``lattice.lattice_report``.  It
 forks with ``os.fork`` and pickles over pipes; ``multiprocessing`` and
 ``concurrent.futures`` would cost every CLI call about 23 ms and 2.2 MB of
 peak resident set to import.  The callers import this module when they
-run, so a call that maps nothing does not compile it.
+run, so a call that maps nothing does not compile it; ``signal`` is
+imported only to kill a child still running on a path out by an error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ def fork_map(fn: Callable, items: Sequence) -> list:
     if processes < 2:
         return [fn(x) for x in items]
     import pickle
-    import signal
 
     tasks, todo = os.pipe()
     os.write(todo, b"".join(i.to_bytes(4, "big") for i in range(len(items))))
@@ -73,7 +73,9 @@ def fork_map(fn: Callable, items: Sequence) -> list:
             done += pickle.loads(sent)
     finally:
         os.close(tasks)
-        for pid, pipe in children.items():
+        for pid, pipe in children.items():  # empty unless a child may still run
+            import signal
+
             pipe.close()
             try:
                 os.kill(pid, signal.SIGKILL)

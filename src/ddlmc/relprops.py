@@ -27,7 +27,7 @@ single base property, else one loop over the base checks.
 ``CLOSURE_LOOPS`` holds the four base properties that a relation has iff
 its reflexive closure has them and it loops the worlds the closure needs,
 which lets ``finder.scan_frames`` count frames from their closures.
-Implications between properties are searches, so they live in ``finder``.
+Implications between properties are searches, so they live in ``lattice``.
 """
 
 from __future__ import annotations

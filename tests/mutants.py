@@ -54,8 +54,22 @@ _CLOSURE_FACTS = (
 )
 _CLOSURE_COUNT = ("tests/test_finder.py::test_closure_walk_counts_the_frames_above_its_classes",)
 _CLOSURE_FRAMES = ("tests/test_finder.py::test_closure_frames_are_the_built_classes",)
+_LOADED = ("tests/test_layout.py::test_a_cli_call_loads_only_the_modules_its_command_runs",)
 
 MUTANTS = (
+    Mutant(
+        "cli imports schemas at module level again", "cli.py",
+        "from .finder import SearchSpec, SearchTimeout, find_satisfying_model, rule_collapse\n",
+        "from . import schemas\n"
+        "from .finder import SearchSpec, SearchTimeout, find_satisfying_model, rule_collapse\n",
+        _LOADED,
+    ),
+    Mutant(
+        "paradox without its local casestudy import", "cli.py",
+        "def _cmd_paradox(args):\n    from . import casestudy\n\n",
+        "def _cmd_paradox(args):\n",
+        _LOADED,
+    ),
     Mutant(
         "max keyed on the reflexive closure", "semantics.py",
         _MAX_KEY,
@@ -227,25 +241,25 @@ MUTANTS = (
         _CORES,
     ),
     Mutant(
-        "implication probe counts each class once", "finder.py",
+        "implication probe counts each class once", "lattice.py",
         "        checked += orbit_size(rel)\n",
         "        checked += 1\n",
         ("tests/test_relprops.py::test_implication_counts_every_relation_of_its_classes",),
     ),
     Mutant(
-        "implication probe never reports a witness", "finder.py",
+        "implication probe never reports a witness", "lattice.py",
         "        if conclusion is not None and not conclusion(rel):\n            return rel\n",
         "        if conclusion is not None and not conclusion(rel):\n            return None\n",
         ("tests/test_relprops.py::test_implication_confirmed_and_witness",),
     ),
     Mutant(
-        "lattice report without its implied-pair check", "finder.py",
+        "lattice report without its implied-pair check", "lattice.py",
         "    for p, q in implied:\n        if isinstance(results[p, q], Witness):\n",
         "    for p, q in implied:\n        if False:\n",
         ("tests/test_finder.py::test_lattice_rejects_a_witness_against_an_implied_pair",),
     ),
     Mutant(
-        "definitional arrows only between equal definitions", "finder.py",
+        "definitional arrows only between equal definitions", "lattice.py",
         "        if base_properties({b}) <= base_properties({a}):\n",
         "        if base_properties({b}) == base_properties({a}):\n",
         ("tests/test_relprops.py",),

@@ -24,15 +24,8 @@ import random
 import time
 
 from ddlmc.casestudy import ATOMS, EQ, run_grid
-from ddlmc.finder import (
-    Confirmed,
-    SearchSpec,
-    cores,
-    find_satisfying_model,
-    lattice_report,
-    property_implication,
-    rule_collapse,
-)
+from ddlmc.finder import SearchSpec, cores, find_satisfying_model, rule_collapse
+from ddlmc.lattice import Confirmed, lattice_report, property_implication
 from ddlmc.model import PreferenceModel, model_json, parse_model
 from ddlmc.relprops import (
     CYCLIC,

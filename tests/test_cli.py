@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ddlmc import cli
+from ddlmc import schemas
 from ddlmc.cli import build_parser, main
 
 MODEL = "worlds 3\nrel 0>=2 2>=1\nval A = {0}\nval Ap = {1}\nval B = {2}\n"
@@ -293,7 +293,7 @@ def test_a_dead_search_process_is_an_error_line_with_exit_3(capsys, monkeypatch)
     def dead(*args, **kwargs):
         raise ChildProcessError("fork_map worker 12345 ended with exit code -9")
 
-    monkeypatch.setattr(cli, "table_sweep", dead)
+    monkeypatch.setattr(schemas, "table_sweep", dead)
     code = main(["correspond", "--table", "--max-n", "3"])
     captured = capsys.readouterr()
     assert code == 3
@@ -304,8 +304,8 @@ def test_a_dead_search_process_is_an_error_line_with_exit_3(capsys, monkeypatch)
 @pytest.mark.parametrize("argv, code, limit_s", [
     ("collapse --max-n 5 --timeout 0.000001 --json", 1, 15),
     # Unbounded, this builds the five-world classes of all seven lattice
-    # properties (about 8 s).
-    ("lattice --max-n 5 --timeout 1 --json", 1, 15),
+    # properties (about 1 s on two CPUs, so a 1 s deadline may not expire).
+    ("lattice --max-n 5 --timeout 0.1 --json", 1, 15),
     # The bound is checked before any work: a usage error, no report.
     ("lattice --max-n 6 --json", 2, 1),
 ])
@@ -361,7 +361,7 @@ def test_correspond_options_of_another_mode_are_usage_errors(argv, capsys, monke
         raise AssertionError("searched before the options were checked")
 
     for name in ("table_sweep", "forward_check", "converse_search"):
-        monkeypatch.setattr(cli, name, search)
+        monkeypatch.setattr(schemas, name, search)
     code = main(argv.split())
     captured = capsys.readouterr()
     assert code == 2

@@ -8,20 +8,19 @@ from itertools import combinations, product
 
 import pytest
 
-from ddlmc import finder, model, semantics
+from ddlmc import finder, lattice, model, semantics
 from ddlmc import formula as fm
 from ddlmc.finder import (
     _STATUS,
     SearchSpec,
     SearchTimeout,
-    Witness,
     find_satisfying_model,
-    lattice_report,
     rule_collapse,
     scan_frames,
 )
 from ddlmc.formula import parse
 from ddlmc.forks import fork_map
+from ddlmc.lattice import Witness, lattice_report
 from ddlmc.model import PreferenceModel, all_relations, canonical_relations, relation_from_pairs, relation_pairs
 from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, is_reflexive, longest_strict_chain
 from ddlmc.schemas import SCHEMAS, converse_search, forward_check, table_sweep
@@ -252,7 +251,7 @@ def test_refutation_witness_is_revalidated(monkeypatch):
 def test_lattice_rejects_a_witness_against_an_implied_pair(monkeypatch):
     # An implication search that witnesses "interval order, not total" must
     # not get the pair into the report: interval orders are total.
-    real = finder.property_implication
+    real = lattice.property_implication
 
     def lying(p, q, n, deadline=None):
         if (p, q) == (P.INTERVAL_ORDER, P.TOTAL):
@@ -260,7 +259,7 @@ def test_lattice_rejects_a_witness_against_an_implied_pair(monkeypatch):
         return real(p, q, n, deadline)
 
     _on_cpus(monkeypatch, 1)
-    monkeypatch.setattr(finder, "property_implication", lying)
+    monkeypatch.setattr(lattice, "property_implication", lying)
     with pytest.raises(AssertionError, match="implication interval_order => total fails at size 1"):
         lattice_report(2)
 

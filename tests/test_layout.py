@@ -1,12 +1,18 @@
 """Package layout: no definition only tests reach, no third-party import,
-no ``dataclasses``, no ``multiprocessing`` or ``concurrent``."""
+no ``dataclasses``, no ``multiprocessing`` or ``concurrent``, and a CLI
+call that loads only the modules its command runs."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import ddlmc
 
@@ -36,7 +42,8 @@ def _reads(stmt: ast.stmt, module: str) -> set[str]:
 def test_every_top_level_definition_is_reached_from_the_package():
     # a function or class that no top-level statement of the package but
     # its own reads, and that the package does not export, is code only
-    # tests call
+    # tests call; a module-level dunder (the package's ``__getattr__``) is
+    # called by the import system
     modules = _modules()
     reads = {
         (module, id(stmt)): _reads(stmt, module)
@@ -49,6 +56,7 @@ def test_every_top_level_definition_is_reached_from_the_package():
         for module, tree in modules.items()
         for stmt in tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
         and readers[stmt.name] == (stmt.name in reads[module, id(stmt)])
     ]
     assert unreached == []
@@ -95,3 +103,71 @@ def test_the_package_does_not_import_multiprocessing_or_concurrent():
         for root in _imported_roots(tree) & {"multiprocessing", "concurrent"}
     }
     assert importers == set()
+
+
+# The modules every search command runs; ``import ddlmc.cli`` loads these
+# and no other ddlmc module.
+SEARCH_MODULES = {
+    "ddlmc", "ddlmc.cli", "ddlmc.formula", "ddlmc.model", "ddlmc.relprops", "ddlmc.semantics",
+    "ddlmc.finder",
+}
+
+# Run in a fresh interpreter: pytest has imported every module already, which
+# would hide a command that uses a module it does not import.
+_LOADED = """
+import contextlib, io, json, sys
+import ddlmc.cli
+before = {m for m in sys.modules if m.split(".")[0] == "ddlmc"}
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ddlmc.cli.main(sys.argv[1:])
+after = {m for m in sys.modules if m.split(".")[0] == "ddlmc"}
+print(json.dumps({"import": sorted(before), "added": sorted(after - before), "code": code}))
+"""
+
+
+def _fresh(*argv: str) -> dict:
+    """The ddlmc modules that ``import ddlmc.cli`` loads in a fresh
+    interpreter, those that ``main(argv)`` adds, and its exit code."""
+    root = PACKAGE.parent.parent
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv, added, code", [
+    ("", (), None),
+    ("find-model p --max-n 1", (), 0),
+    ("eval --model tests/fixtures/two_chain.pm p", (), 1),
+    ("collapse --max-n 2", (), 0),
+    ("paradox --max-n 2", ("casestudy", "forks"), 1),
+    ("correspond --table --max-n 2", ("forks", "schemas"), 1),
+    ("lattice --max-n 2", ("forks", "lattice"), 1),
+])
+def test_a_cli_call_loads_only_the_modules_its_command_runs(argv, added, code):
+    loaded = _fresh(*argv.split())
+    assert set(loaded["import"]) == SEARCH_MODULES
+    assert loaded["added"] == [f"ddlmc.{module}" for module in added]
+    assert loaded["code"] == code
+
+
+LAZY = {
+    "schemas": ("SCHEMAS", "converse_search", "forward_check", "table_sweep"),
+    "casestudy": ("run_grid",),
+    "lattice": ("Confirmed", "Witness", "lattice_report", "property_implication"),
+}
+
+
+@pytest.mark.parametrize("module, names", LAZY.items())
+def test_lazy_exports_are_the_objects_of_their_module(module, names):
+    from importlib import import_module
+
+    home = import_module(f"ddlmc.{module}")
+    for name in names:
+        assert getattr(ddlmc, name) is getattr(home, name)
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        getattr(ddlmc, "nothing")

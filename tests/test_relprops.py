@@ -19,7 +19,7 @@ from ddlmc.model import (
     unpack_relation,
 )
 from ddlmc.casestudy import GRID_ROWS
-from ddlmc.finder import (
+from ddlmc.lattice import (
     LATTICE_ARROWS,
     LATTICE_NODES,
     Confirmed,
