@@ -54,7 +54,8 @@ line with exit 3.
 
 A call compiles only the modules its command runs: correspond imports
 ``schemas``, paradox ``casestudy`` and lattice ``lattice`` when it runs,
-and the three tables import ``forks``.
+and the three tables import ``forks``.  It also builds only its command's
+parser (COMMANDS); no command, -h or an unknown one builds all of them.
 """
 
 from __future__ import annotations
@@ -311,78 +312,77 @@ def _cmd_props(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # One parent parser per concern; each command takes the ones it reads.
-    output, rule, strict_atoms, search, iso_reject = (
-        argparse.ArgumentParser(add_help=False) for _ in range(5)
-    )
-    output.add_argument("--json", action="store_true", help="emit a JSON report")
-    output.add_argument("--timing", action="store_true", help="fill in elapsed_ms (non-deterministic)")
-    rule.add_argument("--rule", default="max", help="evaluation rule: opt, max or lewis")
-    strict_atoms.add_argument(
-        "--strict-atoms", action="store_true",
-        help="error on atoms missing from the valuation instead of reading them as empty",
-    )
-    search.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
-                        help="wall-clock budget in seconds; 0 disables (default 60)")
-    iso_reject.add_argument("--iso-reject", action=argparse.BooleanOptionalAction, default=True,
-                            help="enumerate one frame per isomorphism class (default)")
+# Option groups of (flag, add_argument keywords), shared by the commands that read them
+_OUTPUT = (("--json", dict(action="store_true", help="emit a JSON report")),
+           ("--timing", dict(action="store_true", help="fill in elapsed_ms (non-deterministic)")))
+_RULE = (("--rule", dict(default="max", help="evaluation rule: opt, max or lewis")),)
+_STRICT_ATOMS = (("--strict-atoms", dict(
+    action="store_true", help="error on atoms missing from the valuation instead of reading them as empty")),)
+_SEARCH = (("--timeout", dict(type=_seconds, default=DEFAULT_TIMEOUT,
+                              help="wall-clock budget in seconds; 0 disables (default 60)")),)
+_ISO_REJECT = (("--iso-reject", dict(action=argparse.BooleanOptionalAction, default=True,
+                                     help="enumerate one frame per isomorphism class (default)")),)
 
+# name: (fn, summary, default --max-n or None, option groups, own options);
+# a command's parser takes its groups, then --max-n, then its own options
+COMMANDS = {
+    "eval": (_cmd_eval, "evaluate a formula in a model", None, (_RULE, _STRICT_ATOMS, _OUTPUT), (
+        ("--model", dict(required=True, help="model file")),
+        ("formula", dict(help="formula text")))),
+    "check-model": (_cmd_check_model, "re-validate a model against formulas/properties", None,
+                    (_RULE, _STRICT_ATOMS, _OUTPUT), (
+        ("--model", dict(required=True)),
+        ("--props", dict(default="", help="comma-separated properties to require")),
+        ("formulas", dict(nargs="*", help="formulas that must be valid in the model")))),
+    "find-model": (_cmd_find_model, "search for a satisfying or refuting model", 5,
+                   (_RULE, _SEARCH, _ISO_REJECT, _OUTPUT), (
+        ("targets", dict(nargs="+", help="target formulas")),
+        ("--props", dict(default="", help="comma-separated relation properties")),
+        ("--atoms", dict(default="", help="atom order for the valuation search")),
+        ("--mode", dict(choices=("satisfy", "refute"), default="satisfy")))),
+    "correspond": (_cmd_correspond, "property/axiom correspondence checks", 3,
+                   (_RULE, _SEARCH, _ISO_REJECT, _OUTPUT), (
+        ("--table", dict(action="store_true", help="run the full table for the rule")),
+        ("--axiom", dict(default="", help="axiom schema name")),
+        ("--props", dict(default="", help="properties for a forward check")),
+        ("--converse", dict(default="", help="property for a converse search")),
+        ("--model-level", dict(action="store_true",
+                               help="converse search over models (fixed atoms) instead of frames")),
+        ("--workers", dict(type=int, default=1,
+                           help="accepted and ignored: --table runs its checks in one process per CPU")))),
+    "collapse": (_cmd_collapse, "check the three rules collapse on well-behaved frames", 4,
+                 (_SEARCH, _ISO_REJECT, _OUTPUT), ()),
+    "paradox": (_cmd_paradox, "mere-addition satisfiability grid", 4, (_SEARCH, _ISO_REJECT, _OUTPUT), (
+        ("--rules", dict(default="", help="comma-separated rule subset (default all three)")),)),
+    "lattice": (_cmd_lattice, "implications between relation properties", 4, (_SEARCH, _OUTPUT), ()),
+    "props": (_cmd_props, "report a model's relation properties", None, (_OUTPUT,), (
+        ("--model", dict(required=True)),)),
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subcommands in names, by default all of them."""
     parser = argparse.ArgumentParser(
-        prog="ddlmc",
-        description="Finite-model checks for preference-based dyadic deontic logic.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, summary, *groups, max_n=None):
-        sub = commands.add_parser(name, help=summary, parents=groups)
+        prog="ddlmc", description="Finite-model checks for preference-based dyadic deontic logic.")
+    # a top-level usage line names every command, however many are built
+    every = None if list(names) == list(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        fn, summary, max_n, groups, own = COMMANDS[name]
+        sub = commands.add_parser(name, help=summary)
+        options = [option for group in groups for option in group]
         if max_n is not None:
-            sub.add_argument("--max-n", type=int, default=max_n,
-                             help=f"world-count bound (default {max_n})")
+            options.append(("--max-n", dict(type=int, default=max_n, help=f"world-count bound (default {max_n})")))
+        for flag, keywords in options + list(own):
+            sub.add_argument(flag, **keywords)
         sub.set_defaults(fn=fn)
-        return sub
-
-    p = command("eval", _cmd_eval, "evaluate a formula in a model", rule, strict_atoms, output)
-    p.add_argument("--model", required=True, help="model file")
-    p.add_argument("formula", help="formula text")
-
-    p = command("check-model", _cmd_check_model, "re-validate a model against formulas/properties",
-                rule, strict_atoms, output)
-    p.add_argument("--model", required=True)
-    p.add_argument("--props", default="", help="comma-separated properties to require")
-    p.add_argument("formulas", nargs="*", help="formulas that must be valid in the model")
-
-    p = command("find-model", _cmd_find_model, "search for a satisfying or refuting model",
-                rule, search, iso_reject, output, max_n=5)
-    p.add_argument("targets", nargs="+", help="target formulas")
-    p.add_argument("--props", default="", help="comma-separated relation properties")
-    p.add_argument("--atoms", default="", help="atom order for the valuation search")
-    p.add_argument("--mode", choices=("satisfy", "refute"), default="satisfy")
-
-    p = command("correspond", _cmd_correspond, "property/axiom correspondence checks",
-                rule, search, iso_reject, output, max_n=3)
-    p.add_argument("--table", action="store_true", help="run the full table for the rule")
-    p.add_argument("--axiom", default="", help="axiom schema name")
-    p.add_argument("--props", default="", help="properties for a forward check")
-    p.add_argument("--converse", default="", help="property for a converse search")
-    p.add_argument("--model-level", action="store_true",
-                   help="converse search over models (fixed atoms) instead of frames")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: --table runs its checks in one process per CPU")
-
-    command("collapse", _cmd_collapse, "check the three rules collapse on well-behaved frames",
-            search, iso_reject, output, max_n=4)
-    p = command("paradox", _cmd_paradox, "mere-addition satisfiability grid",
-                search, iso_reject, output, max_n=4)
-    p.add_argument("--rules", default="", help="comma-separated rule subset (default all three)")
-    command("lattice", _cmd_lattice, "implications between relation properties", search, output, max_n=4)
-    p = command("props", _cmd_props, "report a model's relation properties", output)
-    p.add_argument("--model", required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the command's parser; no command, -h or an unknown one gets them all
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

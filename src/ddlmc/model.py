@@ -307,12 +307,14 @@ def _orbit_lanes(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     if n * n > 64:
         raise ValueError("orbit tables hold n*n bits per 64-bit lane; supported for n <= 8")
     perms = list(permutations(range(n)))
+    buffer = memoryview(bytearray(8 * len(perms))).cast("Q")  # lane k is buffer[k]
     lanes = []
     for i in range(n):
-        single = [
-            sum(1 << ((n - 1 - p[i]) * n + p[j] + 64 * k) for k, p in enumerate(perms))
-            for j in range(n)
-        ]
+        single = []
+        for j in range(n):
+            for k, p in enumerate(perms):
+                buffer[k] = 1 << ((n - 1 - p[i]) * n + p[j])
+            single.append(int.from_bytes(buffer, sys.byteorder))
         per_row = [0] * (1 << n)
         for rowval in range(1, 1 << n):
             low = rowval & -rowval

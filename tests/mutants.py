@@ -55,6 +55,7 @@ _CLOSURE_FACTS = (
 _CLOSURE_COUNT = ("tests/test_finder.py::test_closure_walk_counts_the_frames_above_its_classes",)
 _CLOSURE_FRAMES = ("tests/test_finder.py::test_closure_frames_are_the_built_classes",)
 _LOADED = ("tests/test_layout.py::test_a_cli_call_loads_only_the_modules_its_command_runs",)
+_ONE_COMMAND = ("tests/test_cli.py::test_a_one_command_parser_equals_that_command_in_the_full_parser",)
 
 MUTANTS = (
     Mutant(
@@ -69,6 +70,12 @@ MUTANTS = (
         "def _cmd_paradox(args):\n    from . import casestudy\n\n",
         "def _cmd_paradox(args):\n",
         _LOADED,
+    ),
+    Mutant(
+        "a one-command parser without --max-n", "cli.py",
+        "        if max_n is not None:\n",
+        "        if max_n is not None and every is None:\n",
+        _ONE_COMMAND,
     ),
     Mutant(
         "max keyed on the reflexive closure", "semantics.py",
@@ -274,6 +281,12 @@ MUTANTS = (
         "orbit lane recurrence reads the previous row value", "model.py",
         "            per_row[rowval] = per_row[rowval ^ low] | single[low.bit_length() - 1]\n",
         "            per_row[rowval] = per_row[rowval - 1] | single[low.bit_length() - 1]\n",
+        ("tests/test_model.py::test_orbit_lanes_equal_the_per_permutation_loop",),
+    ),
+    Mutant(
+        "orbit lane buffer writes permutation k into lane k+1", "model.py",
+        "                buffer[k] = 1 << ",
+        "                buffer[(k + 1) % len(perms)] = 1 << ",
         ("tests/test_model.py::test_orbit_lanes_equal_the_per_permutation_loop",),
     ),
     Mutant(

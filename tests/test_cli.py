@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from ddlmc import schemas
-from ddlmc.cli import build_parser, main
+from ddlmc import cli, schemas
+from ddlmc.cli import COMMANDS, build_parser, main
 
 MODEL = "worlds 3\nrel 0>=2 2>=1\nval A = {0}\nval Ap = {1}\nval B = {2}\n"
 
@@ -402,6 +402,59 @@ def test_each_command_takes_only_the_options_it_reads():
         "props": {"model"} | _OUTPUT,
     }
     assert sum(map(len, dests.values())) == 50
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_a_one_command_parser_equals_that_command_in_the_full_parser(name):
+    # argparse's wording differs across Python versions, so both sides are
+    # built by the running interpreter
+    full, alone = _subparsers(build_parser())[name], _subparsers(build_parser([name]))[name]
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
+    assert alone._defaults == full._defaults == {"fn": COMMANDS[name][0]}
+    assert [(a.dest, a.option_strings, a.default) for a in alone._actions] == [
+        (a.dest, a.option_strings, a.default) for a in full._actions
+    ]
+    # a top-level error, such as an unrecognised option, prints the full usage
+    assert build_parser([name]).format_usage() == build_parser().format_usage()
+
+
+def _spy(monkeypatch):
+    built = []
+
+    def spy(*names):
+        parser = build_parser(*names)
+        built.append(list(_subparsers(parser)))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    return built
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_a_command_builds_only_its_own_parser(name, monkeypatch, capsys):
+    built = _spy(monkeypatch)
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out == _subparsers(build_parser())[name].format_help()
+    assert built == [[name]]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nonsense"]])
+def test_no_command_or_an_unknown_one_builds_every_parser(argv, monkeypatch, capsys):
+    built = _spy(monkeypatch)
+    code = main(argv)
+    captured = capsys.readouterr()
+    full = build_parser()
+    if argv == ["-h"]:
+        assert (code, captured.out) == (0, full.format_help())
+    else:
+        assert code == 2 and captured.err.startswith(full.format_usage())
+    assert "{" + ",".join(COMMANDS) + "}" in captured.out + captured.err
+    assert built == [list(COMMANDS)]
 
 
 @pytest.mark.parametrize("argv, option", [
