@@ -3,9 +3,10 @@
 Enumeration is by universe size, then by the relation's row-tuple order,
 then by the valuation read as a tuple of atom masks in the declared atom
 order.  A satisfiability search therefore reports the least witness in that
-order; with isomorph rejection the frames are orbit minima, and since truth
-is invariant under world relabeling the reported witness is the same with
-or without rejection.
+order.  The frames scanned are orbit minima: truth is invariant under world
+relabelling, so the least witness over all relations is one of them, and
+isomorph rejection changes only what frames_checked counts (the classes,
+or without it the labelled relations they stand for).
 
 Each frame's valuations are scanned at once by the bit-sliced evaluator
 (``semantics.scanner``): valuations are numbered like the tuple of atom
@@ -16,22 +17,15 @@ compiled probe on every frame; the probe settles each part of a frame the
 rule can tell apart once and answers repeats from its memo.  Searches
 count frames, not valuations or memo entries: frames_checked and the
 witness are the same as without the memo.  A search without a frame
-filter may walk a quotient of its frames before any frame, and scan
-frames only at the first world count where a class of the quotient hits;
-the frames of the smaller world counts, and of every world count when
-none hits, are counted, not visited.  With no property the quotient is
-the classes of its ``semantics.key`` (counted by ``model.class_count``,
-or 2^(n*n) without isomorph rejection).  Under lewis, max and targets
-without a conditional, whose keys read no loop, a search whose properties
-the reflexive closure keeps (transitivity, quasi-transitivity,
-acyclicity, Suzumura consistency: ``relprops.CLOSURE_LOOPS``) walks the
-reflexive closures with them; each stands for the frames that are it with
-any loop set that holds the loops the properties need
-(``model.loop_variants``, Burnside's lemma).  Opt, the other properties
-and frame filters keep the frame scan.  With isomorph rejection, the
-frames of properties from ``relprops.CLOSURE_LOOPS``, or of none, are
-derived from the same closures (``closure_frames``), so no search builds
-their dense classes.
+filter may first walk a quotient of its frames (``scan_frames``): the
+classes of its ``semantics.key`` when it has no property, or, under
+lewis, max and targets without a conditional, the reflexive closures with
+its properties when the closure keeps them (``relprops.CLOSURE_LOOPS``).
+It scans frames only at the first world count where a class of the
+quotient hits, and counts the others.  Opt, the other properties and
+frame filters keep the frame scan.  The frames of properties from
+``relprops.CLOSURE_LOOPS``, or of none, are derived from the same
+closures (``closure_frames``), so no search builds their dense classes.
 
 ``scan_frames`` is the one search skeleton and frame loop: it checks the
 world bound, enumerates the frames with the given properties, narrowed by
@@ -64,20 +58,22 @@ from .model import (
     PreferenceModel,
     Relation,
     SearchTimeout,
-    all_relations,
     canonical_relations,
     check_world_bound,
     class_count,
     full_mask,
+    images_up_to,
     loop_variant_classes,
     loop_variants,
     model_json,
+    orbit_size,
     worlds_from_mask,
 )
 from .relprops import CLOSURE_LOOPS, RelationProperty, base_properties, check_property, has_all
 from .semantics import (
     CLOSURE_KEYS,
     EvalRule,
+    _reflexive_closure,
     cond_holds,
     fixed_points,
     key,
@@ -113,11 +109,12 @@ class SearchSpec:
     target true at every world), "refute" (some target false at some world)
     or "valid" (every target true at every world under every valuation of
     atoms: a frame witness, reported with an empty valuation).
-    frame_filter, a pure predicate on the relation rows, narrows the frames
-    scanned and is re-checked on the witness.  The search stops at
-    deadline, a ``time.monotonic()`` value (None: no limit).  The search
-    compiles the targets before it builds any frame, and so rejects one
-    nested past the ``formula`` depth limit with ValueError.
+    frame_filter, a pure predicate on the relation rows and invariant under
+    relabelling worlds, narrows the frames scanned and is re-checked on the
+    witness.  The search stops at deadline, a ``time.monotonic()`` value
+    (None: no limit).  It compiles the targets before it builds any frame,
+    and so rejects one nested past the ``formula`` depth limit with
+    ValueError.
     """
 
     def __init__(
@@ -239,15 +236,18 @@ def scan_frames(
     """First (n, rel, probe(rel)) whose probe result is not None, plus the
     frames scanned per world count.
 
-    The frames of n worlds are the relations with the given properties that
-    pass frame_filter, ascending: with iso_reject the cached orbit minima
-    (``canonical_relations``, or ``closure_frames`` when every base
-    property is in ``relprops.CLOSURE_LOOPS``), else all 2^(n*n)
-    relations, tested here.
-    Universes are scanned smallest first, so the hit is the least one.
-    per_n[n] counts the frames scanned up to and including the hit.  The
-    deadline is checked every 256 relations examined, passing or not.  A
-    max_n outside the world bound is rejected first.
+    The frames of n worlds are the cached orbit minima of the relations
+    with the given properties (``canonical_relations``, or
+    ``closure_frames`` when every base property is in
+    ``relprops.CLOSURE_LOOPS``) that pass frame_filter, ascending.
+    Universes are scanned smallest first, so the hit is the least one; if
+    probe and frame_filter are invariant under relabelling worlds, it is
+    also the least relation that hits.  per_n[n] counts the frames scanned
+    up to and including the hit; without iso_reject, the labelled
+    relations they stand for: every relation of their orbits, and at the
+    hit only those up to it (``model.images_up_to``).  The deadline is
+    checked every 256 classes examined, passing or not, in the scan and in
+    that count.  A max_n outside the world bound is rejected first.
 
     key, a ``semantics.key`` map, says that probe reads a frame only
     through key(frame).  Without a frame filter the scan may then walk a
@@ -268,13 +268,21 @@ def scan_frames(
     keep = has_all(base)
     per_n: dict[int, int] = {}
 
-    def frames(relations, test):
+    def frames(relations):
         for idx, rel in enumerate(relations):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
-            if test is not None and not test(rel) or frame_filter is not None and not frame_filter(rel):
-                continue
-            yield rel
+            if frame_filter is None or frame_filter(rel):
+                yield rel
+
+    def labelled(classes, last):
+        # the labelled relations the classes stand for, up to last if given
+        total = 0
+        for rel in frames(classes):
+            if last is not None and rel > last:
+                break
+            total += orbit_size(rel) if last is None else images_up_to(rel, last)
+        return total
 
     # The walk: the classes to probe first, and count(n, classes), the
     # frames of n worlds they stand for.
@@ -291,27 +299,29 @@ def scan_frames(
             def count(n, classes):
                 return sum(
                     loop_variants(closure, _free_loops(base, closure), iso_reject)
-                    for closure in frames(classes, None)
+                    for closure in frames(classes)
                 )
 
     for n in range(1, max_n + 1):
         if walk is not None:
             classes = canonical_relations(n, walk, deadline)
-            if all(probe(seen) is None for seen in frames(classes, None)):
+            if all(probe(seen) is None for seen in frames(classes)):
                 per_n[n] = count(n, classes)
                 continue
-        if not iso_reject:
-            relations = all_relations(n)
-        elif base <= CLOSURE_LOOPS.keys():
+        if base <= CLOSURE_LOOPS.keys():
             relations = closure_frames(n, base, deadline)
         else:
             relations = canonical_relations(n, keep, deadline)
         per_n[n] = 0
-        for rel in frames(relations, None if iso_reject else keep):
+        for rel in frames(relations):
             per_n[n] += 1
             result = probe(rel)
             if result is not None:
+                if not iso_reject:
+                    per_n[n] = labelled(relations, rel)
                 return (n, rel, result), per_n
+        if not iso_reject:
+            per_n[n] = labelled(relations, None)
     return None, per_n
 
 
@@ -336,12 +346,15 @@ def closure_frames(n: int, base: frozenset, deadline: float | None = None) -> tu
     the loops of some set of the other worlds
     (``model.loop_variant_classes``), canonicalised, each once, ascending.
     No class build then marks the dense orbits of the frames themselves.
+    With no property the closures are the lewis walk's key classes, built
+    under its predicate so that the class cache holds them once.
 
     Cached per (n, base).  The deadline (a ``time.monotonic()`` value) is
     checked between closures, and a timeout caches nothing.
     """
     if (n, base) not in _closure_frames:
-        closures = canonical_relations(n, has_all(base | {RelationProperty.REFLEXIVE}), deadline)
+        reflexive = has_all(base | {RelationProperty.REFLEXIVE}) if base else fixed_points(_reflexive_closure)
+        closures = canonical_relations(n, reflexive, deadline)
         _closure_frames[n, base] = loop_variant_classes(
             closures, lambda closure: _free_loops(base, closure), deadline,
         )

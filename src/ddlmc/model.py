@@ -24,7 +24,7 @@ import mmap
 import sys
 import time
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial, gcd
 from typing import Callable, Iterable, Iterator
 
@@ -32,12 +32,9 @@ Relation = tuple[int, ...]
 
 MAX_WORLDS = 16
 
-# Exhaustive enumeration is bounded at 5 worlds: isomorph rejection marks
-# orbits in a table of 2^(n*n) bytes (32 MiB at n=5, 64 GiB at n=6), and
-# enumeration without it iterates every one of the 2^(n*n) relations.  The
-# table is mapped lazily, so only the pages a build touches become resident
-# (about 10 MiB of the 32 for the transitive classes at n=5, nearly all of
-# it by marking their orbits); an unrestricted build touches them all.
+# Exhaustive enumeration is bounded at 5 worlds: every search scans orbit
+# minima, built with a lazily mapped table of 2^(n*n) bytes (32 MiB at n=5,
+# 64 GiB at n=6), of which a build makes resident only the pages it touches.
 MAX_EXHAUSTIVE_WORLDS = 5
 
 
@@ -278,17 +275,12 @@ def model_json(m: PreferenceModel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Permutation action on relations, enumeration, canonical orbit representatives
+# Permutation action on relations, canonical orbit representatives
 #
 # Relations are compared by their rows read as a tuple (row 0 first, each row
 # an int bitmask).  A relation packs into one int of n*n bits with row 0 in
 # the most significant position (unpack_relation reads that layout), so
 # integer order on packed values equals tuple order on relations.
-
-
-def all_relations(n: int) -> Iterator[Relation]:
-    """Every n-world relation, in ascending row-tuple order (lazy)."""
-    yield from product(range(1 << n), repeat=n)
 
 
 def unpack_relation(packed: int, n: int) -> Relation:
@@ -337,6 +329,12 @@ def orbit_size(rel: Relation) -> int:
     automorphisms, which are the permutations that map rel to itself."""
     images = _orbit_images(rel)
     return len(images) // images.count(images[0])
+
+
+def images_up_to(rel: Relation, last: Relation) -> int:
+    """Number of distinct relabellings of rel that are at most last."""
+    bound = _orbit_images(last)[0]  # the identity comes first
+    return len({image for image in _orbit_images(rel) if image <= bound})
 
 
 @lru_cache(maxsize=None)
@@ -467,9 +465,7 @@ def canonical_relations(
     in a 2^(n*n)-byte table is skipped; otherwise it is tested with keep
     and, if it passes, its whole orbit is marked and the orbit minimum
     kept.  Failing orbits are not marked: marking costs more than testing
-    a relabelled copy again.  The table is an anonymous
-    mapping that the OS zero-fills page by page, so only the pages the
-    build touches become resident.  This is complete because keep must be
+    a relabelled copy again.  This is complete because keep must be
     invariant under relabelling worlds and hereditary: deleting a world
     from a relation it accepts leaves a relation it accepts, so each
     n-world class extends some (n-1)-world class.
@@ -478,22 +474,13 @@ def canonical_relations(
     ``tests/test_relprops.py`` checks that every property is.  The result
     equals the unrestricted classes filtered by keep, in the same order.
 
-    Cost at n=5 (2-vCPU VM, Python 3.11, single runs): a restrictive keep
-    makes this cheap (1 895 transitive classes in about 0.1 s).  Without
-    one, or with a weak one, it marks up to 292k orbits of up to 120
-    relations each: about 6-8 s unrestricted, about 2 s for the 51 648
-    quasi-transitive and the 43 168 Suzumura-consistent classes and 5-6.5 s
-    for the 214 848 acyclic ones.  At n=5 keep is called 1 895 times for
-    transitivity, once per class (116 563 times without the deletion
-    test), 51 648 for quasi-transitivity (501 696) and 215 872 for
-    acyclicity (444 168): no deletion shows a strict 5-cycle.  It should be
-    one flat function, as ``relprops.has_all`` returns.  No search asks
-    for those dense builds: the classes with transitivity or its
-    weakenings, or with no property, are derived from the far fewer
-    reflexive closures with them (``finder.closure_frames``; at n=5 about
-    2-3 s unrestricted, 0.4 s quasi-transitive and 1.5-2 s acyclic), so
-    the builder gets only sparse keeps: the closures, keeps with
-    reflexivity or totality, the Ferrers family and key fixed points.
+    Cost at n=5 (2-vCPU VM, Python 3.11): 1 895 transitive classes in
+    about 0.1 s, keep called once per class (116 563 times without the
+    deletion test); keep should be one flat function (``relprops.has_all``).
+    No search asks for a dense build (no keep, or acyclicity: up to 292k
+    orbits marked in 5-8 s): ``finder.closure_frames`` derives those
+    classes from the reflexive closures, so the builder gets only sparse
+    keeps: closures, reflexivity or totality, Ferrers, key fixed points.
 
     Results are cached per (n, keep): pass the same keep object to reuse a
     build.  The deadline (a ``time.monotonic`` value) is checked between

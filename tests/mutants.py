@@ -55,6 +55,7 @@ _CLOSURE_FACTS = (
 _CLOSURE_COUNT = ("tests/test_finder.py::test_closure_walk_counts_the_frames_above_its_classes",)
 _CLOSURE_FRAMES = ("tests/test_finder.py::test_closure_frames_are_the_built_classes",)
 _LOADED = ("tests/test_layout.py::test_a_cli_call_loads_only_the_modules_its_command_runs",)
+_LABELLED = ("tests/test_finder.py::test_labelled_search_is_the_brute_force_search[lewis]",)
 _ONE_COMMAND = ("tests/test_cli.py::test_a_one_command_parser_equals_that_command_in_the_full_parser",)
 
 MUTANTS = (
@@ -140,10 +141,22 @@ MUTANTS = (
     ),
     Mutant(
         "witness taken from the key class hit, the frame scan skipped", "finder.py",
-        "        if not iso_reject:\n            relations = all_relations(n)\n",
-        "        if walk is not None and iso_reject:\n            relations = classes\n"
-        "        elif not iso_reject:\n            relations = all_relations(n)\n",
+        "        if base <= CLOSURE_LOOPS.keys():\n            relations = closure_frames(n, base, deadline)\n",
+        "        if walk is not None:\n            relations = classes\n"
+        "        elif base <= CLOSURE_LOOPS.keys():\n            relations = closure_frames(n, base, deadline)\n",
         _KEY_CLASSES,
+    ),
+    Mutant(
+        "labelled count at the hit leaves out the hit itself", "model.py",
+        "    return len({image for image in _orbit_images(rel) if image <= bound})\n",
+        "    return len({image for image in _orbit_images(rel) if image < bound})\n",
+        _LABELLED,
+    ),
+    Mutant(
+        "labelled count at the hit counts whole orbits", "finder.py",
+        "if last is None else images_up_to(rel, last)\n",
+        "if last is None else orbit_size(rel)\n",
+        _LABELLED,
     ),
     Mutant(
         "opt's key admitted to the closure walk", "semantics.py",
@@ -164,15 +177,15 @@ MUTANTS = (
         ("tests/test_finder.py::test_library_searches_check_bound_and_deadline",),
     ),
     Mutant(
-        "labelled scan checks the deadline only on frames that pass the filter", "finder.py",
+        "frame loop checks the deadline only on frames that pass the filter", "finder.py",
         "            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:\n"
         "                raise SearchTimeout()\n"
-        "            if test is not None and not test(rel) or frame_filter is not None and not frame_filter(rel):\n"
-        "                continue\n",
-        "            if test is not None and not test(rel) or frame_filter is not None and not frame_filter(rel):\n"
-        "                continue\n"
-        "            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:\n"
-        "                raise SearchTimeout()\n",
+        "            if frame_filter is None or frame_filter(rel):\n"
+        "                yield rel\n",
+        "            if frame_filter is None or frame_filter(rel):\n"
+        "                if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:\n"
+        "                    raise SearchTimeout()\n"
+        "                yield rel\n",
         ("tests/test_finder.py::test_timeout_holds_while_the_frame_filter_rejects_every_relation",),
     ),
     Mutant(

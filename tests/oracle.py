@@ -9,7 +9,7 @@ functions on everything.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 from ddlmc import formula as fm
 
@@ -223,6 +223,87 @@ def naive_properties(n, pairs):
         "opt_smooth": smooth(opt_set),
         "max_smooth": smooth(max_set),
     }
+
+
+def all_relations(n):
+    """Every n-world relation as a tuple of row bitmasks (bit j of row i
+    set iff i >= j), in ascending row-tuple order (lazy)."""
+    return product(range(1 << n), repeat=n)
+
+
+def labelled_search(target, rule, names, mode, props, max_n, memo):
+    """The search ``finder.find_satisfying_model`` makes without isomorph
+    rejection, one labelled relation and one valuation at a time: the
+    least (n, rel, valuation) that settles target in mode, or None, and
+    the number of frames checked up to and including it.
+
+    The frames are every relation with the properties props (names of
+    ``naive_properties``), by world count, then row tuple; a valuation is
+    a tuple of world masks for names, ascending.  Satisfy: target true at
+    every world; refute: false at some world; valid: true at every world
+    under every valuation (the witness's valuation is empty).  Whether a
+    frame is settled at all is read off one member of its orbit, since
+    truth is invariant under relabelling worlds, and is kept in memo (a
+    dict) with the truth values computed so far, shared by the searches
+    that pass it.  A target ~x reads x's truth values.
+    """
+    negated = isinstance(target, fm.Not)
+    base = target.child if negated else target
+    checked = 0
+    for n in range(1, max_n + 1):
+        # target is true at every world iff base's truth mask is everywhere;
+        # satisfy asks for a valuation under which it is, refute for one
+        # under which it is not, and valid for none under which it is not
+        everywhere = 0 if negated else (1 << n) - 1
+        satisfy = mode == "satisfy"
+        for rel in all_relations(n):
+            if ("frame", rel) not in memo:
+                pairs = frozenset((i, j) for i in range(n) for j in range(n) if rel[i] >> j & 1)
+                canonical = min(tuple(sorted(image)) for image in orbit(n, pairs))
+                memo["frame", rel] = pairs, canonical, naive_properties(n, pairs)
+            pairs, canonical, facts = memo["frame", rel]
+            if not all(facts[p] for p in props):
+                continue
+            checked += 1
+            key = (base, rule, names, n, canonical)
+            if key not in memo:
+                memo[key] = _TruthTable(base, rule, names, n, canonical)
+            found = memo[key].first(everywhere, satisfy) is not None
+            if found != (mode == "valid"):
+                if mode == "valid":
+                    return (n, rel, ()), checked
+                table = _TruthTable(base, rule, names, n, pairs)
+                return (n, rel, table.valuations[table.first(everywhere, satisfy)]), checked
+    return None, checked
+
+
+class _TruthTable:
+    """The worlds (as a mask) where a formula is true on one frame under
+    each valuation of names, ascending, computed only as far as asked."""
+
+    def __init__(self, f, rule, names, n, pairs):
+        self.valuations = list(product(range(1 << n), repeat=len(names)))
+        sets = [frozenset(w for w in range(n) if mask >> w & 1) for mask in range(1 << n)]
+        self.pending = (
+            sum(1 << w for w in truth_worlds(f, range(n), set(pairs), env, rule, env))
+            for env in ({name: sets[mask] for name, mask in zip(names, masks)} for masks in self.valuations)
+        )
+        self.truths = []
+        self.answers = {}
+
+    def first(self, mask, equal):
+        """Index of the first valuation whose truth mask is mask (equal) or
+        is not mask (not equal), or None."""
+        if (mask, equal) not in self.answers:
+            found = next((i for i, truth in enumerate(self.truths) if (truth == mask) == equal), None)
+            if found is None:
+                for truth in self.pending:
+                    self.truths.append(truth)
+                    if (truth == mask) == equal:
+                        found = len(self.truths) - 1
+                        break
+            self.answers[mask, equal] = found
+        return self.answers[mask, equal]
 
 
 # ---------------------------------------------------------------------------

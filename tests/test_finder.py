@@ -21,35 +21,41 @@ from ddlmc.finder import (
 from ddlmc.formula import parse
 from ddlmc.forks import fork_map
 from ddlmc.lattice import Witness, lattice_report
-from ddlmc.model import PreferenceModel, all_relations, canonical_relations, relation_from_pairs, relation_pairs
+from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs, relation_pairs
 from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, is_reflexive, longest_strict_chain
 from ddlmc.schemas import SCHEMAS, converse_search, forward_check, table_sweep
 from ddlmc.casestudy import run_grid
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.semantics import EvalRule, scanner, schema_names, truth_set
 
-from oracle import orbit
+from oracle import all_relations, labelled_search, naive_properties, orbit
 
 
 def _labelled_frames(n, props=()):
-    # every frame a labelled scan passes to its probe, by world count; the
-    # probe returns None, so the scan runs to its bound
-    frames = {}
+    # the frames a labelled scan probes, the classes of the relations with
+    # props, and the relations it counts at its bound, which must be the
+    # oracle's count; the probe returns None, so the scan runs to its bound
+    frames = []
 
     def probe(rel):
-        frames.setdefault(len(rel), []).append(rel)
+        if len(rel) == n:
+            frames.append(rel)
 
     _, per_n = scan_frames(n, props, probe, iso_reject=False)
-    assert per_n == {k: len(frames.get(k, ())) for k in range(1, n + 1)}
-    return frames.get(n, [])
+    names = [p.value for p in props]
+    labelled = sum(
+        all(naive_properties(n, relation_pairs(rel))[name] for name in names) for rel in all_relations(n)
+    )
+    assert per_n[n] == labelled
+    return frames, labelled
 
 
 def test_enumerate_counts():
-    assert len(_labelled_frames(1)) == 2
-    assert len(_labelled_frames(2, [P.REFLEXIVE])) == 4
+    assert _labelled_frames(1)[1] == 2
+    assert _labelled_frames(2, [P.REFLEXIVE])[1] == 4
     # total relations on 3 worlds: forced diagonal, 3 free unordered pairs
     # with 3 states each
-    assert len(_labelled_frames(3, [P.TOTAL])) == 27
+    assert _labelled_frames(3, [P.TOTAL])[1] == 27
 
 
 @pytest.mark.parametrize("iso_reject", [True, False])
@@ -58,7 +64,6 @@ def test_search_rejects_a_property_that_is_not_a_relation_property(iso_reject, m
         raise AssertionError("built a frame for a bad property set")
 
     monkeypatch.setattr(model, "_classes", no_frames)
-    monkeypatch.setattr("ddlmc.finder.all_relations", no_frames)
     spec = SearchSpec(3, EvalRule.MAX, [parse("p")], properties="total", iso_reject=iso_reject)
     # a bare str is one property name, not a sequence of letters
     with pytest.raises(ValueError, match="^'total': not a relation property$"):
@@ -82,14 +87,13 @@ def test_search_rejects_a_rule_that_is_not_an_eval_rule(search, monkeypatch):
         raise AssertionError("built a frame for a bad rule")
 
     monkeypatch.setattr(model, "_classes", no_frames)
-    monkeypatch.setattr("ddlmc.finder.all_relations", no_frames)
     with pytest.raises(ValueError, match="^'(max|lewis|opt)': not an evaluation rule$"):
         _BAD_RULE_SEARCHES[search]()
 
 
 def test_enumerate_is_sorted_and_filters():
-    frames = _labelled_frames(2, [P.TRANSITIVE])
-    assert frames == sorted(frames)
+    frames, _ = _labelled_frames(3, [P.TRANSITIVE])
+    assert frames == sorted(frames) == list(canonical_relations(3, has_all({P.TRANSITIVE})))
     assert all(check_property(P.TRANSITIVE, rel) for rel in frames)
 
 
@@ -303,6 +307,9 @@ _SEARCHES = {
     "converse_model": lambda max_n, deadline: converse_search(
         "Id", P.REFLEXIVE, EvalRule.MAX, max_n, deadline=deadline, model_level=True),
     "rule_collapse": lambda max_n, deadline: rule_collapse(max_n, deadline=deadline),
+    # O(p/T) & ~O(p/T) holds at no world, so the search runs to its bound
+    "labelled_acyclic": lambda max_n, deadline: find_satisfying_model(SearchSpec(
+        max_n, EvalRule.OPT, [parse("O(p/T) & ~O(p/T)")], (P.ACYCLIC,), iso_reject=False, deadline=deadline)),
 }
 
 
@@ -312,12 +319,18 @@ def test_library_searches_check_bound_and_deadline(search, monkeypatch):
     assert run(2, None)  # runs to completion within the bound
     with pytest.raises(SearchTimeout):
         run(3, time.monotonic() - 1)
+    if search == "labelled_acyclic":
+        # the n=5 frames and the orbits they stand for take seconds
+        started = time.monotonic()
+        with pytest.raises(SearchTimeout):
+            run(5, started + 0.2)
+        assert time.monotonic() - started < 2
 
     def no_work(*args, **kwargs):
         raise AssertionError("scanned a frame outside the bound")
 
     monkeypatch.setattr("ddlmc.finder.canonical_relations", no_work)
-    monkeypatch.setattr("ddlmc.finder.all_relations", no_work)
+    monkeypatch.setattr(model, "_classes", no_work)
     for max_n in (0, 6):
         with pytest.raises(ValueError, match="1..5"):
             run(max_n, None)
@@ -382,6 +395,71 @@ def test_key_classes_stand_in_for_the_frames(rule, mode):
                 assert (found.status, found.frames_checked, witness) == (
                     _STATUS[mode][hit is None], sum(per_n.values()), hit,
                 ), (fm.render(target), props, max_n, iso_reject)
+
+
+@pytest.mark.parametrize("rule", list(EvalRule), ids=str)
+def test_labelled_search_is_the_brute_force_search(rule):
+    # Without isomorph rejection a search probes the same classes and
+    # counts the labelled relations they stand for.  Status, witness and
+    # frames_checked must be those of the oracle's search over every
+    # labelled relation and valuation, for each schema and its negation.
+    memo = {}
+    for name, schema in SCHEMAS.items():
+        names = schema_names(schema)
+        for target, props, mode in product(
+            (schema, fm.Not(schema)), ((), (P.TRANSITIVE,), (P.ACYCLIC,)), sorted(_STATUS),
+        ):
+            hit, checked = labelled_search(target, rule.value, names, mode, [p.value for p in props], 3, memo)
+            found = find_satisfying_model(SearchSpec(
+                3, rule, [target], props, atoms=names, mode=mode, iso_reject=False,
+            ))
+            witness = found.model and (found.model.n, found.model.rel, found.model.valuation)
+            assert (found.status, found.frames_checked, witness) == (
+                _STATUS[mode][hit is None], checked, hit and (hit[0], hit[1], dict(zip(names, hit[2]))),
+            ), (name, fm.render(target), props, mode)
+
+
+# Labelled relations with the properties on n <= 5 worlds: the sums of
+# OEIS A006905 (2, 13, 171, 3 994, 154 303), A000670 (1, 3, 13, 75, 541),
+# the labelled interval orders (1, 3, 19, 207, 3 451), 2^(n*n-n) and
+# 2^(n*n).
+_LABELLED_AT_FIVE = {
+    (P.TRANSITIVE,): 158_483,
+    (P.TRANSITIVE, P.TOTAL): 633,
+    (P.INTERVAL_ORDER,): 3_681,
+    (P.REFLEXIVE,): 1_052_741,
+    (): 33_620_498,
+}
+
+
+@pytest.mark.parametrize("rule", list(EvalRule), ids=str)
+def test_labelled_counts_at_five_worlds(rule):
+    # O(p/T) & ~O(p/T) holds at no world, so every search exhausts its
+    # bound and counts each labelled relation with its properties: under
+    # opt by the frame scan, under lewis and max by the walks where the
+    # properties allow one
+    target = [parse("O(p/T) & ~O(p/T)")]
+    for props, count in _LABELLED_AT_FIVE.items():
+        found = find_satisfying_model(SearchSpec(5, rule, target, props, iso_reject=False))
+        assert (found.status, found.frames_checked) == ("unsat_up_to_bound", count), props
+
+
+def test_the_reflexive_classes_are_built_once(monkeypatch):
+    # The property-free lewis walk and the frames of a search without a
+    # property both need the reflexive classes, and ask for them with one
+    # predicate: no two predicates in the class cache give the same
+    # classes at every world count.  (Single world counts may agree: at
+    # n=1 the reflexive relations are the total ones.)
+    _on_cpus(monkeypatch, 1)
+    monkeypatch.setattr(model, "_canonical_cache", {})
+    monkeypatch.setattr(finder, "_closure_frames", {})
+    table_sweep(EvalRule.LEWIS, 4)
+    finder.closure_frames(4, frozenset())
+    per_keep = {}
+    for (n, keep), classes in model._canonical_cache.items():
+        per_keep.setdefault(keep, {})[n] = classes
+    built = [tuple(sorted(classes.items())) for classes in per_keep.values()]
+    assert len(set(built)) == len(built)
 
 
 def test_closure_walk_counts_the_frames_above_its_classes():
@@ -480,24 +558,35 @@ def test_grid_and_lattice_build_no_dense_classes(monkeypatch):
     assert dense.isdisjoint(keeps), sorted({getattr(k, "__name__", repr(k)) for k in dense & set(keeps)})
 
 
-def test_timeout_holds_while_every_relation_is_filtered():
-    # without isomorph rejection the walk over all 2^25 five-world
-    # relations yields few frames, so the walk itself checks the deadline
+def test_timeout_holds_while_the_labelled_count_runs():
+    # without isomorph rejection a world count without a hit counts the
+    # relations its classes stand for after the scan, and the count checks
+    # the deadline too: the probe of the last frame outlasts it
+    props = (P.TRANSITIVE,)
+    last = finder.closure_frames(3, frozenset(props))[-1]
+    deadline = time.monotonic() + 0.05
+
+    def probe(rel):
+        if rel == last:
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+
     with pytest.raises(SearchTimeout):
-        scan_frames(5, (P.TRANSITIVE,), lambda rel: None, iso_reject=False, deadline=time.monotonic() - 1)
+        scan_frames(3, props, probe, iso_reject=False, deadline=deadline)
 
 
 def test_timeout_holds_while_the_frame_filter_rejects_every_relation():
-    # no relation reaches the probe, so the deadline is checked on the
-    # relations examined, not on the frames that pass: otherwise the scan
-    # would walk all 2^25 five-world relations
-    started = time.monotonic()
-    with pytest.raises(SearchTimeout):
-        scan_frames(
-            5, (), lambda rel: rel, iso_reject=False, deadline=started + 0.2,
-            frame_filter=lambda rel: False,
-        )
-    assert time.monotonic() - started < 2
+    # no frame reaches the probe, so the deadline is checked on the frames
+    # examined, not on those that pass: with the 1 895 transitive
+    # five-world classes built, the lapsed deadline must stop the scan
+    props = (P.TRANSITIVE,)
+    for n in range(1, 6):
+        finder.closure_frames(n, frozenset(props))
+    for iso_reject in (True, False):
+        with pytest.raises(SearchTimeout):
+            scan_frames(
+                5, props, lambda rel: rel, iso_reject=iso_reject, deadline=time.monotonic() - 1,
+                frame_filter=lambda rel: False,
+            )
 
 
 def test_timed_out_class_build_is_not_cached():
@@ -524,7 +613,6 @@ def test_search_on_a_too_deep_target_raises_before_any_frame_is_built(monkeypatc
         raise AssertionError("built a frame for a too-deep target")
 
     monkeypatch.setattr(model, "_classes", no_frames)
-    monkeypatch.setattr("ddlmc.finder.all_relations", no_frames)
     for depth, iso_reject in product((fm.MAX_DEPTH, 1000), (True, False)):
         f = fm.Atom("p")
         for _ in range(depth):

@@ -19,7 +19,6 @@ from ddlmc.model import (
     _orbit_images,
     _orbit_lanes,
     _words,
-    all_relations,
     canonical_relations,
     class_count,
     equal_goodness,
@@ -39,7 +38,7 @@ from ddlmc.model import (
 from ddlmc.casestudy import GRID_ROWS
 from ddlmc.relprops import RelationProperty, check_property, has_all, is_transitive
 
-from oracle import delete_world, orbit, orbit_lanes, reachable_pairs
+from oracle import all_relations, delete_world, orbit, orbit_lanes, reachable_pairs
 
 P = RelationProperty
 

@@ -12,7 +12,6 @@ import pytest
 from ddlmc import model
 from ddlmc.model import (
     SearchTimeout,
-    all_relations,
     canonical_relations,
     relation_from_pairs,
     relation_pairs,
@@ -41,7 +40,7 @@ from ddlmc.relprops import (
 )
 from ddlmc.semantics import _reflexive_closure
 
-from oracle import delete_world, naive_properties, strict_pairs
+from oracle import all_relations, delete_world, naive_properties, strict_pairs
 
 P = RelationProperty
 

@@ -246,7 +246,7 @@ def _powerset(items):
 
 
 def test_frame_validity_agrees_with_oracle():
-    from ddlmc.model import all_relations
+    from oracle import all_relations
 
     picks = ("Dstar", "CM", "Sh", "DEX", "COK")
     for rel in all_relations(2):

@@ -13,7 +13,7 @@ from ddlmc import formula as fm
 from ddlmc import semantics
 from ddlmc.finder import rule_collapse
 from ddlmc.formula import expand, parse
-from ddlmc.model import PreferenceModel, all_relations, mask_from_worlds, relation_from_pairs, relation_pairs
+from ddlmc.model import PreferenceModel, mask_from_worlds, relation_from_pairs, relation_pairs
 from ddlmc.relprops import RelationProperty as P
 from ddlmc.schemas import SCHEMAS, forward_check
 from ddlmc.semantics import (
@@ -30,7 +30,7 @@ from ddlmc.semantics import (
 )
 
 import oracle
-from oracle import delete_world, orbit, random_formula, random_model_data, truth_worlds
+from oracle import all_relations, delete_world, orbit, random_formula, random_model_data, truth_worlds
 
 RULES = (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
 
