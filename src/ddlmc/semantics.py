@@ -30,15 +30,18 @@ most significant, so ascending numbers are the lexicographic order of the
 tuples.  A formula's value at a world is one int with bit v set iff the
 formula holds there under valuation v: atoms are truth-table columns,
 connectives are bitwise operations, and a conditional combines the
-per-world ints along the frame's betterness relation.  The lowest set bit
-of a result is the least valuation, which ``least_valuation`` decodes into
-its tuple of masks.  A slice holds at most 2**16
-valuations; beyond that the leading names are bound one mask tuple at a
-time, in ascending order, and a deadline (a ``time.monotonic()`` value)
-is checked between slices.  A search compiles its formulas once, into
-closures over a slice, and runs them on every frame: ``scanner`` builds the
-least-valuation probe (or, in "valid" mode, the every-valuation probe) and
-``slicer`` the per-world values;
+per-world ints along the frame's betterness relation, negating no operand
+(x & ~y is x ^ (x & y), which costs less on long ints).  A world-constant
+formula (O, P, >=, >, [], <>, T, F and their Boolean combinations) has
+one int for all worlds, so a connective of two of them is one operation.
+The lowest set bit of a result is the least valuation, which
+``least_valuation`` decodes into its tuple of masks.  A slice holds at
+most 2**16 valuations; beyond that the leading names are bound one mask
+tuple at a time, in ascending order, and a deadline (a
+``time.monotonic()`` value) is checked between slices.  A search compiles
+its formulas once, into closures over a slice, and runs them on every
+frame: ``scanner`` builds the least-valuation probe (or, in "valid" mode,
+the every-valuation probe) and ``slicer`` the per-world values;
 ``frame_counterexample`` is the one-shot frame-validity form.
 
 A slice reads a frame only through its key, the part of the relation the
@@ -290,103 +293,126 @@ def fixed_points(key_map):
 class _Slice:
     """One frame's key under one rule, evaluated over a slice of valuations.
 
-    near pairs a world a with the worlds the conditional consults for it:
-    under opt the worlds a is not at least as good as, for the looped
-    worlds only (a world without its loop is in its own list, so it is
-    never optimal); under max (the key is the strict part) the worlds
-    strictly better than a, and under lewis (the key is reflexive) the
-    worlds at least as good as a, for every world: both are the worlds
-    whose key row holds a.
+    near pairs a world a with the worlds the conditional consults for it,
+    read from the table of each mask's worlds (``_worlds``): under opt the
+    worlds a is not at least as good as, for the looped worlds only (a
+    world without its loop is in its own list, so it is never optimal);
+    under max (the key is the strict part) the worlds strictly better than
+    a, and under lewis (the key is reflexive) the worlds at least as good
+    as a, a itself among them, for every world: both are the key's column
+    of a.
     """
 
     __slots__ = ("n", "near", "lewis", "cols", "ones")
 
     def __init__(self, seen: Relation, rule: EvalRule, cols: dict, ones: int):
-        r = range(len(seen))
-        if rule is EvalRule.OPT:
-            self.near = [(a, [b for b in r if not row >> b & 1]) for a, row in enumerate(seen) if row >> a & 1]
+        worlds = _worlds(len(seen))
+        if rule is EvalRule.OPT:  # worlds[~row] lists the worlds outside row
+            self.near = [(a, worlds[~row]) for a, row in enumerate(seen) if row >> a & 1]
         else:
-            self.near = [(a, [c for c in r if seen[c] >> a & 1]) for a in r]
-        self.n = len(seen)
-        self.lewis = rule is EvalRule.LEWIS
-        self.cols = cols
-        self.ones = ones
+            near = [[] for _ in seen]
+            for c, row in enumerate(seen):
+                for a in worlds[row]:
+                    near[a].append(c)
+            self.near = list(enumerate(near))
+        self.n, self.lewis, self.cols, self.ones = len(seen), rule is EvalRule.LEWIS, cols, ones
 
     def cond(self, cons: list[int], ant: list[int]) -> int:
-        """Valuations where O(cons / ant) holds."""
+        """Valuations where O(cons / ant) holds, from per-world operands (a
+        world-constant one is lifted, see ``_lists``).  No operand is
+        negated: x & ~y is written x ^ (x & y), which on long ints costs
+        less than ~y.  Under lewis each world b consults itself, so where b
+        is an antecedent world and unblocked, it is a consequent world."""
         if self.lewis:
-            bad = [x & ~y for x, y in zip(ant, cons)]
-            good = 0
-            some = 0
+            bad = [x ^ (x & y) for x, y in zip(ant, cons)]
+            good = self.ones ^ reduce(or_, ant)  # no antecedent world
             for b, near in self.near:
-                some |= ant[b]
                 blocked = 0
                 for c in near:
                     blocked |= bad[c]
-                good |= ant[b] & cons[b] & ~blocked
-            return good | (self.ones ^ some)
+                x = ant[b]
+                good |= x ^ (x & blocked)
+            return good
         violated = 0
         for a, near in self.near:
-            beaten = 0
+            beaten = cons[a]
             for b in near:
                 beaten |= ant[b]
-            violated |= ant[a] & ~cons[a] & ~beaten
+            x = ant[a]
+            violated |= x ^ (x & beaten)
         return self.ones ^ violated
 
 
+@lru_cache(maxsize=None)
+def _worlds(n: int) -> tuple[tuple[int, ...], ...]:
+    """The worlds of each mask over n worlds, ascending."""
+    return tuple(tuple(a for a in range(n) if mask >> a & 1) for mask in range(1 << n))
+
+
 def _compile(f: fm.Formula):
-    """f compiled once into a closure: a _Slice -> per world, the valuations
-    where f holds.  The one entry of the compiler: a tree deeper than
-    formula.MAX_DEPTH is a ValueError (the closures recurse)."""
+    """f compiled once: a _Slice -> per world, the valuations where f holds."""
+    return _lists(*_program(f))
+
+
+def _program(f: fm.Formula):
+    """f compiled once into (closure, constant) (see ``_closure``).  The one
+    entry of the compiler: a tree deeper than formula.MAX_DEPTH is a
+    ValueError (the closures recurse)."""
     fm.check_depth(f)
     return _closure(f)
 
 
+def _lists(program, constant: bool):
+    """program with one value per world: a world-constant one's repeated."""
+    return (lambda s: program(s) * s.n) if constant else program
+
+
 def _closure(g: fm.Formula):
+    """(closure, constant): the closure maps a _Slice to g's values, one
+    per world, or, when g is world-constant (see the module docstring), to
+    a list of its one value; ``_lists`` lifts that to every world."""
     if isinstance(g, (fm.Atom, fm.MetaVar)):
         name = g.name
-        return lambda s: s.cols[name]
-    if isinstance(g, fm.Top):
-        return lambda s: [s.ones] * s.n
-    if isinstance(g, fm.Bot):
-        return lambda s: [0] * s.n
+        return (lambda s: s.cols[name]), False
+    if isinstance(g, (fm.Top, fm.Bot)):
+        top = isinstance(g, fm.Top)
+        return (lambda s: [s.ones if top else 0]), True
     if isinstance(g, fm.Not):
-        child = _closure(g.child)
-        return lambda s: [s.ones ^ x for x in child(s)]
-    if isinstance(g, fm.Box):
-        child = _closure(g.child)
-        return lambda s: [reduce(and_, child(s), s.ones)] * s.n
-    if isinstance(g, fm.Diamond):
-        child = _closure(g.child)
-        return lambda s: [reduce(or_, child(s), 0)] * s.n
+        child, constant = _closure(g.child)
+        return (lambda s: [s.ones ^ x for x in child(s)]), constant
+    if isinstance(g, (fm.Box, fm.Diamond)):
+        (child, constant), op = _closure(g.child), and_ if isinstance(g, fm.Box) else or_
+        return (child if constant else lambda s: [reduce(op, child(s))]), True
     if isinstance(g, fm.Oblig):
-        cons, ant = _closure(g.consequent), _closure(g.antecedent)
-        return lambda s: [s.cond(cons(s), ant(s))] * s.n
-    if isinstance(g, fm.Perm):
-        cons, ant = _closure(g.consequent), _closure(g.antecedent)
-        return lambda s: [s.ones ^ s.cond([s.ones ^ x for x in cons(s)], ant(s))] * s.n
-    if not isinstance(g, (fm.Or, fm.And, fm.Implies, fm.Iff, fm.PrefGeq, fm.PrefGt)):
+        cons, ant = _lists(*_closure(g.consequent)), _lists(*_closure(g.antecedent))
+        return (lambda s: [s.cond(cons(s), ant(s))]), True
+    if isinstance(g, fm.Perm):  # P(x / y) is ~O(~x / y)
+        return _closure(fm.Not(fm.Oblig(fm.Not(g.consequent), g.antecedent)))
+    if isinstance(g, (fm.PrefGeq, fm.PrefGt)):
+        left, right = _lists(*_closure(g.left)), _lists(*_closure(g.right))
+        gt = isinstance(g, fm.PrefGt)
+
+        def pref(s):
+            ones, xs, ys = s.ones, left(s), right(s)
+            both = list(map(or_, xs, ys))
+            v = ones ^ s.cond([ones ^ x for x in xs], both)
+            if gt:
+                v &= s.cond([ones ^ y for y in ys], both)
+            return [v]
+
+        return pref, True
+    if not isinstance(g, (fm.Or, fm.And, fm.Implies, fm.Iff)):
         raise TypeError(f"not a formula: {g!r}")
-    left, right = _closure(g.left), _closure(g.right)
+    (left, lc), (right, rc) = _closure(g.left), _closure(g.right)
+    if lc != rc:  # the world-constant side is lifted to every world
+        left, right = _lists(left, lc), _lists(right, rc)
     if isinstance(g, fm.Or):
-        return lambda s: [x | y for x, y in zip(left(s), right(s))]
+        return (lambda s: list(map(or_, left(s), right(s)))), lc and rc
     if isinstance(g, fm.And):
-        return lambda s: [x & y for x, y in zip(left(s), right(s))]
+        return (lambda s: list(map(and_, left(s), right(s)))), lc and rc
     if isinstance(g, fm.Implies):
-        return lambda s: [(s.ones ^ x) | y for x, y in zip(left(s), right(s))]
-    if isinstance(g, fm.Iff):
-        return lambda s: [s.ones ^ x ^ y for x, y in zip(left(s), right(s))]
-    gt = isinstance(g, fm.PrefGt)
-
-    def pref(s):
-        ones, xs, ys = s.ones, left(s), right(s)
-        both = [x | y for x, y in zip(xs, ys)]
-        v = ones ^ s.cond([ones ^ x for x in xs], both)
-        if gt:
-            v &= s.cond([ones ^ y for y in ys], both)
-        return [v] * s.n
-
-    return pref
+        return (lambda s: [(s.ones ^ x) | y for x, y in zip(left(s), right(s))]), lc and rc
+    return (lambda s: [s.ones ^ x ^ y for x, y in zip(left(s), right(s))]), lc and rc
 
 
 def slicer(f: fm.Formula, rule: EvalRule, names: tuple[str, ...]):
@@ -441,7 +467,7 @@ def scanner(formulas, rule: EvalRule, names: tuple[str, ...], mode: str = "satis
 
 
 def _probe(formulas: tuple, rule: EvalRule, names: tuple[str, ...], mode: str):
-    programs = [_compile(f) for f in formulas]
+    programs = [_program(f)[0] for f in formulas]
     satisfy, valid = mode == "satisfy", mode == "valid"
 
     def settle(seen: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
@@ -472,13 +498,12 @@ def _probe(formulas: tuple, rule: EvalRule, names: tuple[str, ...], mode: str):
 
     def probe(rel: Relation, deadline: float | None = None) -> tuple[int, ...] | None:
         seen = key_of(rel)
-        try:
-            return memo[seen]
-        except KeyError:
+        result = memo.get(seen, memo)  # the memo itself stands for a miss
+        if result is memo:
             result = settle(seen, deadline)  # a timeout stores nothing
             if len(memo) < _MEMO_KEYS:
                 memo[seen] = result
-            return result
+        return result
 
     return probe
 

@@ -57,6 +57,7 @@ _CLOSURE_FRAMES = ("tests/test_finder.py::test_closure_frames_are_the_built_clas
 _LOADED = ("tests/test_layout.py::test_a_cli_call_loads_only_the_modules_its_command_runs",)
 _LABELLED = ("tests/test_finder.py::test_labelled_search_is_the_brute_force_search[lewis]",)
 _ONE_COMMAND = ("tests/test_cli.py::test_a_one_command_parser_equals_that_command_in_the_full_parser",)
+_MIXED = ("tests/test_semantics.py::test_probe_settles_mixed_formulas_as_the_oracle",)
 
 MUTANTS = (
     Mutant(
@@ -360,6 +361,25 @@ MUTANTS = (
         "opt reads the loopless worlds instead of the looped ones", "semantics.py",
         "for a, row in enumerate(seen) if row >> a & 1]",
         "for a, row in enumerate(seen) if not row >> a & 1]",
+        _QUOTIENT,
+    ),
+    Mutant(
+        "lewis consulted lists built without the world itself", "semantics.py",
+        "                for a in worlds[row]:\n",
+        "                for a in worlds[row & ~(1 << c)]:\n",
+        _QUOTIENT,
+    ),
+    Mutant(
+        "a mixed binary connective returns its world-constant side as world-constant", "semantics.py",
+        "    if lc != rc:  # the world-constant side is lifted to every world\n"
+        "        left, right = _lists(left, lc), _lists(right, rc)\n",
+        "    if lc != rc:\n        return (left if lc else right), True\n",
+        _MIXED,
+    ),
+    Mutant(
+        "opt and max clear the beaten valuations with x ^ y, not x ^ (x & y)", "semantics.py",
+        "            violated |= x ^ (x & beaten)\n",
+        "            violated |= x ^ beaten\n",
         _QUOTIENT,
     ),
     Mutant(

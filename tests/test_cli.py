@@ -267,13 +267,14 @@ def test_json_reports_are_deterministic(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # Unbounded, this converse search runs for close to a minute.
-    "correspond --axiom CM --converse max_smooth --rule max --max-n 5 --timeout 1 --json",
-    # Unbounded, these tables run for 5-8 s (max) and about 3 s (opt) on two
-    # CPUs, and for 2 and 3 s with the class caches of an earlier run: each
-    # deadline falls well inside the work, whatever ran before in the process.
-    "correspond --table --rule max --max-n 5 --timeout 0.2 --json",
-    "correspond --table --rule opt --max-n 5 --timeout 1 --json",
+    # Unbounded on two CPUs, the converse search runs for about 4.9 s, and the
+    # max and opt tables for about 0.5 and 1.7 s; with the class caches of an
+    # earlier run and no probe memo, for at least 1.4, 0.18 and 1.16 s (20
+    # runs each in one process).  Each deadline is under a third of the
+    # shortest run, so it falls inside the work whatever ran before.
+    "correspond --axiom CM --converse max_smooth --rule max --max-n 5 --timeout 0.4 --json",
+    "correspond --table --rule max --max-n 5 --timeout 0.05 --json",
+    "correspond --table --rule opt --max-n 5 --timeout 0.3 --json",
 ])
 def test_correspond_honours_timeout(argv, capsys, monkeypatch):
     # a table runs in two processes, both stop, and the child is reaped

@@ -549,3 +549,66 @@ def test_sliced_values_match_oracle_at_every_valuation(rel, f):
             env = {a: frozenset(w for w in range(n) if m >> w & 1) for a, m in masks.items()}
             expected = truth_worlds(f, range(n), pairs, env, rule.value, assignment=env)
             assert {a for a in range(n) if values[a] >> v & 1} == expected
+
+
+# World-constant nodes (the conditionals, [] and <>, T and F, and Boolean
+# combinations of them) are evaluated once for all worlds; these formulas
+# join them with per-world ones, as in []?p -> O(?q / ?p) or O(?p / ?q) & ?r.
+_PROBE_NAMES = ("p", "q", "r")
+_PROBE_LEAVES = st.sampled_from([fm.MetaVar(a) for a in _PROBE_NAMES] + [fm.TOP, fm.BOT])
+_PER_WORLD = _formulas(2, _PROBE_LEAVES)
+_CONSTANT = st.one_of(
+    _PER_WORLD.map(fm.Box), _PER_WORLD.map(fm.Diamond),
+    *(st.builds(node, _PER_WORLD, _PER_WORLD) for node in (fm.Oblig, fm.Perm, fm.PrefGeq, fm.PrefGt)),
+)
+_SIDE = st.one_of(_CONSTANT, _PER_WORLD, _CONSTANT.map(fm.Not))
+_MIXED = st.one_of(
+    *(st.builds(node, _SIDE, _SIDE) for node in (fm.Or, fm.And, fm.Implies, fm.Iff)),
+    st.builds(fm.Box, st.builds(fm.And, _CONSTANT, _SIDE)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rel=st.integers(1, 3).flatmap(lambda n: st.tuples(*[st.integers(0, (1 << n) - 1)] * n)),
+       targets=st.lists(_MIXED, min_size=1, max_size=2))
+def test_probe_settles_mixed_formulas_as_the_oracle(rel, targets):
+    # Through scanner, each mode's probe returns the brute-force least
+    # valuation (satisfy, refute) or () / None (valid) of every rule.
+    n, k = len(rel), len(_PROBE_NAMES)
+    pairs = {(a, b) for a in range(n) for b in range(n) if rel[a] >> b & 1}
+    envs = list(product(range(1 << n), repeat=k))
+    for rule in RULES:
+        holds = []
+        for env in envs:
+            sets = {a: frozenset(w for w in range(n) if m >> w & 1) for a, m in zip(_PROBE_NAMES, env)}
+            holds.append(all(
+                truth_worlds(f, range(n), pairs, sets, rule.value, assignment=sets) == set(range(n))
+                for f in targets
+            ))
+        expected = {
+            "satisfy": next((env for env, h in zip(envs, holds) if h), None),
+            "refute": next((env for env, h in zip(envs, holds) if not h), None),
+            "valid": () if all(holds) else None,
+        }
+        for mode, value in expected.items():
+            assert scanner(targets, rule, _PROBE_NAMES, mode)(rel) == value, (rule, mode)
+
+
+def test_a_one_name_slice_at_the_largest_world_count():
+    # One name over 16 worlds fills one 2**16-bit slice, the largest world
+    # count slicer accepts; 17 worlds would not fit.
+    n = semantics._SLICE_LOG2
+    rng = random.Random(1616)
+    rel = tuple(rng.getrandbits(n) for _ in range(n))
+    pairs = {(a, b) for a in range(n) for b in range(n) if rel[a] >> b & 1}
+    masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
+    for text in ("[]?p -> O(?p / ~?p)", "O(?p / T) & ?p", "P(~?p / ?p) | (?p >= ~?p)", "<>?p <-> ?p > ~?p"):
+        f = parse(text)
+        for rule in RULES:
+            values = slicer(f, rule, ("p",))(rel)
+            for mask in masks:
+                env = {"p": frozenset(w for w in range(n) if mask >> w & 1)}
+                expected = truth_worlds(f, range(n), pairs, env, rule.value, assignment=env)
+                assert {a for a in range(n) if values[a] >> mask & 1} == expected, (text, rule, mask)
+    with pytest.raises(ValueError, match="1 names over 17 worlds exceed one slice"):
+        slicer(parse("?p"), EvalRule.MAX, ("p",))((0,) * 17)
