@@ -16,21 +16,21 @@ least valuation.  Each search compiles its formulas once and runs the
 compiled probe on every frame; the probe settles each part of a frame the
 rule can tell apart once and answers repeats from its memo.  Searches
 count frames, not valuations or memo entries: frames_checked and the
-witness are the same as without the memo.  A search without a frame
-filter may first walk a quotient of its frames (``scan_frames``): the
-classes of its ``semantics.key`` when it has no property, or, under
+witness are the same as without the memo.  A search may first walk a
+quotient of its frames (``scan_frames``): the classes of its
+``semantics.key`` when it has no property and lacks none, or, under
 lewis, max and targets without a conditional, the reflexive closures with
-its properties when the closure keeps them (``relprops.CLOSURE_LOOPS``).
-It scans frames only at the first world count where a class of the
-quotient hits, and counts the others.  Opt, the other properties and
-frame filters keep the frame scan.  The frames of properties from
-``relprops.CLOSURE_LOOPS``, or of none, are derived from the same
-closures (``closure_frames``), so no search builds their dense classes.
+its properties when the closure keeps them (``relprops.CLOSURE_LOOPS``)
+and decides what it lacks (``relprops.CLOSURE_DECIDES``).  It scans
+frames only at the first world count where a class of the quotient hits,
+and counts the others.  Opt and the other properties keep the frame scan.
+The frames of properties from ``relprops.CLOSURE_LOOPS``, or of none, are
+derived from the same closures (``closure_frames``), so no search builds
+their dense classes.
 
 ``scan_frames`` is the one search skeleton and frame loop: it checks the
-world bound, enumerates the frames with the given properties, narrowed by
-an optional frame filter, and returns the first probe hit, smallest
-universe first.
+world bound, enumerates the frames with the given properties that lack
+the lacked ones, and returns the first probe hit, smallest universe first.
 A search for a least witness is a ``SearchSpec`` run by
 ``find_satisfying_model``: a (frame, valuation) in satisfy and refute mode
 (the model search, forward checks, model-level converses), a frame in
@@ -38,8 +38,7 @@ valid mode (frame-level converses).  Every such witness is re-validated in
 one place, ``_revalidate``.  ``cores`` runs one satisfy search per subset
 of a spec's targets, skipping the supersets of unsatisfiable ones, and
 reports the minimal unsatisfiable and maximal satisfiable subsets.  The
-rule collapse (``rule_collapse``) and ``lattice.property_implication`` hand
-``scan_frames`` probes of their own.
+rule collapse (``rule_collapse``) hands ``scan_frames`` a probe of its own.
 Every search stops at a deadline, a ``time.monotonic()`` value (None: no
 limit), raising ``SearchTimeout``.  Each scan is serial.  ``forks.fork_map``
 runs the independent searches of a table (``schemas.table_sweep``,
@@ -69,7 +68,7 @@ from .model import (
     orbit_size,
     worlds_from_mask,
 )
-from .relprops import CLOSURE_LOOPS, RelationProperty, base_properties, check_property, has_all
+from .relprops import CLOSURE_DECIDES, CLOSURE_LOOPS, RelationProperty, base_properties, check_property, has_all
 from .semantics import (
     CLOSURE_KEYS,
     EvalRule,
@@ -108,13 +107,13 @@ class SearchSpec:
     like atoms, and one name may not be both.  mode is "satisfy" (every
     target true at every world), "refute" (some target false at some world)
     or "valid" (every target true at every world under every valuation of
-    atoms: a frame witness, reported with an empty valuation).
-    frame_filter, a pure predicate on the relation rows and invariant under
-    relabelling worlds, narrows the frames scanned and is re-checked on the
-    witness.  The search stops at deadline, a ``time.monotonic()`` value
-    (None: no limit).  It compiles the targets before it builds any frame,
-    and so rejects one nested past the ``formula`` depth limit with
-    ValueError.
+    atoms: a frame witness, reported with an empty valuation).  lacks, one
+    property or a nonempty sequence of them, excludes every frame that has
+    all of them (none: no frame is excluded); it is checked like
+    properties and re-checked on the witness.  The search stops at
+    deadline, a ``time.monotonic()`` value (None: no limit).  It compiles
+    the targets before it builds any frame, and so rejects one nested past
+    the ``formula`` depth limit with ValueError.
     """
 
     def __init__(
@@ -127,7 +126,7 @@ class SearchSpec:
         mode: str = "satisfy",  # or "refute" or "valid"
         iso_reject: bool = True,
         deadline: float | None = None,
-        frame_filter: Callable[[Relation], bool] | None = None,
+        lacks: Sequence[RelationProperty] | RelationProperty = (),
     ):
         if isinstance(targets, (fm.Formula, str)):
             raise ValueError(f"targets must be a sequence of formulas, not one {type(targets).__name__}")
@@ -140,7 +139,7 @@ class SearchSpec:
         self.mode = mode
         self.iso_reject = iso_reject
         self.deadline = deadline
-        self.frame_filter = frame_filter
+        self.lacks = _as_props(lacks)
         if not self.targets:
             raise ValueError("search needs at least one target formula")
         if not isinstance(rule, EvalRule):
@@ -210,7 +209,7 @@ def find_satisfying_model(spec: SearchSpec) -> SearchResult:
     scan = scanner(spec.targets, spec.rule, spec.atoms, spec.mode)
     hit, per_n = scan_frames(
         spec.max_n, spec.properties, lambda rel: scan(rel, spec.deadline),
-        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,
+        iso_reject=spec.iso_reject, deadline=spec.deadline, lacks=spec.lacks,
         key=key(spec.targets, spec.rule),
     )
     checked = sum(per_n.values())
@@ -230,7 +229,7 @@ def scan_frames(
     *,
     iso_reject: bool = True,
     deadline: float | None = None,
-    frame_filter: Callable[[Relation], bool] | None = None,
+    lacks: Sequence[RelationProperty] = (),
     key: Callable[[Relation], Relation] | None = None,
 ):
     """First (n, rel, probe(rel)) whose probe result is not None, plus the
@@ -239,40 +238,44 @@ def scan_frames(
     The frames of n worlds are the cached orbit minima of the relations
     with the given properties (``canonical_relations``, or
     ``closure_frames`` when every base property is in
-    ``relprops.CLOSURE_LOOPS``) that pass frame_filter, ascending.
-    Universes are scanned smallest first, so the hit is the least one; if
-    probe and frame_filter are invariant under relabelling worlds, it is
-    also the least relation that hits.  per_n[n] counts the frames scanned
-    up to and including the hit; without iso_reject, the labelled
+    ``relprops.CLOSURE_LOOPS``) that lack the lacked ones (do not have all
+    of them), ascending.  Universes are scanned smallest first, so the hit
+    is the least one; if probe is invariant under relabelling worlds, it
+    is also the least relation that hits.  per_n[n] counts the frames
+    scanned up to and including the hit; without iso_reject, the labelled
     relations they stand for: every relation of their orbits, and at the
     hit only those up to it (``model.images_up_to``).  The deadline is
     checked every 256 classes examined, passing or not, in the scan and in
-    that count.  A max_n outside the world bound is rejected first.
+    that count.  A max_n outside the world bound, then a member of
+    properties or lacks that is not a property, is rejected first.
 
     key, a ``semantics.key`` map, says that probe reads a frame only
-    through key(frame).  Without a frame filter the scan may then walk a
-    quotient of the frames first, probing each of its classes once: an n
-    where none of them hits has no hit among its frames either, and per_n
-    counts those frames instead of visiting them.  With no properties the
-    walk goes over the classes of the key's fixed points and counts
+    through key(frame).  The scan may then walk a quotient of the frames
+    first, probing each of its classes once: an n where none of them hits
+    has no hit among its frames either, and per_n counts those frames
+    instead of visiting them.  With no properties and none lacked the walk
+    goes over the classes of the key's fixed points and counts
     ``class_count(n)`` frames (2^(n*n) without iso_reject).  With
-    properties from ``relprops.CLOSURE_LOOPS`` and a key that reads no loop
+    properties from ``relprops.CLOSURE_LOOPS``, lacked ones from
+    ``relprops.CLOSURE_DECIDES`` and a key that reads no loop
     (``semantics.CLOSURE_KEYS``) it goes over the reflexive closures with
-    the properties, and counts for each closure the frames above it: the
-    closure with any loop set that holds the loops the table requires
-    (``model.loop_variants``).  The frames of the first n with a hit are
-    scanned as above, so the hit and per_n are the same as without key.
+    the properties that lack the lacked ones, and counts for each the
+    frames above it: the closure with any loop set that holds the loops
+    the table requires (``model.loop_variants``).  The frames of the first
+    n with a hit are scanned as above, so the hit and per_n are the same
+    as without key.
     """
     check_world_bound(max_n)
     base = base_properties(properties)
     keep = has_all(base)
+    lacked = has_all(lacks)
     per_n: dict[int, int] = {}
 
     def frames(relations):
         for idx, rel in enumerate(relations):
             if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:
                 raise SearchTimeout()
-            if frame_filter is None or frame_filter(rel):
+            if lacked is None or not lacked(rel):
                 yield rel
 
     def labelled(classes, last):
@@ -287,14 +290,14 @@ def scan_frames(
     # The walk: the classes to probe first, and count(n, classes), the
     # frames of n worlds they stand for.
     walk = count = None
-    if key is not None and frame_filter is None:
-        if keep is None:
+    if key is not None:
+        if keep is None and lacked is None:
             walk = fixed_points(key)
 
             def count(n, classes):
                 return class_count(n) if iso_reject else 1 << n * n
-        elif key in CLOSURE_KEYS and base <= CLOSURE_LOOPS.keys():
-            walk = has_all(base | {RelationProperty.REFLEXIVE})
+        elif key in CLOSURE_KEYS and base <= CLOSURE_LOOPS.keys() and base_properties(lacks) <= CLOSURE_DECIDES:
+            walk = _closures(base)
 
             def count(n, classes):
                 return sum(
@@ -334,6 +337,11 @@ def _free_loops(base, closure: Relation) -> int:
     return full_mask(len(closure)) & ~needed
 
 
+def _closures(base: frozenset):
+    # with no property, the lewis key's predicate: the class cache holds the reflexive classes once
+    return has_all(base | {RelationProperty.REFLEXIVE}) if base else fixed_points(_reflexive_closure)
+
+
 _closure_frames: dict[tuple[int, frozenset], tuple[Relation, ...]] = {}
 
 
@@ -353,8 +361,7 @@ def closure_frames(n: int, base: frozenset, deadline: float | None = None) -> tu
     checked between closures, and a timeout caches nothing.
     """
     if (n, base) not in _closure_frames:
-        reflexive = has_all(base | {RelationProperty.REFLEXIVE}) if base else fixed_points(_reflexive_closure)
-        closures = canonical_relations(n, reflexive, deadline)
+        closures = canonical_relations(n, _closures(base), deadline)
         _closure_frames[n, base] = loop_variant_classes(
             closures, lambda closure: _free_loops(base, closure), deadline,
         )
@@ -362,14 +369,14 @@ def closure_frames(n: int, base: frozenset, deadline: float | None = None) -> tu
 
 
 def _revalidate(model: PreferenceModel, spec: SearchSpec) -> None:
-    """Re-check a witness with check_property, the frame filter and the
-    reference truth_set: under its valuation, or in valid mode under every
-    valuation of spec.atoms."""
+    """Re-check a witness with check_property, on the properties it has and
+    lacks, and the reference truth_set: under its valuation, or in valid
+    mode under every valuation of spec.atoms."""
     for prop in spec.properties:
         if not check_property(prop, model):
             raise AssertionError(f"witness lacks {prop.value}")
-    if spec.frame_filter is not None and not spec.frame_filter(model.rel):
-        raise AssertionError("witness frame fails the frame filter")
+    if spec.lacks and all(check_property(prop, model) for prop in spec.lacks):
+        raise AssertionError(f"witness has {' and '.join(p.value for p in spec.lacks)}, which it must lack")
     instances = [model]
     if spec.mode == "valid":
         instances = (
@@ -389,7 +396,7 @@ def cores(spec: SearchSpec) -> dict:
     """Minimal unsatisfiable and maximal satisfiable subsets of spec.targets.
 
     Every nonempty subset is searched like spec itself (same atoms,
-    properties, rule, bound, frame filter and deadline), by size, then in
+    properties, lacks, rule, bound and deadline), by size, then in
     ``itertools.combinations`` order, except the supersets of a set already
     found unsatisfiable: those are unsatisfiable too.  So each set found
     unsatisfiable is minimal.  Sets are sorted lists of indices into
@@ -410,8 +417,7 @@ def cores(spec: SearchSpec) -> dict:
                 continue
             result = find_satisfying_model(SearchSpec(
                 spec.max_n, spec.rule, [spec.targets[i] for i in chosen], spec.properties,
-                spec.atoms, iso_reject=spec.iso_reject, deadline=spec.deadline,
-                frame_filter=spec.frame_filter,
+                spec.atoms, iso_reject=spec.iso_reject, deadline=spec.deadline, lacks=spec.lacks,
             ))
             if result.model is None:
                 unsat[subset] = result.frames_checked

@@ -1,12 +1,10 @@
 """Implications and independence between relation properties.
 
-``property_implication`` checks "every relation with P1 has P2" with a
-probe of its own handed to ``finder.scan_frames``: it scans the classes
-with P1, weighting each by its orbit size, and reports the least class
-without P2 as a ``Witness`` or the relations checked as ``Confirmed``.  The
-properties are invariant under relabelling worlds, so the least witness is
-the least such representative.  ``lattice_report`` asks it once per
-ordered pair of the implication diagram of the transitivity weakenings
+``property_implication`` checks "every relation with P1 has P2" as a
+search plus a count: a ``Witness`` is the least frame with P1 that lacks
+P2 (``finder.SearchSpec`` with ``lacks``), and ``Confirmed`` counts the
+labelled relations with P1.  ``lattice_report`` asks it once per ordered
+pair of the implication diagram of the transitivity weakenings
 (``LATTICE_NODES``, ``LATTICE_ARROWS``): it confirms every pair of
 ``implied_pairs`` and witnesses every other pair.  ``forks.fork_map`` runs
 its premises in one forked process per CPU.  Of the CLI commands, only
@@ -18,9 +16,10 @@ from __future__ import annotations
 from itertools import product
 
 from . import formula as fm
-from .finder import _as_props, scan_frames
-from .model import orbit_size, transitive_closure
-from .relprops import RelationProperty, base_properties, has_all
+from .finder import SearchSpec, find_satisfying_model
+from .model import transitive_closure
+from .relprops import RelationProperty, base_properties
+from .semantics import EvalRule
 
 
 class Confirmed(fm.Record):
@@ -38,26 +37,20 @@ class Witness(fm.Record):
 def property_implication(p1, p2, n: int, deadline: float | None = None) -> Confirmed | Witness:
     """Check p1 => p2 over all relations on 1..n worlds, n <= 5.
 
-    p1 and p2 may be single properties or iterables (read conjunctively).
-    A scan of the classes with p1 whose probe hits a class without p2;
-    relations_checked counts the relations in the classes it passes.
-    Raises SearchTimeout at the deadline, a ``time.monotonic()`` value
-    (None: no limit).
+    p1 and p2 may be single properties or iterables (read conjunctively;
+    an empty p2 holds of every relation).  The witness is that of a search
+    for T over the frames with p1 that lack p2; without one,
+    relations_checked is the frames_checked of a refutation search for T
+    over p1 without isomorph rejection: every labelled relation with p1.
+    Both walk reflexive closures where the properties allow.  Raises
+    SearchTimeout at the deadline, a ``time.monotonic()`` value (None: no
+    limit).
     """
-    conclusion = has_all(_as_props(p2))
-    checked = 0
-
-    def probe(rel):
-        nonlocal checked
-        if conclusion is not None and not conclusion(rel):
-            return rel
-        checked += orbit_size(rel)
-        return None
-
-    hit, _ = scan_frames(n, _as_props(p1), probe, deadline=deadline)
-    if hit is None:
-        return Confirmed(n, checked)
-    return Witness(hit[0], hit[1])
+    found = find_satisfying_model(SearchSpec(n, EvalRule.LEWIS, (fm.TOP,), p1, lacks=p2, deadline=deadline))
+    if found.model is not None and found.spec.lacks:
+        return Witness(found.model.n, found.model.rel)
+    every = SearchSpec(n, EvalRule.LEWIS, (fm.TOP,), p1, mode="refute", iso_reject=False, deadline=deadline)
+    return Confirmed(n, find_satisfying_model(every).frames_checked)
 
 
 # The implication diagram over the order-theoretic properties: the five

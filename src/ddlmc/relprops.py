@@ -251,3 +251,6 @@ CLOSURE_LOOPS = {
     RelationProperty.ACYCLIC: _no_loops,
     RelationProperty.SUZUMURA_CONSISTENT: _no_loops,
 }
+
+# The three that need no loop: a relation has one iff its closure has it.
+CLOSURE_DECIDES = frozenset(prop for prop, loops in CLOSURE_LOOPS.items() if loops is _no_loops)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from . import formula as fm
 from .finder import SearchSpec, find_satisfying_model
 from .model import PreferenceModel, model_json, worlds_from_mask
-from .relprops import RelationProperty, has_all
+from .relprops import RelationProperty
 from .semantics import EvalRule, schema_names
 
 _SCHEMA_SOURCES = {
@@ -127,17 +127,15 @@ def converse_search(
     every assignment to its metavariables.  Model-level reproduces a
     fixed-valuation reading: a satisfy-mode search over the metavariables'
     valuations too, so a witness is a model in which that single instance
-    holds.  Either way the frame filter is "lacks the property", and the
-    search re-validates a witness before the report ("witness" or
-    "none_up_to_bound") carries it.
+    holds.  Either way the search lacks the property (``SearchSpec.lacks``,
+    which under lewis and max walks closures) and re-validates a witness
+    before the report ("witness" or "none_up_to_bound") carries it.
     """
     name, body = _resolve(axiom)
-    has = has_all({prop})
     found = find_satisfying_model(SearchSpec(
         max_n=max_n, rule=rule, targets=(body,), atoms=schema_names(body),
         mode="satisfy" if model_level else "valid",
-        iso_reject=iso_reject, deadline=deadline,
-        frame_filter=lambda rel: not has(rel),
+        iso_reject=iso_reject, deadline=deadline, lacks=prop,
     ))
     report = {
         "axiom": name,

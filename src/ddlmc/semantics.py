@@ -54,12 +54,12 @@ scan of all 291 968 five-world classes meets 23 566 under lewis, 7 921
 under max and 41 249 under opt); keys met past that are settled each
 time.  Every key map is idempotent, so the keys of
 all frames are its fixed points (``fixed_points``), and a search with no
-property and no frame filter first walks their classes (9 608, 582 and
+property and none lacked first walks their classes (9 608, 582 and
 13 140 at n=5 under lewis, max and opt): ``finder.scan_frames`` counts the
 frames of a world count where none of them hits, without visiting them.
 The keys of lewis, max and targets without a conditional read no loop
-(``CLOSURE_KEYS``), so a search with transitivity or its weakenings walks
-the reflexive closures with them instead (the transitive n=5 frames, 1 895
+(``CLOSURE_KEYS``), so a search with transitivity or its weakenings, or
+lacking a weakening, walks the reflexive closures instead (the transitive n=5 frames, 1 895
 classes, stand on 139 preorder classes).
 ``truth_set`` stays the reference evaluator and re-validates every witness
 the scans report.

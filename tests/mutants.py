@@ -178,12 +178,12 @@ MUTANTS = (
         ("tests/test_finder.py::test_library_searches_check_bound_and_deadline",),
     ),
     Mutant(
-        "frame loop checks the deadline only on frames that pass the filter", "finder.py",
+        "frame loop checks the deadline only on frames that lack the lacked properties", "finder.py",
         "            if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:\n"
         "                raise SearchTimeout()\n"
-        "            if frame_filter is None or frame_filter(rel):\n"
+        "            if lacked is None or not lacked(rel):\n"
         "                yield rel\n",
-        "            if frame_filter is None or frame_filter(rel):\n"
+        "            if lacked is None or not lacked(rel):\n"
         "                if deadline is not None and idx % 256 == 0 and time.monotonic() > deadline:\n"
         "                    raise SearchTimeout()\n"
         "                yield rel\n",
@@ -204,8 +204,8 @@ MUTANTS = (
          "tests/test_finder.py::test_grid_and_lattice_are_the_same_in_forked_processes"),
     ),
     Mutant(
-        "_revalidate without the frame-filter re-check", "finder.py",
-        "    if spec.frame_filter is not None and not spec.frame_filter(model.rel):\n",
+        "_revalidate without the lacks re-check", "finder.py",
+        "    if spec.lacks and all(check_property(prop, model) for prop in spec.lacks):\n",
         "    if False:\n",
         ("tests/test_finder.py::test_frame_filter_is_revalidated",),
     ),
@@ -218,7 +218,7 @@ MUTANTS = (
     Mutant(
         "valid-mode probe accepts every frame, re-check skipped", "finder.py",
         "        spec.max_n, spec.properties, lambda rel: scan(rel, spec.deadline),\n"
-        "        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,\n"
+        "        iso_reject=spec.iso_reject, deadline=spec.deadline, lacks=spec.lacks,\n"
         "        key=key(spec.targets, spec.rule),\n"
         "    )\n"
         "    checked = sum(per_n.values())\n"
@@ -230,7 +230,7 @@ MUTANTS = (
         "    _revalidate(model, spec)\n",
         "        spec.max_n, spec.properties,\n"
         "        lambda rel: () if spec.mode == \"valid\" else scan(rel, spec.deadline),\n"
-        "        iso_reject=spec.iso_reject, deadline=spec.deadline, frame_filter=spec.frame_filter,\n"
+        "        iso_reject=spec.iso_reject, deadline=spec.deadline, lacks=spec.lacks,\n"
         "        key=key(spec.targets, spec.rule),\n"
         "    )\n"
         "    checked = sum(per_n.values())\n"
@@ -262,16 +262,28 @@ MUTANTS = (
         _CORES,
     ),
     Mutant(
-        "implication probe counts each class once", "lattice.py",
-        "        checked += orbit_size(rel)\n",
-        "        checked += 1\n",
+        "implication counts each class once", "lattice.py",
+        "(fm.TOP,), p1, mode=\"refute\", iso_reject=False, deadline=deadline)\n",
+        "(fm.TOP,), p1, mode=\"refute\", iso_reject=True, deadline=deadline)\n",
         ("tests/test_relprops.py::test_implication_counts_every_relation_of_its_classes",),
     ),
     Mutant(
-        "implication probe never reports a witness", "lattice.py",
-        "        if conclusion is not None and not conclusion(rel):\n            return rel\n",
-        "        if conclusion is not None and not conclusion(rel):\n            return None\n",
+        "implication never reports a witness", "lattice.py",
+        "    if found.model is not None and found.spec.lacks:\n        return Witness(",
+        "    if False:\n        return Witness(",
         ("tests/test_relprops.py::test_implication_confirmed_and_witness",),
+    ),
+    Mutant(
+        "the walk is taken for lacks=TRANSITIVE", "relprops.py",
+        "CLOSURE_DECIDES = frozenset(prop for prop, loops in CLOSURE_LOOPS.items() if loops is _no_loops)\n",
+        "CLOSURE_DECIDES = frozenset(CLOSURE_LOOPS)\n",
+        _KEY_CLASSES,
+    ),
+    Mutant(
+        "the closure count runs over the closures that have the lacked properties too", "finder.py",
+        "                    for closure in frames(classes)\n",
+        "                    for closure in classes\n",
+        _KEY_CLASSES,
     ),
     Mutant(
         "lattice report without its implied-pair check", "lattice.py",

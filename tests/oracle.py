@@ -231,14 +231,15 @@ def all_relations(n):
     return product(range(1 << n), repeat=n)
 
 
-def labelled_search(target, rule, names, mode, props, max_n, memo):
+def labelled_search(target, rule, names, mode, props, max_n, memo, lacks=()):
     """The search ``finder.find_satisfying_model`` makes without isomorph
     rejection, one labelled relation and one valuation at a time: the
     least (n, rel, valuation) that settles target in mode, or None, and
     the number of frames checked up to and including it.
 
     The frames are every relation with the properties props (names of
-    ``naive_properties``), by world count, then row tuple; a valuation is
+    ``naive_properties``) that does not have all of lacks (names too; none
+    lacked if empty), by world count, then row tuple; a valuation is
     a tuple of world masks for names, ascending.  Satisfy: target true at
     every world; refute: false at some world; valid: true at every world
     under every valuation (the witness's valuation is empty).  Whether a
@@ -262,7 +263,7 @@ def labelled_search(target, rule, names, mode, props, max_n, memo):
                 canonical = min(tuple(sorted(image)) for image in orbit(n, pairs))
                 memo["frame", rel] = pairs, canonical, naive_properties(n, pairs)
             pairs, canonical, facts = memo["frame", rel]
-            if not all(facts[p] for p in props):
+            if not all(facts[p] for p in props) or lacks and all(facts[p] for p in lacks):
                 continue
             checked += 1
             key = (base, rule, names, n, canonical)

@@ -30,7 +30,7 @@ from ddlmc.casestudy import (
 )
 from ddlmc.finder import SearchResult, SearchSpec, cores
 from ddlmc.model import PreferenceModel
-from ddlmc.relprops import RelationProperty as P, is_acyclic
+from ddlmc.relprops import RelationProperty as P
 from ddlmc.semantics import EvalRule, truth_set
 
 from oracle import naive_properties, random_model_data, truth_worlds
@@ -198,8 +198,7 @@ def ascending_chain_evidence(max_n, deadline):
     return (
         cores(SearchSpec(max_n, EvalRule.MAX, chain, P.TRANSITIVE, ATOMS, deadline=deadline)),
         finder.find_satisfying_model(SearchSpec(
-            max_n, EvalRule.MAX, chain, (), ATOMS, deadline=deadline,
-            frame_filter=lambda rel: not is_acyclic(rel),
+            max_n, EvalRule.MAX, chain, (), ATOMS, deadline=deadline, lacks=P.ACYCLIC,
         )),
     )
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ddlmc import cli, schemas
+from ddlmc import cli, schemas, semantics
 from ddlmc.cli import COMMANDS, build_parser, main
 
 MODEL = "worlds 3\nrel 0>=2 2>=1\nval A = {0}\nval Ap = {1}\nval B = {2}\n"
@@ -267,18 +267,21 @@ def test_json_reports_are_deterministic(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # Unbounded on two CPUs, the converse search runs for about 4.9 s, and the
-    # max and opt tables for about 0.5 and 1.7 s; with the class caches of an
-    # earlier run and no probe memo, for at least 1.4, 0.18 and 1.16 s (20
+    # Unbounded on two CPUs, the opt converse search (a frame scan: opt's key
+    # reads loops, so no closure walk applies) runs for about 3.0 s, and the
+    # max and opt tables for about 0.4 and 1.3 s; with the class caches of an
+    # earlier run and no probe memo, for at least 0.88, 0.15 and 0.98 s (20
     # runs each in one process).  Each deadline is under a third of the
     # shortest run, so it falls inside the work whatever ran before.
-    "correspond --axiom CM --converse max_smooth --rule max --max-n 5 --timeout 0.4 --json",
-    "correspond --table --rule max --max-n 5 --timeout 0.05 --json",
+    "correspond --axiom Dstar --converse opt_limited --rule opt --max-n 5 --timeout 0.25 --json",
+    "correspond --table --rule max --max-n 5 --timeout 0.04 --json",
     "correspond --table --rule opt --max-n 5 --timeout 0.3 --json",
 ])
 def test_correspond_honours_timeout(argv, capsys, monkeypatch):
-    # a table runs in two processes, both stop, and the child is reaped
+    # a table runs in two processes, both stop, and the child is reaped; a
+    # fresh probe memo keeps an earlier test's settled keys from answering
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(semantics, "_probes", {})
     started = time.monotonic()
     code, out = run(capsys, *argv.split())
     assert time.monotonic() - started < 15
@@ -304,9 +307,12 @@ def test_a_dead_search_process_is_an_error_line_with_exit_3(capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv, code, limit_s", [
     ("collapse --max-n 5 --timeout 0.000001 --json", 1, 15),
-    # Unbounded, this builds the five-world classes of all seven lattice
-    # properties (about 1 s on two CPUs, so a 1 s deadline may not expire).
-    ("lattice --max-n 5 --timeout 0.1 --json", 1, 15),
+    # Unbounded, this walks the closures of the four weak lattice properties
+    # and builds the five-world classes of the other three: about 0.2 s on
+    # two CPUs, and with the caches of an earlier run and no probe memo at
+    # least 0.059 s (20 runs in one process on one CPU).  The deadline is
+    # under a third of that.
+    ("lattice --max-n 5 --timeout 0.01 --json", 1, 15),
     # The bound is checked before any work: a usage error, no report.
     ("lattice --max-n 6 --json", 2, 1),
 ])
@@ -503,7 +509,7 @@ def test_paradox_rule_is_an_abbreviation_of_rules(capsys):
 
 @pytest.mark.parametrize("argv, code, status", [
     ("collapse --max-n 2 --timing --json", 0, "confirmed"),
-    ("lattice --max-n 5 --timeout 0.2 --timing --json", 1, "timeout"),
+    ("lattice --max-n 5 --timeout 0.01 --timing --json", 1, "timeout"),
 ])
 def test_timing_fills_in_elapsed_ms(argv, code, status, capsys):
     got, out = run(capsys, *argv.split())

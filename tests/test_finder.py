@@ -22,7 +22,7 @@ from ddlmc.formula import parse
 from ddlmc.forks import fork_map
 from ddlmc.lattice import Witness, lattice_report
 from ddlmc.model import PreferenceModel, canonical_relations, relation_from_pairs, relation_pairs
-from ddlmc.relprops import CYCLIC, check_property, has_all, is_acyclic, is_reflexive, longest_strict_chain
+from ddlmc.relprops import CYCLIC, check_property, has_all, is_reflexive, longest_strict_chain
 from ddlmc.schemas import SCHEMAS, converse_search, forward_check, table_sweep
 from ddlmc.casestudy import run_grid
 from ddlmc.relprops import RelationProperty as P
@@ -64,10 +64,12 @@ def test_search_rejects_a_property_that_is_not_a_relation_property(iso_reject, m
         raise AssertionError("built a frame for a bad property set")
 
     monkeypatch.setattr(model, "_classes", no_frames)
-    spec = SearchSpec(3, EvalRule.MAX, [parse("p")], properties="total", iso_reject=iso_reject)
-    # a bare str is one property name, not a sequence of letters
-    with pytest.raises(ValueError, match="^'total': not a relation property$"):
-        find_satisfying_model(spec)
+    # a bare str is one property name, not a sequence of letters; lacked
+    # properties are checked like the others
+    for bad in ({"properties": "total"}, {"lacks": "total"}):
+        spec = SearchSpec(3, EvalRule.MAX, [parse("p")], iso_reject=iso_reject, **bad)
+        with pytest.raises(ValueError, match="^'total': not a relation property$"):
+            find_satisfying_model(spec)
 
 
 _BAD_RULE_SEARCHES = {
@@ -210,24 +212,19 @@ def test_valid_mode_quantifies_the_atoms_too():
 
 
 def test_frame_filter():
-    spec = SearchSpec(
-        max_n=3, rule=EvalRule.MAX, targets=(parse("<>T"),),
-        frame_filter=lambda rel: not is_acyclic(rel),
-    )
+    # lacks filters the frames: the least frame that is not acyclic
+    spec = SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("<>T"),), lacks=P.ACYCLIC)
     result = find_satisfying_model(spec)
     assert result.status == "sat"
     assert longest_strict_chain(result.model) is CYCLIC
 
 
 def test_frame_filter_is_revalidated(monkeypatch):
-    # A scan that hands back a frame the filter rejects must not get it
-    # past the search: the reflexive one-world frame has no strict cycle.
+    # A scan that hands back a frame with the lacked property must not get
+    # it past the search: the reflexive one-world frame is acyclic.
     monkeypatch.setattr("ddlmc.finder.scan_frames", lambda *args, **kwargs: ((1, (1,), ()), {1: 1}))
-    spec = SearchSpec(
-        max_n=3, rule=EvalRule.MAX, targets=(parse("<>T"),),
-        frame_filter=lambda rel: not is_acyclic(rel),
-    )
-    with pytest.raises(AssertionError, match="frame filter"):
+    spec = SearchSpec(max_n=3, rule=EvalRule.MAX, targets=(parse("<>T"),), lacks=P.ACYCLIC)
+    with pytest.raises(AssertionError, match="witness has acyclic, which it must lack"):
         find_satisfying_model(spec)
 
 
@@ -348,13 +345,11 @@ _BEYOND_FIRST_SLICE = {
 def test_least_witness_beyond_the_first_slice(rule, mode):
     # five atoms at n=4 make 2**20 valuations, more than one 2**16-bit
     # slice, so the scan binds atom a one mask at a time; every witness
-    # needs a nonempty a, so none lies in the first slice
+    # needs a nonempty a, so none lies in the first slice.  The probe a
+    # search compiles is run on the one frame.
     frame = (0, 1, 2, 8)
     targets = tuple(parse(s) for s in _BEYOND_FIRST_SLICE[mode])
-    spec = SearchSpec(
-        max_n=4, rule=rule, targets=targets, atoms=_FIVE_ATOMS, mode=mode,
-        frame_filter=lambda rel: rel == frame,
-    )
+    env = scanner(targets, rule, _FIVE_ATOMS, mode)(frame, None)
     expected = None
     for env in product(range(16), repeat=len(_FIVE_ATOMS)):
         m = PreferenceModel(4, frame, dict(zip(_FIVE_ATOMS, env)))
@@ -363,10 +358,20 @@ def test_least_witness_beyond_the_first_slice(rule, mode):
             expected = m
             break
     assert expected.valuation["a"] != 0
-    assert find_satisfying_model(spec).model == expected
+    assert PreferenceModel(4, frame, dict(zip(_FIVE_ATOMS, env))) == expected
 
 
 _CLOSURE_PROPS = (P.TRANSITIVE, P.QUASI_TRANSITIVE, P.ACYCLIC, P.SUZUMURA_CONSISTENT)
+
+
+# What a converse search lacks, alone or with properties: the three
+# properties the reflexive closure decides, transitivity (which it does
+# not: the walk must not be taken), and definitions over them.
+_CONVERSE_LACKS = [((), (p,)) for p in _CLOSURE_PROPS + (P.MAX_SMOOTH, P.MAX_LIMITED, P.OPT_LIMITED)] + [
+    ((), (P.QUASI_TRANSITIVE, P.SUZUMURA_CONSISTENT)),
+    ((P.ACYCLIC,), (P.QUASI_TRANSITIVE,)),
+    ((P.QUASI_TRANSITIVE,), (P.SUZUMURA_CONSISTENT,)),
+]
 
 
 @pytest.mark.parametrize("mode", sorted(_STATUS))
@@ -379,22 +384,27 @@ def test_key_classes_stand_in_for_the_frames(rule, mode):
     # without that walk, which visits every frame, with isomorph rejection
     # and without.  Opt keeps the frame scan.  Each schema's negation is
     # searched too: in satisfy and valid mode most schemas hit at once, and
-    # most negations late or never.
+    # most negations late or never.  Under lewis and max, so is each
+    # schema's frame-level and model-level converse (lacking properties),
+    # which walks the closures that lack them when the closure decides them.
     property_sets = [()] + [(p,) for p in _CLOSURE_PROPS]
     property_sets += [(P.MAX_SMOOTH, P.MAX_LIMITED), (P.TRANSITIVE, P.ACYCLIC)]
     for name, schema in SCHEMAS.items():
         names = schema_names(schema)
-        for target, props in product((schema, fm.Not(schema)), property_sets):
+        cases = [(target, props, ()) for target, props in product((schema, fm.Not(schema)), property_sets)]
+        if rule is not EvalRule.OPT and mode != "refute":
+            cases += [(schema, props, lacks) for props, lacks in _CONVERSE_LACKS]
+        for target, props, lacks in cases:
             for max_n, iso_reject in ((4, True), (3, False)):
                 found = find_satisfying_model(SearchSpec(
-                    max_n, rule, [target], props, atoms=names, mode=mode, iso_reject=iso_reject,
+                    max_n, rule, [target], props, atoms=names, mode=mode, iso_reject=iso_reject, lacks=lacks,
                 ))
                 probe = scanner((target,), rule, names, mode)
-                hit, per_n = scan_frames(max_n, props, probe, iso_reject=iso_reject)
+                hit, per_n = scan_frames(max_n, props, probe, iso_reject=iso_reject, lacks=lacks)
                 witness = found.model and (found.model.n, found.model.rel, tuple(found.model.valuation.values()))
                 assert (found.status, found.frames_checked, witness) == (
                     _STATUS[mode][hit is None], sum(per_n.values()), hit,
-                ), (fm.render(target), props, max_n, iso_reject)
+                ), (fm.render(target), props, lacks, max_n, iso_reject)
 
 
 @pytest.mark.parametrize("rule", list(EvalRule), ids=str)
@@ -402,21 +412,29 @@ def test_labelled_search_is_the_brute_force_search(rule):
     # Without isomorph rejection a search probes the same classes and
     # counts the labelled relations they stand for.  Status, witness and
     # frames_checked must be those of the oracle's search over every
-    # labelled relation and valuation, for each schema and its negation.
+    # labelled relation and valuation, for each schema and its negation,
+    # and for each schema's frame-level converse (valid mode, lacking
+    # properties), which walks the closures under lewis and max.
     memo = {}
     for name, schema in SCHEMAS.items():
         names = schema_names(schema)
-        for target, props, mode in product(
-            (schema, fm.Not(schema)), ((), (P.TRANSITIVE,), (P.ACYCLIC,)), sorted(_STATUS),
-        ):
-            hit, checked = labelled_search(target, rule.value, names, mode, [p.value for p in props], 3, memo)
+        cases = [
+            (target, props, (), mode)
+            for target, props, mode in product(
+                (schema, fm.Not(schema)), ((), (P.TRANSITIVE,), (P.ACYCLIC,)), sorted(_STATUS),
+            )
+        ] + [(schema, props, lacks, "valid") for props, lacks in _CONVERSE_LACKS]
+        for target, props, lacks, mode in cases:
+            hit, checked = labelled_search(
+                target, rule.value, names, mode, [p.value for p in props], 3, memo, [p.value for p in lacks],
+            )
             found = find_satisfying_model(SearchSpec(
-                3, rule, [target], props, atoms=names, mode=mode, iso_reject=False,
+                3, rule, [target], props, atoms=names, mode=mode, iso_reject=False, lacks=lacks,
             ))
             witness = found.model and (found.model.n, found.model.rel, found.model.valuation)
             assert (found.status, found.frames_checked, witness) == (
                 _STATUS[mode][hit is None], checked, hit and (hit[0], hit[1], dict(zip(names, hit[2]))),
-            ), (name, fm.render(target), props, mode)
+            ), (name, fm.render(target), props, lacks, mode)
 
 
 # Labelled relations with the properties on n <= 5 worlds: the sums of
@@ -575,7 +593,8 @@ def test_timeout_holds_while_the_labelled_count_runs():
 
 
 def test_timeout_holds_while_the_frame_filter_rejects_every_relation():
-    # no frame reaches the probe, so the deadline is checked on the frames
+    # a transitive frame that lacks transitivity does not exist, so no frame
+    # reaches the probe, and the deadline is checked on the frames
     # examined, not on those that pass: with the 1 895 transitive
     # five-world classes built, the lapsed deadline must stop the scan
     props = (P.TRANSITIVE,)
@@ -585,7 +604,7 @@ def test_timeout_holds_while_the_frame_filter_rejects_every_relation():
         with pytest.raises(SearchTimeout):
             scan_frames(
                 5, props, lambda rel: rel, iso_reject=iso_reject, deadline=time.monotonic() - 1,
-                frame_filter=lambda rel: False,
+                lacks=props,
             )
 
 

@@ -201,6 +201,8 @@ def test_implication_counts_every_relation_of_its_classes():
     # 2 + 13 + 171 + 3994, then + 154303 at n=5
     assert property_implication(P.TRANSITIVE, P.QUASI_TRANSITIVE, 4) == Confirmed(4, 4180)
     assert property_implication(P.TRANSITIVE, P.QUASI_TRANSITIVE, 5) == Confirmed(5, 158483)
+    # an empty conclusion holds of every relation: the total ones, 1 + 3
+    assert property_implication(P.TOTAL, (), 2) == Confirmed(2, 4)
 
 
 def test_implication_results_are_records_of_their_class():

@@ -96,15 +96,9 @@ def test_dex_fails_under_lewis_even_on_a_non_limited_model():
     from ddlmc.formula import parse
 
     targets = tuple(parse(s) for s in ("<>f", "O(g / f)", "O(~g / f)", "~O(h / f)"))
-    blocked = SearchSpec(
-        max_n=3, rule=EvalRule.LEWIS, targets=targets,
-        frame_filter=lambda rel: not check_property(P.MAX_LIMITED, rel),
-    )
+    blocked = SearchSpec(max_n=3, rule=EvalRule.LEWIS, targets=targets, lacks=P.MAX_LIMITED)
     assert find_satisfying_model(blocked).status == "unsat_up_to_bound"
-    found = SearchSpec(
-        max_n=4, rule=EvalRule.LEWIS, targets=targets,
-        frame_filter=lambda rel: not check_property(P.MAX_LIMITED, rel),
-    )
+    found = SearchSpec(max_n=4, rule=EvalRule.LEWIS, targets=targets, lacks=P.MAX_LIMITED)
     result = find_satisfying_model(found)
     assert result.status == "sat"
     assert result.model.n == 4
