@@ -303,6 +303,9 @@ _SEARCHES = {
         "Id", P.REFLEXIVE, EvalRule.MAX, max_n, deadline=deadline),
     "converse_model": lambda max_n, deadline: converse_search(
         "Id", P.REFLEXIVE, EvalRule.MAX, max_n, deadline=deadline, model_level=True),
+    # lacking max-smoothness walks the reflexive closures (CLOSURE_DECIDES)
+    "converse_walk": lambda max_n, deadline: converse_search(
+        "CM", P.MAX_SMOOTH, EvalRule.MAX, max_n, deadline=deadline),
     "rule_collapse": lambda max_n, deadline: rule_collapse(max_n, deadline=deadline),
     # O(p/T) & ~O(p/T) holds at no world, so the search runs to its bound
     "labelled_acyclic": lambda max_n, deadline: find_satisfying_model(SearchSpec(
@@ -349,7 +352,7 @@ def test_least_witness_beyond_the_first_slice(rule, mode):
     # search compiles is run on the one frame.
     frame = (0, 1, 2, 8)
     targets = tuple(parse(s) for s in _BEYOND_FIRST_SLICE[mode])
-    env = scanner(targets, rule, _FIVE_ATOMS, mode)(frame, None)
+    got = scanner(targets, rule, _FIVE_ATOMS, mode)(frame, None)
     expected = None
     for env in product(range(16), repeat=len(_FIVE_ATOMS)):
         m = PreferenceModel(4, frame, dict(zip(_FIVE_ATOMS, env)))
@@ -358,7 +361,8 @@ def test_least_witness_beyond_the_first_slice(rule, mode):
             expected = m
             break
     assert expected.valuation["a"] != 0
-    assert PreferenceModel(4, frame, dict(zip(_FIVE_ATOMS, env))) == expected
+    assert got is not None
+    assert PreferenceModel(4, frame, dict(zip(_FIVE_ATOMS, got))) == expected
 
 
 _CLOSURE_PROPS = (P.TRANSITIVE, P.QUASI_TRANSITIVE, P.ACYCLIC, P.SUZUMURA_CONSISTENT)
