@@ -73,6 +73,14 @@ GRID_ROWS = (
 
 GRID_RULES = (EvalRule.OPT, EvalRule.MAX, EvalRule.LEWIS)
 
+# The order in which run_grid hands its rows to forks.fork_map: the heaviest
+# row first, then the others in GRID_ROWS order.  Quasi-transitivity's opt
+# and lewis cells hit at n=4 only after deriving all 1 430 quasi-transitive
+# four-world frames.  Run serially in GRID_ROWS order on a 2-vCPU VM
+# (Python 3.11, medians of 8 fresh processes), its row took 10.4 of 25.8 ms
+# at n=4 and 102 of 213 ms at n=5, with transitivity next (90 ms).
+_DISPATCH = tuple(sorted(GRID_ROWS, key=lambda row: row[0] != "quasi-transitivity"))
+
 # Expected satisfiability pattern, keyed (row label, rule).  Cells marked
 # finite_caveat are unsatisfiable at every finite size while satisfiable in
 # an infinite model, so the finite outcome carries a caveat.
@@ -114,7 +122,9 @@ def run_grid(
 
     One deadline covers the whole grid; a repeated rule is rejected.  The
     rows are independent: ``forks.fork_map`` runs them in parallel, a row's
-    searches in one process so that they share its class builds.
+    searches in one process so that they share its class builds.  It takes
+    them in ``_DISPATCH`` order, heaviest first, and the cells come back in
+    GRID_ROWS order.  A row's cells are plain dicts.
     """
     from .forks import fork_map  # compiled only when a table runs
 
@@ -148,7 +158,8 @@ def run_grid(
             cells.append(cell)
         return cells
 
-    cells = [cell for row in fork_map(row_cells, GRID_ROWS) for cell in row]
+    found = dict(zip(_DISPATCH, fork_map(row_cells, _DISPATCH)))
+    cells = [cell for row in GRID_ROWS for cell in found[row]]
     return {
         "formulas": [fm.render(f) for f in SCENARIO],
         "max_n": max_n,

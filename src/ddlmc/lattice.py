@@ -102,15 +102,24 @@ def lattice_report(max_n: int, deadline: float | None = None) -> dict:
     AssertionError if an implied pair fails, and SearchTimeout at the
     deadline, a ``time.monotonic()`` value (None: no limit).  ``forks.fork_map``
     runs the premises in parallel, each premise's six implications in one
-    process so that they share its class build."""
+    process so that they share its class build.  A premise returns plain
+    data, one ``(is_witness, *fields)`` tuple per conclusion, from which
+    the parent rebuilds each ``Confirmed`` or ``Witness`` in the same order."""
     from .forks import fork_map  # compiled only when a table runs
 
+    def conclusions(p):
+        return [q for q in LATTICE_NODES if q is not p]
+
+    def premise(p):
+        checked = (property_implication(p, q, max_n, deadline) for q in conclusions(p))
+        return [(type(result) is Witness, *result._values()) for result in checked]
+
     implied = implied_pairs()
-    found = fork_map(
-        lambda p: {(p, q): property_implication(p, q, max_n, deadline) for q in LATTICE_NODES if q is not p},
-        LATTICE_NODES,
-    )
-    results = {pair: result for premise in found for pair, result in premise.items()}
+    results = {
+        (p, q): (Witness if is_witness else Confirmed)(*fields)
+        for p, found in zip(LATTICE_NODES, fork_map(premise, LATTICE_NODES))
+        for q, (is_witness, *fields) in zip(conclusions(p), found)
+    }
     for p, q in implied:
         if isinstance(results[p, q], Witness):
             raise AssertionError(f"implication {p} => {q} fails at size {results[p, q].n}")

@@ -8,7 +8,8 @@ Each record names a file under ``src/``, an exact old text, the new text
 that breaks the code and a pytest selection that must catch the break.
 Before any test runs, every record's old text must occur exactly once in
 its file, so a record the code has moved away from fails the script
-instead of passing unseen.  The script then copies ``src/``, ``tests/`` and
+instead of passing unseen.  The script then copies ``src/``, ``tests/``,
+``bench/golden/`` (which ``tests/test_golden.py`` reads) and
 ``pyproject.toml`` to a temporary directory, checks that the selections
 pass there unmutated, and for each record applies the replacement to a
 fresh copy of ``src/`` and runs its selection against it.  A mutant is
@@ -412,6 +413,25 @@ MUTANTS = (
         "    left = (1 << len(strict)) - 1 & ~(1 << 4)\n",
         ("tests/test_relprops.py",),
     ),
+    Mutant(
+        "run_grid returns its rows in dispatch order", "casestudy.py",
+        "    cells = [cell for row in GRID_ROWS for cell in found[row]]\n",
+        "    cells = [cell for row in _DISPATCH for cell in found[row]]\n",
+        ("tests/test_golden.py::test_report_matches_golden_on_any_number_of_cpus[grid-3]",),
+    ),
+    Mutant(
+        "lattice_report rebuilds every result as Confirmed", "lattice.py",
+        "        (p, q): (Witness if is_witness else Confirmed)(*fields)\n",
+        "        (p, q): Confirmed(*fields)\n",
+        ("tests/test_golden.py::test_report_matches_golden_on_any_number_of_cpus[lattice-3]",
+         "tests/test_golden.py::test_report_matches_golden_on_any_number_of_cpus[lattice_text-3]"),
+    ),
+    Mutant(
+        "a failed child's entries go through marshal", "forks.py",
+        "    if done and not done[-1][1]:\n",
+        "    if False:\n",
+        ("tests/test_finder.py::test_fork_map_raises_what_an_item_raised_in_a_child",),
+    ),
 )
 
 
@@ -451,6 +471,7 @@ def main() -> int:
         no_cache = shutil.ignore_patterns("__pycache__")
         shutil.copytree(ROOT / "tests", work / "tests", ignore=no_cache)
         shutil.copytree(ROOT / "src", work / "src", ignore=no_cache)
+        shutil.copytree(ROOT / "bench" / "golden", work / "bench" / "golden")
         shutil.copy(ROOT / "pyproject.toml", work)
         selections = sorted({s for m in MUTANTS for s in m.select})
         code, tail, took = pytest(work, selections)

@@ -733,6 +733,28 @@ def test_fork_map_raises_what_an_item_raised_in_a_child(monkeypatch, tmp_path):
     _no_child_left()
 
 
+def test_fork_map_raises_a_type_error_for_a_result_that_is_not_plain_data(monkeypatch, tmp_path):
+    # whichever process runs an item, its result must be marshal data; item
+    # 0 is always taken first, so it is the lowest failed index
+    _on_cpus(monkeypatch, 2)
+    with pytest.raises(TypeError, match="^fork_map item 0 returned object, which is not plain data$"):
+        fork_map(lambda x: object(), range(4))
+    _no_child_left()
+    parent = os.getpid()
+
+    def in_child(x):
+        # the parent's items wait until the child has taken one
+        if os.getpid() == parent:
+            _wait_for(tmp_path / "child")
+            return x
+        (tmp_path / "child").touch()
+        return {x: object()}
+
+    with pytest.raises(TypeError, match=r"^fork_map item \d returned dict, which is not plain data$"):
+        fork_map(in_child, range(8))
+    _no_child_left()
+
+
 def test_fork_map_kills_its_children_when_the_parent_is_interrupted(monkeypatch, tmp_path):
     _on_cpus(monkeypatch, 2)
     parent = os.getpid()

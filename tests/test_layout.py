@@ -94,9 +94,10 @@ def test_the_package_does_not_import_dataclasses():
 
 
 def test_the_package_does_not_import_multiprocessing_or_concurrent():
-    """``forks.fork_map`` forks with ``os.fork`` and pickles over pipes.
-    Importing ``multiprocessing`` or ``concurrent.futures`` costs every CLI
-    call about 23 ms and 2.2 MB of peak resident set."""
+    """``forks.fork_map`` forks with ``os.fork`` and sends results over
+    pipes as ``marshal`` data.  Importing ``multiprocessing`` or
+    ``concurrent.futures`` costs every CLI call about 23 ms and 2.2 MB of
+    peak resident set."""
     importers = {
         f"{module}: {root}"
         for module, tree in _modules().items()
@@ -113,9 +114,11 @@ SEARCH_MODULES = {
 }
 
 # Run in a fresh interpreter: pytest has imported every module already, which
-# would hide a command that uses a module it does not import.
+# would hide a command that uses a module it does not import.  The process
+# may run on two CPUs, so the three tables fork one child each.
 _LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
 import ddlmc.cli
 before = {m for m in sys.modules if m.split(".")[0] == "ddlmc"}
 code = None
@@ -123,13 +126,16 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = ddlmc.cli.main(sys.argv[1:])
 after = {m for m in sys.modules if m.split(".")[0] == "ddlmc"}
-print(json.dumps({"import": sorted(before), "added": sorted(after - before), "code": code}))
+print(json.dumps({
+    "import": sorted(before), "added": sorted(after - before), "code": code, "pickle": "pickle" in sys.modules,
+}))
 """
 
 
 def _fresh(*argv: str) -> dict:
     """The ddlmc modules that ``import ddlmc.cli`` loads in a fresh
-    interpreter, those that ``main(argv)`` adds, and its exit code."""
+    interpreter on two CPUs, those that ``main(argv)`` adds, its exit code
+    and whether ``pickle`` is loaded after it."""
     root = PACKAGE.parent.parent
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
@@ -153,6 +159,8 @@ def test_a_cli_call_loads_only_the_modules_its_command_runs(argv, added, code):
     assert set(loaded["import"]) == SEARCH_MODULES
     assert loaded["added"] == [f"ddlmc.{module}" for module in added]
     assert loaded["code"] == code
+    # forked results cross as marshal data: pickle waits for an item that raises
+    assert loaded["pickle"] is False
 
 
 LAZY = {

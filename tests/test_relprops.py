@@ -211,7 +211,7 @@ def test_implication_results_are_records_of_their_class():
     assert hash(Confirmed(4, 7)) == hash(Witness(4, 7)) == hash((4, 7))
     assert repr(Confirmed(4, 7)) == "Confirmed(n=4, relations_checked=7)"
     assert repr(Witness(2, (1, 3))) == "Witness(n=2, rel=(1, 3))"
-    # forks.fork_map pickles them for lattice_report
+    # lattice_report sends them through forks.fork_map as plain tuples; records still pickle and copy
     for result in (Confirmed(4, 7), Witness(2, (1, 3))):
         for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
             assert copied == result and type(copied) is type(result) and copied is not result
